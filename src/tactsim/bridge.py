@@ -16,6 +16,8 @@ inputs draw negligible current.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, UsageError
 
 #: Amplifier gains of the two published board variants.
@@ -113,6 +115,35 @@ def thevenin_slope(rx: float, delta_rx: float) -> float:
     return ratio * ratio
 
 
+def _check_balanced(cfg: BridgeConfig) -> None:
+    """Raise ConfigError unless the bridge reads an exact zero at rest."""
+    if not is_balanced(cfg):
+        raise ConfigError(
+            "bridge is not balanced at rest: r1/r2 = "
+            f"{cfg.r1 / cfg.r2:.9g} but r3/rx = {cfg.r3 / cfg.rx_rest:.9g}"
+        )
+
+
+# The stage arithmetic below is shared by the scalar stages and the
+# block kernel, so both give bit-identical results. Every operation is
+# elementwise, so the same code runs on floats and on numpy arrays.
+
+def _divider_volts(supply, r3, rx_rest, reference, delta_rx):
+    rx = rx_rest + delta_rx
+    sense = rx / (r3 + rx)
+    return supply * (sense - reference)
+
+
+def _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise):
+    v = gain * v_in * (1.0 + noise_fraction * noise)
+    return np.minimum(np.maximum(v, rail_low), rail_high)
+
+
+def _rounded_code(max_code, full_scale, v):
+    clamped = np.minimum(np.maximum(v, 0.0), full_scale)
+    return np.floor(clamped * max_code / full_scale + 0.5)
+
+
 def bridge_output(cfg: BridgeConfig, delta_rx: float) -> float:
     """Differential bridge voltage for a sensing-arm rise of ``delta_rx``.
 
@@ -125,15 +156,9 @@ def bridge_output(cfg: BridgeConfig, delta_rx: float) -> float:
     """
     if delta_rx < 0:
         raise ValueError("delta_rx must be non-negative")
-    if not is_balanced(cfg):
-        raise ConfigError(
-            "bridge is not balanced at rest: r1/r2 = "
-            f"{cfg.r1 / cfg.r2:.9g} but r3/rx = {cfg.r3 / cfg.rx_rest:.9g}"
-        )
-    rx = cfg.rx_rest + delta_rx
-    sense = rx / (cfg.r3 + rx)
+    _check_balanced(cfg)
     reference = cfg.r2 / (cfg.r1 + cfg.r2)
-    return cfg.supply_voltage * (sense - reference)
+    return _divider_volts(cfg.supply_voltage, cfg.r3, cfg.rx_rest, reference, delta_rx)
 
 
 def amplify(cfg: BridgeConfig, v_in: float, noise_sample: float = 0.0) -> float:
@@ -145,8 +170,8 @@ def amplify(cfg: BridgeConfig, v_in: float, noise_sample: float = 0.0) -> float:
     """
     if not math.isfinite(v_in):
         raise ValueError("amplifier input must be finite")
-    v = cfg.amplifier_gain * v_in * (1.0 + cfg.noise_fraction * noise_sample)
-    return min(max(v, cfg.rail_low), cfg.rail_high)
+    return float(_railed_gain(cfg.amplifier_gain, cfg.noise_fraction, cfg.rail_low,
+                              cfg.rail_high, v_in, noise_sample))
 
 
 def adc_sample(adc: AdcConfig, v: float) -> int:
@@ -156,9 +181,7 @@ def adc_sample(adc: AdcConfig, v: float) -> int:
     """
     if not math.isfinite(v):
         raise ValueError("ADC input must be finite")
-    clamped = min(max(v, 0.0), adc.full_scale)
-    scaled = clamped * adc.max_code / adc.full_scale
-    return int(math.floor(scaled + 0.5))
+    return int(_rounded_code(adc.max_code, adc.full_scale, v))
 
 
 def dequantize(adc: AdcConfig, code: int) -> float:
@@ -168,7 +191,46 @@ def dequantize(adc: AdcConfig, code: int) -> float:
     return code * adc.full_scale / adc.max_code
 
 
+class Chain:
+    """Bridge -> amplifier -> ADC for several channels, compiled once.
+
+    ``bridges`` holds one bridge per channel. Their balance is checked
+    here, once; ``codes`` then converts whole blocks of samples with the
+    arithmetic of ``bridge_output``, ``amplify`` and ``adc_sample``, so
+    a block gives the same codes as those stages called per sample.
+    """
+
+    def __init__(self, bridges, adc: AdcConfig):
+        for bridge in bridges:
+            _check_balanced(bridge)
+        self.adc = adc
+        self.channels = len(bridges)
+        # One row per parameter, one column per channel.
+        params = np.array([
+            (b.supply_voltage, b.r3, b.rx_rest, b.r2 / (b.r1 + b.r2),
+             b.amplifier_gain, b.noise_fraction, b.rail_low, b.rail_high)
+            for b in bridges
+        ]).T
+        self._divider, self._amplifier = params[:4], params[4:]
+
+    def codes(self, delta_rx, noise) -> np.ndarray:
+        """ADC codes for arrays of sensing-arm rises and noise samples.
+
+        Both arrays have one column per channel and one row per sample.
+        """
+        delta_rx = np.asarray(delta_rx, dtype=float)
+        if (delta_rx < 0).any():
+            raise ValueError("delta_rx must be non-negative")
+        v_in = _divider_volts(*self._divider, delta_rx)
+        if not np.isfinite(v_in).all():
+            raise ValueError("amplifier input must be finite")
+        v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float))
+        if not np.isfinite(v).all():
+            raise ValueError("ADC input must be finite")
+        return _rounded_code(self.adc.max_code, self.adc.full_scale, v).astype(np.int64)
+
+
 def sample_chain(bridge: BridgeConfig, adc: AdcConfig, delta_rx: float,
                  noise_sample: float = 0.0) -> int:
     """One full conversion: bridge -> amplifier -> ADC code."""
-    return adc_sample(adc, amplify(bridge, bridge_output(bridge, delta_rx), noise_sample))
+    return int(Chain((bridge,), adc).codes([[delta_rx]], [[noise_sample]])[0, 0])

@@ -36,9 +36,9 @@ def _output(path):
 
 def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None, seed=None) -> None:
     """Run a scenario through the sensor chain and write the sample stream."""
-    scenario = load_scenario(scenario_path)
+    samples = simulate_samples(cfg, load_scenario(scenario_path), seed=seed)
     with _output(output_path) as out:
-        write_samples(out, simulate_samples(cfg, scenario, seed=seed))
+        write_samples(out, samples)
 
 
 def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,

@@ -11,7 +11,7 @@ default, unknown keys are rejected.
 
 from dataclasses import dataclass, replace
 
-from .bridge import AdcConfig, BridgeConfig, amplify, bridge_output, dequantize
+from .bridge import AdcConfig, BridgeConfig, Chain, amplify, bridge_output, dequantize
 from .calibration import PolynomialModel
 from .errors import ConfigError
 from .estimator import EstimatorConfig, range_for_gain
@@ -52,6 +52,11 @@ class ToolkitConfig:
         """Bridge for element ``index`` (0-3): equal arms at its rest value."""
         rest = self.elements[index].rest_resistance
         return replace(self.bridge, r1=rest, r2=rest, r3=rest, rx_rest=rest)
+
+    def sensing_chain(self) -> Chain:
+        """Conversion chain of the five channels: the fabric, then elements 1-4."""
+        elements = (self.element_bridge(i) for i in range(len(self.elements)))
+        return Chain((self.bridge, *elements), self.adc)
 
 
 def default_config(**overrides) -> ToolkitConfig:

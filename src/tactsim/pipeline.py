@@ -1,13 +1,14 @@
 """End-to-end runs: scenario simulation, stream estimation, summaries.
 
 Everything here streams: simulation and estimation are generators, so a
-replay never holds more than one tick in memory regardless of length.
-All randomness comes from one seeded generator that draws exactly five
-amplifier-noise samples per tick in channel order, which makes every
-run byte-reproducible.
+replay never holds more than one block of ticks in memory regardless of
+length. All randomness comes from one seeded generator that draws
+exactly five amplifier-noise samples per tick in channel order, which
+makes every run byte-reproducible.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -16,11 +17,14 @@ from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, StreamError, UsageError
 from .estimator import EstimatorConfig, StreamState, process_frame
-from .sensor import LoadScenario, QUADRANTS, element_resistance, fabric_delta_r
+from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine
 from .units import gw_to_newtons, rmse
 
 PATTERN_ORDER = ("none", "point", "line", "area")
+
+#: Ticks simulated per numpy block; a replay holds at most one block.
+BLOCK_TICKS = 1024
 
 
 def sample_times(adc_rate: float, end_time: float):
@@ -29,29 +33,45 @@ def sample_times(adc_rate: float, end_time: float):
     return (k / adc_rate for k in range(last + 1))
 
 
-def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
-    """Yield the ADC sample stream for a load scenario.
+def _step_deltas(cfg: ToolkitConfig, scenario: LoadScenario) -> np.ndarray:
+    """Sensing-arm rise of each channel, fabric first, for every step.
 
-    The sample clock starts at t = 0, so scenarios must start there.
+    One row per scenario step: the load is held between steps, so these
+    rows are all the resistance states a simulation can visit.
     """
+    rows = []
+    for step in scenario.steps:
+        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
+        rows.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
+    return np.array(rows)
+
+
+def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
+    """ADC sample stream for a load scenario: a lazy iterator of SampleLine.
+
+    The sample clock starts at t = 0, so scenarios must start there. The
+    scenario and the bridges are checked when this is called, before
+    any sample is produced; ticks are then computed one block at a time.
+    """
+    if scenario.start_time > 0:
+        raise ValueError(
+            f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
+        )
+    chain = cfg.sensing_chain()
+    deltas = _step_deltas(cfg, scenario)
+    step_times = np.array(scenario.step_times)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    for t in sample_times(cfg.adc.sample_rate, scenario.end_time):
-        force, quadrants = scenario.at(t)
-        codes = [
-            sample_chain(
-                cfg.bridge, cfg.adc, fabric_delta_r(cfg.fabric, force),
-                rng.uniform(-1.0, 1.0),
-            )
-        ]
-        for index, element in enumerate(cfg.elements):
-            element_force = force if QUADRANTS[index] in quadrants else 0.0
-            delta = element_resistance(element, element_force) - element.rest_resistance
-            codes.append(
-                sample_chain(
-                    cfg.element_bridge(index), cfg.adc, delta, rng.uniform(-1.0, 1.0)
-                )
-            )
-        yield SampleLine(t, tuple(codes))
+    clock = sample_times(cfg.adc.sample_rate, scenario.end_time)
+
+    def blocks():
+        while (times := np.fromiter(islice(clock, BLOCK_TICKS), dtype=float)).size:
+            rows = np.searchsorted(step_times, times, side="right") - 1
+            noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
+            codes = chain.codes(deltas[rows], noise)
+            for t, row in zip(times.tolist(), codes.tolist()):
+                yield SampleLine(t, tuple(row))
+
+    return blocks()
 
 
 def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> CalibrationDataset:

@@ -13,7 +13,8 @@ can be shared freely between threads.
 """
 
 import csv
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -110,16 +111,21 @@ class LoadStep:
 
 @dataclass(frozen=True)
 class LoadScenario:
-    """Ground-truth load timeline used to drive the simulator."""
+    """Ground-truth load timeline used to drive the simulator.
+
+    ``step_times`` holds the step times in order, derived from ``steps``.
+    """
 
     steps: tuple
+    step_times: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
             raise ValueError("scenario needs at least one step")
-        times = [s.time for s in self.steps]
+        times = tuple(s.time for s in self.steps)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("scenario times must be strictly increasing")
+        object.__setattr__(self, "step_times", times)
 
     @property
     def start_time(self) -> float:
@@ -139,12 +145,8 @@ class LoadScenario:
             raise ValueError(
                 f"time {time} s is before the scenario start ({self.start_time} s)"
             )
-        current = self.steps[0]
-        for step in self.steps[1:]:
-            if step.time > time:
-                break
-            current = step
-        return current.force, current.quadrants
+        step = self.steps[bisect_right(self.step_times, time) - 1]
+        return step.force, step.quadrants
 
 
 def stretched_resistance(rest: float, stretch_ratio: float) -> float:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -266,3 +267,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", bad)
         assert code == 2
         assert "line 2" in err
+
+    def test_late_scenario_start_fails_before_writing(self, capsys, tmp_path):
+        late = tmp_path / "late.csv"
+        late.write_text("t,force_n,quadrants\n1.0,0.2,1\n2.0,0.0,\n")
+        output = tmp_path / "stream.csv"
+        code, out, err = run(capsys, "simulate", late, "-o", output)
+        assert code == 2
+        assert not output.exists()
+        assert out == ""
+        assert "t = 0" in err
+
+    def test_unbalanced_bridge_fails_before_writing(self, capsys, tmp_path, workdir,
+                                                    monkeypatch):
+        from tactsim import cli, default_config
+
+        base = default_config()
+        unbalanced = replace(base, bridge=replace(base.bridge, r1=200e3))
+        monkeypatch.setattr(cli, "default_config", lambda: unbalanced)
+        output = tmp_path / "stream.csv"
+        code, _, err = run(capsys, "simulate", workdir / "scenario.csv", "-o", output)
+        assert code == 2
+        assert not output.exists()
+        assert "not balanced" in err

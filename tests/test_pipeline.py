@@ -112,6 +112,35 @@ class TestSimulate:
             assert channel_signal(cfg, int(sample.channels[2])) >= thresholds[1]
 
 
+    def test_late_start_rejected_before_iteration(self):
+        late = LoadScenario((
+            LoadStep(0.5, 0.2, frozenset({1})),
+            LoadStep(2.0, 0.0, frozenset()),
+        ))
+        with pytest.raises(ValueError, match="t = 0"):
+            simulate_samples(default_config(), late, seed=0)
+
+    def test_long_scenario_streams_in_one_block(self):
+        # about 10**6 ticks: the first samples must come without
+        # materializing the run, i.e. in the memory of one block
+        import itertools
+        import tracemalloc
+
+        ticks = 10**6
+        scenario = LoadScenario((
+            LoadStep(0.0, 0.49, frozenset({1})),
+            LoadStep((ticks - 1) / 9.6, 0.0, frozenset()),
+        ))
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(simulate_samples(default_config(), scenario), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [s.time for s in first] == [0.0, 1 / 9.6, 2 / 9.6]
+        assert peak < 2_000_000
+
+
 class TestCaptureProtocolDataset:
     def test_shape_and_order(self, cfg, chain_dataset):
         assert len(chain_dataset) == 100

@@ -1,0 +1,146 @@
+"""Property tests: the block simulator against a per-tick reference.
+
+The reference below is the simulator written tick by tick from the
+single-stage functions, with one scalar noise draw per channel per tick
+and a linear zero-order-hold lookup. The block simulator must produce
+exactly the same stream for any valid configuration, scenario and block
+size.
+"""
+
+import math
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tactsim import (
+    AdcConfig,
+    BridgeConfig,
+    ElementModel,
+    FabricModel,
+    LoadScenario,
+    LoadStep,
+    ToolkitConfig,
+    adc_sample,
+    amplify,
+    bridge_output,
+    element_resistance,
+    fabric_delta_r,
+)
+from tactsim import pipeline
+
+QUADRANTS = (1, 2, 3, 4)
+
+
+def linear_hold(scenario: LoadScenario, time: float):
+    """Zero-order hold by definition: the last step at or before ``time``."""
+    current = scenario.steps[0]
+    for step in scenario.steps:
+        if step.time <= time:
+            current = step
+    return current.force, current.quadrants
+
+
+def reference_stream(cfg: ToolkitConfig, scenario: LoadScenario, seed: int):
+    """(time, codes) per tick, one scalar chain conversion per channel."""
+    rng = np.random.default_rng(seed)
+    rate = cfg.adc.sample_rate
+    ticks = int(math.floor(scenario.end_time * rate + 1e-9)) + 1
+    stream = []
+    for k in range(ticks):
+        t = k / rate
+        force, quadrants = linear_hold(scenario, t)
+        channels = [(cfg.bridge, fabric_delta_r(cfg.fabric, force))]
+        for quadrant, element in zip(QUADRANTS, cfg.elements):
+            rest = element.rest_resistance
+            pressed = force if quadrant in quadrants else 0.0
+            bridge = replace(cfg.bridge, r1=rest, r2=rest, r3=rest, rx_rest=rest)
+            channels.append((bridge, element_resistance(element, pressed) - rest))
+        codes = tuple(
+            adc_sample(cfg.adc, amplify(bridge, bridge_output(bridge, delta),
+                                        rng.uniform(-1.0, 1.0)))
+            for bridge, delta in channels
+        )
+        stream.append((t, codes))
+    return stream
+
+
+@st.composite
+def configs(draw):
+    fabric_rest = draw(st.floats(10e3, 1e6))
+    ratio = draw(st.sampled_from((1.0, 0.5, 2.0, 3.7)))
+    rail_low = draw(st.floats(-1.0, 1.0))
+    bridge = BridgeConfig(
+        supply_voltage=draw(st.floats(1.0, 12.0)),
+        r1=ratio * 100e3,
+        r2=100e3,
+        r3=ratio * fabric_rest,
+        rx_rest=fabric_rest,
+        amplifier_gain=draw(st.sampled_from((22.0, 41.36)) | st.floats(0.5, 200.0)),
+        noise_fraction=draw(st.floats(0.0, 0.2)),
+        rail_low=rail_low,
+        rail_high=rail_low + draw(st.floats(0.5, 8.0)),
+    )
+    fabric = FabricModel(
+        rest_resistance=fabric_rest,
+        max_fractional_delta=draw(st.floats(0.01, 1.0)),
+        full_scale_force=draw(st.floats(0.5, 5.0)),
+    )
+    elements = []
+    for _ in QUADRANTS:
+        threshold = draw(st.floats(0.02, 0.5))
+        elements.append(ElementModel(
+            rest_resistance=draw(st.floats(1e6, 2e6)),
+            trigger_threshold=threshold,
+            active_signal_delta=draw(st.floats(0.01, 1.0)),
+            saturation_force=threshold + draw(st.floats(0.05, 2.0)),
+        ))
+    adc = AdcConfig(
+        bits=draw(st.integers(1, 12)),
+        sample_rate=draw(st.sampled_from((9.6, 1.0)) | st.floats(0.5, 50.0)),
+        full_scale=draw(st.floats(1.0, 10.0)),
+    )
+    return ToolkitConfig(fabric=fabric, elements=tuple(elements), bridge=bridge, adc=adc)
+
+
+@st.composite
+def scenarios(draw, max_duration=20.0):
+    gaps = draw(st.lists(st.floats(0.01, max_duration / 4), min_size=0, max_size=6))
+    times = [-draw(st.sampled_from((0.0, 0.0, 0.5)))]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    steps = []
+    for time in times:
+        quadrants = frozenset(draw(st.sets(st.sampled_from(QUADRANTS))))
+        force = draw(st.floats(0.0, 4.0)) if quadrants else 0.0
+        steps.append(LoadStep(time, force, quadrants))
+    return LoadScenario(tuple(steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs(), scenario=scenarios(), seed=st.integers(0, 2**32 - 1),
+       block=st.integers(1, 40))
+def test_block_stream_matches_per_tick_reference(cfg, scenario, seed, block):
+    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+        stream = list(pipeline.simulate_samples(cfg, scenario, seed=seed))
+    assert [(s.time, s.channels) for s in stream] == reference_stream(cfg, scenario, seed)
+    for sample in stream:
+        assert type(sample.time) is float
+        assert all(type(code) is int for code in sample.channels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios(max_duration=100.0), offsets=st.lists(st.floats(0.0, 1.0)))
+def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
+    times = list(scenario.step_times)
+    between = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    past = [scenario.end_time + 1.0, scenario.end_time * 2 + 1.0]
+    spread = [scenario.start_time + f * (scenario.end_time - scenario.start_time + 1.0)
+              for f in offsets]
+    for time in times + between + past + spread:
+        assert scenario.at(time) == linear_hold(scenario, time)
+    with pytest.raises(ValueError):
+        scenario.at(scenario.start_time - 1e-3)
