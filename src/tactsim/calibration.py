@@ -38,9 +38,6 @@ class PolynomialModel:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, v):
-        return evaluate_model(self, v)
-
 
 #: Factory calibration presets for the reference sensor build, orders 1-5.
 #: Their signal scale predates this toolkit's volt convention, hence the

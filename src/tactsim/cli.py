@@ -26,6 +26,15 @@ from .streams import read_samples, write_samples
 
 
 @contextmanager
+def _input(path):
+    if path == "-":
+        yield sys.stdin
+    else:
+        with open(path, "r") as handle:
+            yield handle
+
+
+@contextmanager
 def _output(path):
     if path is None or path == "-":
         yield sys.stdout
@@ -72,17 +81,9 @@ def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) 
     """Replay a sample stream through a calibrated model, frame by frame."""
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
-    if stream_path == "-":
-        samples = read_samples(sys.stdin)
-        with _output(output_path) as out:
-            for frame in estimate_frames(cfg, est_cfg, samples):
-                out.write(format_frame(frame) + "\n")
-    else:
-        with open(stream_path, "r") as stream:
-            samples = read_samples(stream)
-            with _output(output_path) as out:
-                for frame in estimate_frames(cfg, est_cfg, samples):
-                    out.write(format_frame(frame) + "\n")
+    with _input(stream_path) as stream, _output(output_path) as out:
+        for frame in estimate_frames(cfg, est_cfg, read_samples(stream)):
+            out.write(format_frame(frame) + "\n")
 
 
 def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None,

@@ -80,8 +80,6 @@ class StreamState:
     """
 
     def __init__(self, filter_window: int):
-        if filter_window < 1:
-            raise ValueError("filter window must be at least 1")
         self.window = deque(maxlen=filter_window)
         self.last_time = None
         self.element_states = (False, False, False, False)
@@ -113,13 +111,12 @@ def moving_average(window) -> float:
     Exact for a window of identical values, so a settled step reads
     back bit-for-bit.
     """
-    values = list(window)
-    if not values:
+    if not window:
         raise UsageError("moving average of an empty window")
-    first = values[0]
-    if all(v == first for v in values):
+    first = window[0]
+    if window.count(first) == len(window):
         return first
-    return math.fsum(values) / len(values)
+    return math.fsum(window) / len(window)
 
 
 def estimate_force(cfg: EstimatorConfig, signal: float) -> float:
@@ -154,29 +151,38 @@ def process_frame(cfg: EstimatorConfig, state: StreamState, signals, time: float
     """
     if len(signals) != 5:
         raise ValueError(f"expected 5 channels, got {len(signals)}")
-    if state.last_time is not None and time <= state.last_time:
-        raise StreamError(
-            f"timestamp {time} s does not advance past {state.last_time} s"
-        )
-    raw = estimate_force(cfg, signals[0])
+    elements = signals[1:]
+    above = None
+    if cfg.hysteresis_fraction > 0.0:
+        above = tuple(s >= r for s, r in zip(elements, release_levels(cfg)))
+    return advance(state, time, estimate_force(cfg, signals[0]),
+                   detect_contacts(elements, cfg.element_thresholds), above)
+
+
+def release_levels(cfg: EstimatorConfig) -> tuple:
+    """Signal level below which each active element turns off."""
+    return tuple(t * (1.0 - cfg.hysteresis_fraction) for t in cfg.element_thresholds)
+
+
+def advance(state: StreamState, time: float, raw: float, on: tuple, above=None) -> EstimateFrame:
+    """One step of the stream: clock check, filter, hysteresis, frame.
+
+    ``raw`` is the clamped force of the tick, ``on`` whether each element
+    meets its threshold and ``above`` whether each is at or above its
+    release level (None when the estimator has no hysteresis). Both
+    ``process_frame`` and the code-indexed replay in
+    ``pipeline.estimate_frames`` step the stream through here.
+    """
+    last = state.last_time
+    if last is not None and time <= last:
+        raise StreamError(f"timestamp {time} s does not advance past {last} s")
     state.window.append(raw)
     filtered = moving_average(state.window)
-    states = detect_contacts(signals[1:], cfg.element_thresholds)
-    if cfg.hysteresis_fraction > 0.0:
-        release = tuple(t * (1.0 - cfg.hysteresis_fraction) for t in cfg.element_thresholds)
-        states = tuple(
-            on or (was_on and sig >= rel)
-            for on, was_on, sig, rel in zip(states, state.element_states, signals[1:], release)
-        )
-    state.element_states = states
+    if above is not None:
+        on = tuple(o or (was and a) for o, was, a in zip(on, state.element_states, above))
+    state.element_states = on
     state.last_time = time
-    return EstimateFrame(
-        time=time,
-        raw_force=raw,
-        filtered_force=filtered,
-        element_state=states,
-        pattern=classify_pattern(states),
-    )
+    return EstimateFrame(time, raw, filtered, on, _PATTERNS_BY_COUNT[sum(on)])
 
 
 def format_frame(frame: EstimateFrame) -> str:

@@ -16,7 +16,8 @@ from .bridge import sample_chain
 from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, StreamError, UsageError
-from .estimator import EstimatorConfig, StreamState, process_frame
+from .estimator import EstimatorConfig, StreamState, advance, estimate_force, release_levels
+from .estimator import process_frame  # noqa: F401  the per-signal step; bench/spans.py traces it here
 from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine
 from .units import gw_to_newtons, rmse
@@ -98,28 +99,76 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     )
 
 
-def _code_to_signal(cfg: ToolkitConfig, value: float, where: str) -> float:
-    code = int(round(value))
-    if code != value:
-        raise DataError(f"{where}: channel value {value!r} is not an ADC code")
-    if not 0 <= code <= cfg.adc.max_code:
-        raise DataError(f"{where}: code {code} outside [0, {cfg.adc.max_code}]")
-    return channel_signal(cfg, code)
+class CodeTables:
+    """Estimator inputs per ADC code, computed once for each code seen.
+
+    A replay feeds the estimator ADC codes, and an N-bit ADC has only
+    2^N of them, so the model, the clamp and the element thresholds are
+    evaluated once per distinct code, from the same scalar definitions a
+    per-signal replay uses, and then looked up. The tables fill on first
+    sight of a code, so they stay as small as the set of codes a stream
+    uses, whatever the ADC width.
+    """
+
+    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig):
+        self.cfg = cfg
+        self.est_cfg = est_cfg
+        self.force = {}
+        self.on = tuple({} for _ in est_cfg.element_thresholds)
+        self.above = None
+        if est_cfg.hysteresis_fraction > 0.0:
+            self.above = tuple({} for _ in est_cfg.element_thresholds)
+
+    def learn(self, channels, where: str) -> None:
+        """Add the codes of one sample, in channel order, checking each."""
+        est_cfg, max_code = self.est_cfg, self.cfg.adc.max_code
+        release = release_levels(est_cfg) if self.above is not None else None
+        for channel, value in enumerate(channels):
+            code = int(round(value))
+            if code != value:
+                raise DataError(f"{where}: channel value {value!r} is not an ADC code")
+            if not 0 <= code <= max_code:
+                raise DataError(f"{where}: code {code} outside [0, {max_code}]")
+            signal = channel_signal(self.cfg, code)
+            if channel == 0:
+                self.force[code] = estimate_force(est_cfg, signal)
+                continue
+            element = channel - 1
+            self.on[element][code] = signal >= est_cfg.element_thresholds[element]
+            if release is not None:
+                self.above[element][code] = signal >= release[element]
 
 
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
-    """Yield one EstimateFrame per sample, lazily."""
+    """Yield one EstimateFrame per sample, lazily.
+
+    Per tick this is five table lookups and one ``advance`` of the
+    stream; see ``CodeTables``.
+    """
+    tables = CodeTables(cfg, est_cfg)
+    force, (on1, on2, on3, on4), release = tables.force, tables.on, tables.above
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
-        if sample.line_number is not None:
-            where = f"line {sample.line_number}"
-        else:
-            where = f"sample {ordinal}"
-        signals = tuple(_code_to_signal(cfg, c, where) for c in sample.channels)
+        c0, c1, c2, c3, c4 = sample.channels
         try:
-            yield process_frame(est_cfg, state, signals, sample.time)
+            raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
+        except KeyError:
+            tables.learn(sample.channels, _where(sample, ordinal))
+            raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
+        above = None
+        if release is not None:
+            above = tuple(table[c] for table, c in zip(release, (c1, c2, c3, c4)))
+        try:
+            frame = advance(state, sample.time, raw, on, above)
         except StreamError as exc:
-            raise StreamError(f"{where}: {exc}") from exc
+            raise StreamError(f"{_where(sample, ordinal)}: {exc}") from exc
+        yield frame
+
+
+def _where(sample: SampleLine, ordinal: int) -> str:
+    if sample.line_number is not None:
+        return f"line {sample.line_number}"
+    return f"sample {ordinal}"
 
 
 def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -> str:

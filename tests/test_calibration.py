@@ -140,9 +140,6 @@ class TestEvaluateModel:
         for model in PRESET_MODELS.values():
             assert evaluate_model(model, 0.0) == model.coefficients[0]
 
-    def test_callable_shorthand(self):
-        assert PRESET_MODELS[1](10.0) == evaluate_model(PRESET_MODELS[1], 10.0)
-
     def test_model_validation(self):
         with pytest.raises(ValueError):
             PolynomialModel((1.0,))

@@ -290,3 +290,53 @@ class TestExitCodes:
         assert code == 2
         assert not output.exists()
         assert "not balanced" in err
+
+
+#: A bad line k in an otherwise valid 60-line stream -> the error message.
+BAD_STREAM_LINES = {
+    "arity": (1, "0.0,1,2,3,4", "line 1: expected time plus 5 channels, got 5 fields"),
+    "non_numeric": (17, "1.6666666666666667,1,abc,3,4,5",
+                    "line 17: could not convert string to float: 'abc'"),
+    "non_finite": (2, "0.10416666666666667,1,2,nan,4,5",
+                   "line 2: sample fields must be finite"),
+    "negative_time": (30, "-1.5,1,2,3,4,5", "line 30: sample time must be non-negative"),
+    "non_integral_code": (51, "5.208333333333333,1,2,3,12.5,5",
+                          "line 51: channel value 12.5 is not an ADC code"),
+    "code_out_of_range": (51, "5.208333333333333,1,2,3,4,256",
+                          "line 51: code 256 outside [0, 255]"),
+    "time_not_advancing": (9, "0.5,1,2,3,4,5",
+                           "line 9: timestamp 0.5 s does not advance past 0.7291666666666667 s"),
+}
+
+
+class TestEstimateStreamErrors:
+    """A bad stream line k exits 2 naming line k, after the k-1 good frames."""
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, PolynomialModel((-0.05, 0.3)))
+        return path
+
+    @pytest.mark.parametrize("source", ("file", "stdin"))
+    @pytest.mark.parametrize("case", sorted(BAD_STREAM_LINES))
+    def test_bad_line_stops_after_earlier_frames(self, case, source, model_path, tmp_path,
+                                                 capsys, monkeypatch):
+        import io
+
+        k, bad_line, message = BAD_STREAM_LINES[case]
+        lines = [f"{t / 9.6!r},{t % 256},{7 * t % 256},0,255,12" for t in range(60)]
+        lines[k - 1] = bad_line
+        text = "\n".join(lines) + "\n"
+        frames_path = tmp_path / "frames.csv"
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            stream = "-"
+        else:
+            stream = tmp_path / "stream.csv"
+            stream.write_text(text)
+        code, out, err = run(capsys, "estimate", stream, "-m", model_path, "-o", frames_path)
+        assert code == 2
+        assert err == f"tactsim: error: {message}\n"
+        assert out == ""
+        assert frames_path.read_text().count("\n") == k - 1

@@ -1,10 +1,13 @@
-"""Property tests: the block simulator against a per-tick reference.
+"""Property tests: the fast paths against per-tick references.
 
-The reference below is the simulator written tick by tick from the
-single-stage functions, with one scalar noise draw per channel per tick
-and a linear zero-order-hold lookup. The block simulator must produce
-exactly the same stream for any valid configuration, scenario and block
-size.
+The simulator reference is written tick by tick from the single-stage
+functions, with one scalar noise draw per channel per tick and a linear
+zero-order-hold lookup. The block simulator must produce exactly the
+same stream for any valid configuration, scenario and block size.
+
+The estimator reference converts every code of every tick to a signal
+and runs ``process_frame`` on it. The code-indexed ``estimate_frames``
+must yield the same frames, down to the sign of a zero.
 """
 
 import math
@@ -20,17 +23,24 @@ from tactsim import (
     AdcConfig,
     BridgeConfig,
     ElementModel,
+    EstimatorConfig,
     FabricModel,
     LoadScenario,
     LoadStep,
+    PolynomialModel,
+    SampleLine,
+    StreamState,
     ToolkitConfig,
     adc_sample,
     amplify,
     bridge_output,
+    default_config,
     element_resistance,
     fabric_delta_r,
+    process_frame,
 )
 from tactsim import pipeline
+from tactsim.config import channel_signal
 
 QUADRANTS = (1, 2, 3, 4)
 
@@ -144,3 +154,51 @@ def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
         assert scenario.at(time) == linear_hold(scenario, time)
     with pytest.raises(ValueError):
         scenario.at(scenario.start_time - 1e-3)
+
+
+def reference_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
+    """Frames from one signal conversion and ``process_frame`` per tick."""
+    state = StreamState(est_cfg.filter_window)
+    return [
+        process_frame(est_cfg, state, tuple(channel_signal(cfg, int(c)) for c in s.channels),
+                      s.time)
+        for s in samples
+    ]
+
+
+coefficient = st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def estimator_cases(draw):
+    adc = AdcConfig(bits=draw(st.integers(1, 12)), full_scale=draw(st.floats(1.0, 10.0)))
+    cfg = default_config(adc=adc, signal_units=draw(st.sampled_from(("volts", "counts"))))
+    top = channel_signal(cfg, adc.max_code)
+    scale = draw(st.sampled_from((1.0, 1.0 / top)))
+    # random coefficients: non-monotone models, and ones that go negative
+    coefficients = [draw(coefficient) * scale ** k for k in range(draw(st.integers(2, 6)))]
+    est_cfg = EstimatorConfig(
+        model=PolynomialModel(tuple(coefficients), cfg.signal_units),
+        element_thresholds=tuple(draw(st.floats(top / 100, top)) for _ in range(4)),
+        sensing_range=draw(st.floats(0.1, 3.0)),
+        resolution=0.1,
+        filter_window=draw(st.integers(1, 8)),
+        hysteresis_fraction=draw(st.just(0.0) | st.floats(0.0, 0.9)),
+    )
+    code = st.sampled_from((0, adc.max_code)) | st.integers(0, adc.max_code)
+    palette = draw(st.lists(code, min_size=1, max_size=6))
+    ticks = draw(st.lists(st.tuples(*[st.sampled_from(palette)] * 5), min_size=1, max_size=60))
+    as_float = draw(st.booleans())
+    samples = [
+        SampleLine(k / 9.6, tuple(float(c) if as_float else c for c in codes))
+        for k, codes in enumerate(ticks)
+    ]
+    return cfg, est_cfg, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=estimator_cases())
+def test_code_tables_match_per_tick_reference(case):
+    cfg, est_cfg, samples = case
+    frames = list(pipeline.estimate_frames(cfg, est_cfg, samples))
+    assert [repr(f) for f in frames] == [repr(f) for f in reference_frames(cfg, est_cfg, samples)]

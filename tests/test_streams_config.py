@@ -47,6 +47,11 @@ class TestSampleLines:
         assert sample.time == 1.25
         assert sample.channels == (2.5, 0.1, 0.0, 0.0, 0.0)
 
+    def test_finite_fields_whose_sum_overflows_still_parse(self):
+        sample = parse_sample_line("1e308,1e308,1e308,0,0,-0.0")
+        assert sample.time == 1e308
+        assert sample.channels == (1e308, 1e308, 0.0, 0.0, 0.0)
+
     def test_round_trip_produces_canonical_form(self):
         cases = {
             "0.000,0,0,0,0,0": "0.0,0,0,0,0,0",
