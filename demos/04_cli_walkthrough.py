@@ -1,9 +1,10 @@
 """Drive the whole pipeline through the command-line interface.
 
-Writes every artifact into a scratch directory: scenario and dataset
-CSVs, the fitted model, the simulated sample stream, the frame records,
-and the final report. Demonstrates that re-running a command with the
-same seed reproduces its output byte for byte.
+Writes every artifact into a temporary directory, removed at the end:
+scenario and dataset CSVs, the fitted model, the simulated sample
+stream, the frame records, and the final report. Demonstrates that
+re-running a command with the same seed reproduces its output byte for
+byte.
 
 Run from the repository root:  python demos/04_cli_walkthrough.py
 """
@@ -35,29 +36,30 @@ def cli(*args):
     return result
 
 
-work = Path(tempfile.mkdtemp(prefix="tactsim-demo-"))
-print(f"working in {work}\n")
+with tempfile.TemporaryDirectory(prefix="tactsim-demo-") as tmp:
+    work = Path(tmp)
+    print(f"working in {work}\n")
 
-# 1) A calibration dataset captured through the simulated chain.
-save_dataset(work / "calibration.csv", capture_protocol_dataset(default_config(), seed=7))
+    # 1) A calibration dataset captured through the simulated chain.
+    save_dataset(work / "calibration.csv", capture_protocol_dataset(default_config(), seed=7))
 
-# 2) A scenario file: 20, 50, 100 gw pressed on quadrant 1.
-(work / "scenario.csv").write_text(
-    "t,force_n,quadrants\n"
-    "0.0,0.0,\n"
-    "1.0,0.196,1\n"
-    "6.0,0.49,1\n"
-    "11.0,0.98,1\n"
-    "16.0,0.0,\n"
-)
+    # 2) A scenario file: 20, 50, 100 gw pressed on quadrant 1.
+    (work / "scenario.csv").write_text(
+        "t,force_n,quadrants\n"
+        "0.0,0.0,\n"
+        "1.0,0.196,1\n"
+        "6.0,0.49,1\n"
+        "11.0,0.98,1\n"
+        "16.0,0.0,\n"
+    )
 
-# 3) calibrate -> simulate -> estimate -> report
-cli("calibrate", work / "calibration.csv", "-o", work / "model.json", "--seed", "7")
-cli("simulate", work / "scenario.csv", "-o", work / "stream.csv", "--seed", "3")
-cli("estimate", work / "stream.csv", "-m", work / "model.json", "-o", work / "frames.csv")
-cli("report", work / "frames.csv", "--truth", work / "scenario.csv", "--rmse")
+    # 3) calibrate -> simulate -> estimate -> report
+    cli("calibrate", work / "calibration.csv", "-o", work / "model.json", "--seed", "7")
+    cli("simulate", work / "scenario.csv", "-o", work / "stream.csv", "--seed", "3")
+    cli("estimate", work / "stream.csv", "-m", work / "model.json", "-o", work / "frames.csv")
+    cli("report", work / "frames.csv", "--truth", work / "scenario.csv", "--rmse")
 
-# 4) Determinism: the same seed gives the same bytes.
-cli("simulate", work / "scenario.csv", "-o", work / "stream2.csv", "--seed", "3")
-same = (work / "stream.csv").read_bytes() == (work / "stream2.csv").read_bytes()
-print(f"\nre-run with the same seed is byte-identical: {same}")
+    # 4) Determinism: the same seed gives the same bytes.
+    cli("simulate", work / "scenario.csv", "-o", work / "stream2.csv", "--seed", "3")
+    same = (work / "stream.csv").read_bytes() == (work / "stream2.csv").read_bytes()
+    print(f"\nre-run with the same seed is byte-identical: {same}")

@@ -76,15 +76,10 @@ class AdcConfig:
     def max_code(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
-    def lsb(self) -> float:
-        """Voltage step of one code."""
-        return self.full_scale / self.max_code
 
-
-def is_balanced(cfg: BridgeConfig, rel_tol: float = 1e-9) -> bool:
+def is_balanced(cfg: BridgeConfig) -> bool:
     """True when r1/r2 matches r3/rx at rest, i.e. zero output at no load."""
-    return math.isclose(cfg.r1 / cfg.r2, cfg.r3 / cfg.rx_rest, rel_tol=rel_tol)
+    return math.isclose(cfg.r1 / cfg.r2, cfg.r3 / cfg.rx_rest, rel_tol=1e-9)
 
 
 def thevenin_resistance(rx: float, delta_rx: float) -> float:

@@ -135,12 +135,11 @@ def fit_polynomial(signals, forces, order: int, signal_units: str = "volts") -> 
 
 @dataclass
 class CalibrationDataset:
-    """(signal, true force) pairs, optionally with source weights and folds."""
+    """(signal, true force) pairs, optionally with source weights."""
 
     signals: np.ndarray
     forces: np.ndarray
     weights_gw: np.ndarray = None
-    fold_ids: np.ndarray = None
 
     def __post_init__(self):
         self.signals = np.asarray(self.signals, dtype=float)
@@ -169,14 +168,14 @@ def kfold_split(dataset, k: int = 5, seed=0) -> np.ndarray:
         raise ValueError(f"cannot split {n} samples into {k} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    fold_ids = np.empty(n, dtype=int)
+    folds = np.empty(n, dtype=int)
     base, extra = divmod(n, k)
     start = 0
     for fold in range(k):
         size = base + (1 if fold < extra else 0)
-        fold_ids[order[start:start + size]] = fold
+        folds[order[start:start + size]] = fold
         start += size
-    return fold_ids
+    return folds
 
 
 @dataclass
@@ -229,10 +228,10 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
     test_sums = {order: 0.0 for order in orders}
     evaluations = 0
     for repeat in range(repeats):
-        fold_ids = kfold_split(dataset, k=k, seed=[seed, repeat])
+        folds = kfold_split(dataset, k=k, seed=[seed, repeat])
         test_folds = (0,) if strict_paper else range(k)
         for fold in test_folds:
-            test_mask = fold_ids == fold
+            test_mask = folds == fold
             v_train, f_train = signals[~test_mask], forces[~test_mask]
             v_test, f_test = signals[test_mask], forces[test_mask]
             for order in orders:
@@ -301,14 +300,17 @@ def synthetic_protocol_dataset(model: PolynomialModel, noise_sigma: float = 0.0,
 
     Signals are placed exactly where the model maps them onto the
     protocol forces; the recorded force readings optionally carry
-    additive Gaussian noise of scale ``noise_sigma`` newtons.
+    additive Gaussian noise of scale ``noise_sigma`` newtons. A model
+    that does not reach some protocol force on [0, 50] raises
+    ValueError naming the first such force, in protocol order.
     """
-    weights = [w for w, count in protocol_weights() for _ in range(count)]
-    forces_true = np.array([gw_to_newtons(w) for w in weights])
+    forces_true = np.array(protocol_forces())
     signals = np.array([invert_model(model, f) for f in forces_true])
     rng = np.random.default_rng(seed)
     observed = forces_true + noise_sigma * rng.standard_normal(forces_true.size)
-    return CalibrationDataset(signals, observed, weights_gw=np.array(weights, float))
+    weights, counts = zip(*protocol_weights())
+    weights_gw = np.repeat(np.array(weights, float), counts)
+    return CalibrationDataset(signals, observed, weights_gw=weights_gw)
 
 
 DATASET_HEADERS = (("v", "force_n"), ("v", "force_n", "weight_gw"))

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from .calibration import PolynomialModel, evaluate_model
 from .errors import ParseError, StreamError, UsageError
 
-PATTERN_NONE = "none"
-PATTERN_POINT = "point"
-PATTERN_LINE = "line"
-PATTERN_AREA = "area"
+#: Contact-pattern labels, in report order.
+PATTERNS = ("none", "point", "line", "area")
 
 #: Pattern label by number of active elements. A 2x2 grid cannot tell a
 #: diagonal pair from an edge pair, so any two contacts read as a line.
-_PATTERNS_BY_COUNT = (PATTERN_NONE, PATTERN_POINT, PATTERN_LINE, PATTERN_AREA, PATTERN_AREA)
+_PATTERNS_BY_COUNT = (*PATTERNS, "area")
 
 #: (sensing range N, resolution N) for the published amplifier gains.
 RANGE_TABLE = {22.0: (1.5, 0.1), 41.36: (1.0, 0.05)}
@@ -34,9 +32,6 @@ class EstimatorConfig:
     ``element_thresholds`` are signal levels (same units as the incoming
     samples), not forces; see ``config.element_signal_thresholds`` for
     the conversion through the simulated element chain.
-    ``hysteresis_fraction`` keeps an element on until its signal drops
-    below threshold*(1-h); the reference firmware uses plain on/off
-    (h = 0).
     """
 
     model: PolynomialModel
@@ -44,7 +39,6 @@ class EstimatorConfig:
     sensing_range: float
     resolution: float
     filter_window: int = 4
-    hysteresis_fraction: float = 0.0
 
     def __post_init__(self):
         if self.filter_window < 1:
@@ -57,8 +51,6 @@ class EstimatorConfig:
             raise ValueError("need one threshold per element (4)")
         if any(t <= 0 for t in self.element_thresholds):
             raise ValueError("element thresholds must be positive")
-        if not 0 <= self.hysteresis_fraction < 1:
-            raise ValueError("hysteresis_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -75,14 +67,12 @@ class EstimateFrame:
 class StreamState:
     """Mutable context owned by one stream consumer.
 
-    Holds the filter window, the sample clock, and the previous contact
-    states (needed when hysteresis is enabled).
+    Holds the filter window and the sample clock.
     """
 
     def __init__(self, filter_window: int):
         self.window = deque(maxlen=filter_window)
         self.last_time = None
-        self.element_states = (False, False, False, False)
 
 
 def range_for_gain(gain: float):
@@ -151,36 +141,23 @@ def process_frame(cfg: EstimatorConfig, state: StreamState, signals, time: float
     """
     if len(signals) != 5:
         raise ValueError(f"expected 5 channels, got {len(signals)}")
-    elements = signals[1:]
-    above = None
-    if cfg.hysteresis_fraction > 0.0:
-        above = tuple(s >= r for s, r in zip(elements, release_levels(cfg)))
     return advance(state, time, estimate_force(cfg, signals[0]),
-                   detect_contacts(elements, cfg.element_thresholds), above)
+                   detect_contacts(signals[1:], cfg.element_thresholds))
 
 
-def release_levels(cfg: EstimatorConfig) -> tuple:
-    """Signal level below which each active element turns off."""
-    return tuple(t * (1.0 - cfg.hysteresis_fraction) for t in cfg.element_thresholds)
+def advance(state: StreamState, time: float, raw: float, on: tuple) -> EstimateFrame:
+    """One step of the stream: clock check, filter, frame.
 
-
-def advance(state: StreamState, time: float, raw: float, on: tuple, above=None) -> EstimateFrame:
-    """One step of the stream: clock check, filter, hysteresis, frame.
-
-    ``raw`` is the clamped force of the tick, ``on`` whether each element
-    meets its threshold and ``above`` whether each is at or above its
-    release level (None when the estimator has no hysteresis). Both
-    ``process_frame`` and the code-indexed replay in
-    ``pipeline.estimate_frames`` step the stream through here.
+    ``raw`` is the clamped force of the tick and ``on`` whether each
+    element meets its threshold. Both ``process_frame`` and the
+    code-indexed replay in ``pipeline.estimate_frames`` step the stream
+    through here.
     """
     last = state.last_time
     if last is not None and time <= last:
         raise StreamError(f"timestamp {time} s does not advance past {last} s")
     state.window.append(raw)
     filtered = moving_average(state.window)
-    if above is not None:
-        on = tuple(o or (was and a) for o, was, a in zip(on, state.element_states, above))
-    state.element_states = on
     state.last_time = time
     return EstimateFrame(time, raw, filtered, on, _PATTERNS_BY_COUNT[sum(on)])
 
@@ -201,7 +178,7 @@ def parse_frame(line: str, line_number=None) -> EstimateFrame:
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from exc
     pattern = fields[7]
-    if pattern not in (PATTERN_NONE, PATTERN_POINT, PATTERN_LINE, PATTERN_AREA):
+    if pattern not in PATTERNS:
         raise ParseError(f"unknown pattern {pattern!r}", line_number)
     return EstimateFrame(time, raw, filtered, states, pattern)
 

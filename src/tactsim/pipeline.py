@@ -16,13 +16,11 @@ from .bridge import sample_chain
 from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, StreamError, UsageError
-from .estimator import EstimatorConfig, StreamState, advance, estimate_force, release_levels
+from .estimator import PATTERNS, EstimatorConfig, StreamState, advance, estimate_force
 from .estimator import process_frame  # noqa: F401  the per-signal step; bench/spans.py traces it here
 from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine
 from .units import gw_to_newtons, rmse
-
-PATTERN_ORDER = ("none", "point", "line", "area")
 
 #: Ticks simulated per numpy block; a replay holds at most one block.
 BLOCK_TICKS = 1024
@@ -115,14 +113,10 @@ class CodeTables:
         self.est_cfg = est_cfg
         self.force = {}
         self.on = tuple({} for _ in est_cfg.element_thresholds)
-        self.above = None
-        if est_cfg.hysteresis_fraction > 0.0:
-            self.above = tuple({} for _ in est_cfg.element_thresholds)
 
     def learn(self, channels, where: str) -> None:
         """Add the codes of one sample, in channel order, checking each."""
         est_cfg, max_code = self.est_cfg, self.cfg.adc.max_code
-        release = release_levels(est_cfg) if self.above is not None else None
         for channel, value in enumerate(channels):
             code = int(round(value))
             if code != value:
@@ -132,11 +126,8 @@ class CodeTables:
             signal = channel_signal(self.cfg, code)
             if channel == 0:
                 self.force[code] = estimate_force(est_cfg, signal)
-                continue
-            element = channel - 1
-            self.on[element][code] = signal >= est_cfg.element_thresholds[element]
-            if release is not None:
-                self.above[element][code] = signal >= release[element]
+            else:
+                self.on[channel - 1][code] = signal >= est_cfg.element_thresholds[channel - 1]
 
 
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
@@ -146,7 +137,7 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     stream; see ``CodeTables``.
     """
     tables = CodeTables(cfg, est_cfg)
-    force, (on1, on2, on3, on4), release = tables.force, tables.on, tables.above
+    force, (on1, on2, on3, on4) = tables.force, tables.on
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
         c0, c1, c2, c3, c4 = sample.channels
@@ -155,11 +146,8 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
         except KeyError:
             tables.learn(sample.channels, _where(sample, ordinal))
             raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
-        above = None
-        if release is not None:
-            above = tuple(table[c] for table, c in zip(release, (c1, c2, c3, c4)))
         try:
-            frame = advance(state, sample.time, raw, on, above)
+            frame = advance(state, sample.time, raw, on)
         except StreamError as exc:
             raise StreamError(f"{_where(sample, ordinal)}: {exc}") from exc
         yield frame
@@ -182,7 +170,7 @@ def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -
     t_first = t_last = None
     saturated = 0
     on_counts = [0, 0, 0, 0]
-    pattern_counts = {label: 0 for label in PATTERN_ORDER}
+    pattern_counts = dict.fromkeys(PATTERNS, 0)
     estimates, true_forces = [], []
     for frame in frames:
         if count == 0:
@@ -204,7 +192,7 @@ def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -
         lines.append(f"saturated_frames,{saturated}")
         for index, on in enumerate(on_counts, start=1):
             lines.append(f"duty_cycle_e{index},{on / count!r}")
-        for label in PATTERN_ORDER:
+        for label in PATTERNS:
             lines.append(f"pattern_{label},{pattern_counts[label]}")
     if truth is not None:
         if not count:

@@ -123,8 +123,8 @@ def test_criterion_3_preset_recovery():
 @criterion(4, "training error monotone in order", budget_s=5.0)
 def test_criterion_4_training_monotonicity():
     dataset = synthetic_protocol_dataset(PRESET_MODELS[1], noise_sigma=0.09, seed=0)
-    fold_ids = kfold_split(dataset, k=5, seed=0)
-    train = fold_ids != 0
+    folds = kfold_split(dataset, k=5, seed=0)
+    train = folds != 0
     errors = []
     for order in (1, 2, 3, 4, 5):
         design = build_design_matrix(dataset.signals[train], order)

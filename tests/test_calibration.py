@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,20 @@ class TestSyntheticDataset:
         a = synthetic_protocol_dataset(PRESET_MODELS[1], noise_sigma=0.09, seed=5)
         b = synthetic_protocol_dataset(PRESET_MODELS[1], noise_sigma=0.09, seed=5)
         assert np.array_equal(a.forces, b.forces)
+
+    @pytest.mark.parametrize("order", (1, 2))
+    def test_low_order_presets_regenerate_protocol(self, order):
+        model = PRESET_MODELS[order]
+        dataset = synthetic_protocol_dataset(model, noise_sigma=0.0)
+        assert dataset.forces.tolist() == protocol_forces()
+        expected = [float(w) for w, count in protocol_weights() for _ in range(count)]
+        assert dataset.weights_gw.tolist() == expected
+        assert evaluate_model(model, dataset.signals) == pytest.approx(dataset.forces, abs=1e-9)
+
+    @pytest.mark.parametrize("order, force", ((3, "0.98"), (4, "0.049"), (5, "0.049")))
+    def test_high_order_presets_name_first_unreachable_force(self, order, force):
+        with pytest.raises(ValueError, match=f"^force {re.escape(force)} N is not reached"):
+            synthetic_protocol_dataset(PRESET_MODELS[order])
 
 
 class TestModelFiles:

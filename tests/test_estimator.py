@@ -220,22 +220,15 @@ class TestProcessFrame:
             assert 0.0 <= frame.filtered_force <= cfg.sensing_range
             assert 0.0 <= frame.raw_force <= cfg.sensing_range
 
-    def test_hysteresis_holds_state_in_deadband(self):
-        cfg = make_cfg(hysteresis_fraction=0.2)
+    def test_dip_below_threshold_switches_off_next_frame(self):
+        cfg = make_cfg()
         state = StreamState(cfg.filter_window)
         on = process_frame(cfg, state, (0.0, 1.1, 0.0, 0.0, 0.0), 0.0)
         assert on.element_state[0]
-        # 0.9 is below the 1.0 threshold but above the 0.8 release level
-        held = process_frame(cfg, state, (0.0, 0.9, 0.0, 0.0, 0.0), 1.0)
-        assert held.element_state[0]
-        released = process_frame(cfg, state, (0.0, 0.7, 0.0, 0.0, 0.0), 2.0)
-        assert not released.element_state[0]
-        # without hysteresis the same dip switches off immediately
-        plain = make_cfg()
-        state = StreamState(plain.filter_window)
-        process_frame(plain, state, (0.0, 1.1, 0.0, 0.0, 0.0), 0.0)
-        dipped = process_frame(plain, state, (0.0, 0.9, 0.0, 0.0, 0.0), 1.0)
+        # contacts are plain on/off: no memory of the previous frame
+        dipped = process_frame(cfg, state, (0.0, 0.9, 0.0, 0.0, 0.0), 1.0)
         assert not dipped.element_state[0]
+        assert dipped.pattern == "none"
 
 
 class TestFrameRecords:
@@ -285,7 +278,3 @@ class TestConfigValidation:
     def test_range_positive(self):
         with pytest.raises(ValueError):
             make_cfg(sensing_range=0.0)
-
-    def test_hysteresis_bounds(self):
-        with pytest.raises(ValueError):
-            make_cfg(hysteresis_fraction=1.0)

@@ -8,6 +8,10 @@ same stream for any valid configuration, scenario and block size.
 The estimator reference converts every code of every tick to a signal
 and runs ``process_frame`` on it. The code-indexed ``estimate_frames``
 must yield the same frames, down to the sign of a zero.
+
+The stage properties check the balanced null, the monotone bridge and
+the half-LSB quantization bound on random configurations, and every
+file format must read back what it wrote.
 """
 
 import math
@@ -22,7 +26,9 @@ from hypothesis import strategies as st
 from tactsim import (
     AdcConfig,
     BridgeConfig,
+    CalibrationDataset,
     ElementModel,
+    EstimateFrame,
     EstimatorConfig,
     FabricModel,
     LoadScenario,
@@ -35,12 +41,24 @@ from tactsim import (
     amplify,
     bridge_output,
     default_config,
+    dequantize,
     element_resistance,
     fabric_delta_r,
+    format_frame,
+    format_sample_line,
+    load_dataset,
+    load_model,
+    load_scenario,
+    parse_frame,
+    parse_sample_line,
     process_frame,
+    save_dataset,
+    save_model,
+    save_scenario,
 )
 from tactsim import pipeline
 from tactsim.config import channel_signal
+from tactsim.estimator import PATTERNS
 
 QUADRANTS = (1, 2, 3, 4)
 
@@ -183,7 +201,6 @@ def estimator_cases(draw):
         sensing_range=draw(st.floats(0.1, 3.0)),
         resolution=0.1,
         filter_window=draw(st.integers(1, 8)),
-        hysteresis_fraction=draw(st.just(0.0) | st.floats(0.0, 0.9)),
     )
     code = st.sampled_from((0, adc.max_code)) | st.integers(0, adc.max_code)
     palette = draw(st.lists(code, min_size=1, max_size=6))
@@ -202,3 +219,94 @@ def test_code_tables_match_per_tick_reference(case):
     cfg, est_cfg, samples = case
     frames = list(pipeline.estimate_frames(cfg, est_cfg, samples))
     assert [repr(f) for f in frames] == [repr(f) for f in reference_frames(cfg, est_cfg, samples)]
+
+
+@st.composite
+def balanced_bridges(draw):
+    r1, r2, rx = (draw(st.floats(1e3, 1e6)) for _ in range(3))
+    return BridgeConfig(supply_voltage=draw(st.floats(1.0, 12.0)),
+                        r1=r1, r2=r2, r3=r1 * rx / r2, rx_rest=rx)
+
+
+# Rises in units of rx, at least 1e-6 rx apart, so that each step moves
+# the divider node by far more than one rounding error.
+rise = st.just(0.0) | st.floats(1e-6, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=balanced_bridges(), low=rise, step=st.floats(1e-6, 10.0))
+def test_bridge_null_at_rest_and_strictly_increasing(cfg, low, step):
+    assert abs(bridge_output(cfg, 0.0)) < 1e-12 * cfg.supply_voltage
+    rises = sorted({0.0, low, low + step})
+    outputs = [bridge_output(cfg, r * cfg.rx_rest) for r in rises]
+    assert all(a < b for a, b in zip(outputs, outputs[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(1, 16), full_scale=st.floats(0.1, 20.0), fraction=st.floats(-1.0, 2.0))
+def test_quantization_within_half_lsb(bits, full_scale, fraction):
+    adc = AdcConfig(bits=bits, full_scale=full_scale)
+    v = fraction * full_scale
+    clamped = min(max(v, 0.0), full_scale)
+    error = dequantize(adc, adc_sample(adc, v)) - clamped
+    # A voltage on a code boundary is exactly half an LSB from the code's
+    # centre, and the centre itself is rounded to a float: allow that.
+    assert abs(error) <= full_scale / (2 * adc.max_code) + 2 * math.ulp(full_scale)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+channel = st.integers(0, 4095) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(time=st.floats(0.0, 1e9), channels=st.tuples(*[channel] * 5))
+def test_sample_line_round_trip(time, channels):
+    sample = SampleLine(time, channels)
+    line = format_sample_line(sample)
+    parsed = parse_sample_line(line)
+    assert parsed == sample
+    assert format_sample_line(parsed) == line
+
+
+@settings(max_examples=200, deadline=None)
+@given(time=st.floats(0.0, 1e9), raw=finite, filtered=finite,
+       states=st.tuples(*[st.booleans()] * 4), pattern=st.sampled_from(PATTERNS))
+def test_frame_line_round_trip(time, raw, filtered, states, pattern):
+    frame = EstimateFrame(time, raw, filtered, states, pattern)
+    assert repr(parse_frame(format_frame(frame))) == repr(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios(max_duration=100.0))
+def test_scenario_csv_round_trip(scenario, tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.csv"
+    save_scenario(path, scenario)
+    assert load_scenario(path) == scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=20),
+       weighted=st.booleans())
+def test_dataset_csv_round_trip(rows, weighted, tmp_path_factory):
+    signals, forces, weights = (np.array(column) for column in zip(*rows))
+    dataset = CalibrationDataset(signals, forces, weights_gw=weights if weighted else None)
+    path = tmp_path_factory.mktemp("dataset") / "dataset.csv"
+    save_dataset(path, dataset)
+    loaded = load_dataset(path)
+    assert loaded.signals.tolist() == dataset.signals.tolist()
+    assert loaded.forces.tolist() == dataset.forces.tolist()
+    if weighted:
+        assert loaded.weights_gw.tolist() == dataset.weights_gw.tolist()
+    else:
+        assert loaded.weights_gw is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficients=st.lists(finite, min_size=2, max_size=7), units=st.text())
+def test_model_json_round_trip(coefficients, units, tmp_path_factory):
+    model = PolynomialModel(tuple(coefficients), units)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert loaded == model
+    assert [repr(c) for c in loaded.coefficients] == [repr(c) for c in model.coefficients]
