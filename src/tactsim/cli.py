@@ -19,10 +19,15 @@ from .calibration import (
 )
 from .config import ToolkitConfig, default_config, load_config, make_estimator_config
 from .errors import ToolkitError, UsageError
-from .estimator import format_frame, parse_frame, range_for_gain
-from .pipeline import estimate_frames, simulate_samples, summarize_frames
+from .estimator import range_for_gain
+from .pipeline import estimate_lines, simulate_blocks, summarize_lines
 from .sensor import load_scenario
-from .streams import read_samples, write_samples
+from .streams import format_sample_block
+
+# The per-item paths each block path reproduces; bench/spans.py traces them here.
+from .estimator import format_frame, parse_frame  # noqa: F401
+from .pipeline import estimate_frames, simulate_samples, summarize_frames  # noqa: F401
+from .streams import read_samples, write_samples  # noqa: F401
 
 
 @contextmanager
@@ -45,9 +50,10 @@ def _output(path):
 
 def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None, seed=None) -> None:
     """Run a scenario through the sensor chain and write the sample stream."""
-    samples = simulate_samples(cfg, load_scenario(scenario_path), seed=seed)
+    blocks = simulate_blocks(cfg, load_scenario(scenario_path), seed=seed)
     with _output(output_path) as out:
-        write_samples(out, samples)
+        for times, codes in blocks:
+            out.write(format_sample_block(times, codes))
 
 
 def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,
@@ -82,8 +88,7 @@ def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) 
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
     with _input(stream_path) as stream, _output(output_path) as out:
-        for frame in estimate_frames(cfg, est_cfg, read_samples(stream)):
-            out.write(format_frame(frame) + "\n")
+        estimate_lines(cfg, est_cfg, stream, out)
 
 
 def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None,
@@ -94,12 +99,7 @@ def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None,
     truth = load_scenario(truth_path) if truth_path is not None else None
     sensing_range, _ = range_for_gain(cfg.bridge.amplifier_gain)
     with open(frames_path, "r") as handle:
-        frames = (
-            parse_frame(line, number)
-            for number, line in enumerate(handle, start=1)
-            if line.strip() and not line.lstrip().startswith("#")
-        )
-        summary = summarize_frames(frames, sensing_range, truth=truth)
+        summary = summarize_lines(handle, sensing_range, truth=truth)
     print(summary, file=out or sys.stdout)
 
 

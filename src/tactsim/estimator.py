@@ -141,31 +141,35 @@ def process_frame(cfg: EstimatorConfig, state: StreamState, signals, time: float
     """
     if len(signals) != 5:
         raise ValueError(f"expected 5 channels, got {len(signals)}")
-    return advance(state, time, estimate_force(cfg, signals[0]),
-                   detect_contacts(signals[1:], cfg.element_thresholds))
+    raw = estimate_force(cfg, signals[0])
+    on = detect_contacts(signals[1:], cfg.element_thresholds)
+    return EstimateFrame(time, raw, advance(state, time, raw), on, _PATTERNS_BY_COUNT[sum(on)])
 
 
-def advance(state: StreamState, time: float, raw: float, on: tuple) -> EstimateFrame:
-    """One step of the stream: clock check, filter, frame.
+def advance(state: StreamState, time: float, raw: float) -> float:
+    """One step of the stream: clock check, then the filtered force.
 
-    ``raw`` is the clamped force of the tick and ``on`` whether each
-    element meets its threshold. Both ``process_frame`` and the
-    code-indexed replay in ``pipeline.estimate_frames`` step the stream
-    through here.
+    ``raw`` is the clamped force of the tick. Every replay steps the
+    stream through here: ``process_frame`` and the code-indexed
+    ``pipeline.estimate_frames`` and ``pipeline.estimate_lines``.
     """
     last = state.last_time
     if last is not None and time <= last:
         raise StreamError(f"timestamp {time} s does not advance past {last} s")
     state.window.append(raw)
-    filtered = moving_average(state.window)
     state.last_time = time
-    return EstimateFrame(time, raw, filtered, on, _PATTERNS_BY_COUNT[sum(on)])
+    return moving_average(state.window)
+
+
+def frame_tail(states, pattern: str) -> str:
+    """The ``e1,e2,e3,e4,pattern`` end of a frame record line."""
+    return ",".join("1" if s else "0" for s in states) + "," + pattern
 
 
 def format_frame(frame: EstimateFrame) -> str:
     """Frame record line: ``t,raw_n,filtered_n,e1,e2,e3,e4,pattern``."""
-    states = ",".join("1" if s else "0" for s in frame.element_state)
-    return f"{frame.time!r},{frame.raw_force!r},{frame.filtered_force!r},{states},{frame.pattern}"
+    tail = frame_tail(frame.element_state, frame.pattern)
+    return f"{frame.time!r},{frame.raw_force!r},{frame.filtered_force!r},{tail}"
 
 
 def parse_frame(line: str, line_number=None) -> EstimateFrame:
@@ -177,6 +181,10 @@ def parse_frame(line: str, line_number=None) -> EstimateFrame:
         states = tuple(_parse_state(f, line_number) for f in fields[3:7])
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from exc
+    if not all(math.isfinite(v) for v in (time, raw, filtered)):
+        raise ParseError("frame fields must be finite", line_number)
+    if time < 0:
+        raise ParseError("frame time must be non-negative", line_number)
     pattern = fields[7]
     if pattern not in PATTERNS:
         raise ParseError(f"unknown pattern {pattern!r}", line_number)

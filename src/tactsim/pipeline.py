@@ -1,14 +1,14 @@
 """End-to-end runs: scenario simulation, stream estimation, summaries.
 
-Everything here streams: simulation and estimation are generators, so a
-replay never holds more than one block of ticks in memory regardless of
-length. All randomness comes from one seeded generator that draws
+Everything here streams: simulation and estimation work one block of
+``BLOCK_TICKS`` ticks or lines at a time, so a replay never holds more
+than one block in memory regardless of length. All randomness comes from one seeded generator that draws
 exactly five amplifier-noise samples per tick in channel order, which
 makes every run byte-reproducible.
 """
 
 import math
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -16,13 +16,23 @@ from .bridge import sample_chain
 from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, StreamError, UsageError
-from .estimator import PATTERNS, EstimatorConfig, StreamState, advance, estimate_force
+from .estimator import (
+    PATTERNS,
+    EstimateFrame,
+    EstimatorConfig,
+    StreamState,
+    advance,
+    classify_pattern,
+    estimate_force,
+    frame_tail,
+    parse_frame,
+)
 from .estimator import process_frame  # noqa: F401  the per-signal step; bench/spans.py traces it here
 from .sensor import LoadScenario, apply_load, fabric_delta_r
-from .streams import SampleLine
+from .streams import SampleLine, parse_sample_line
 from .units import gw_to_newtons, rmse
 
-#: Ticks simulated per numpy block; a replay holds at most one block.
+#: Ticks per block, simulated or read and written; a replay holds at most one block.
 BLOCK_TICKS = 1024
 
 
@@ -45,12 +55,14 @@ def _step_deltas(cfg: ToolkitConfig, scenario: LoadScenario) -> np.ndarray:
     return np.array(rows)
 
 
-def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
-    """ADC sample stream for a load scenario: a lazy iterator of SampleLine.
+def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
+    """ADC sample stream for a load scenario, one block of ticks at a time.
 
-    The sample clock starts at t = 0, so scenarios must start there. The
-    scenario and the bridges are checked when this is called, before
-    any sample is produced; ticks are then computed one block at a time.
+    A lazy iterator of ``(times, codes)`` pairs of lists: up to
+    ``BLOCK_TICKS`` float tick times and, for each, its five int ADC
+    codes. The sample clock starts at t = 0, so scenarios must start
+    there. The scenario and the bridges are checked when this is called,
+    before any sample is produced.
     """
     if scenario.start_time > 0:
         raise ValueError(
@@ -66,11 +78,20 @@ def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
         while (times := np.fromiter(islice(clock, BLOCK_TICKS), dtype=float)).size:
             rows = np.searchsorted(step_times, times, side="right") - 1
             noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
-            codes = chain.codes(deltas[rows], noise)
-            for t, row in zip(times.tolist(), codes.tolist()):
-                yield SampleLine(t, tuple(row))
+            yield times.tolist(), chain.codes(deltas[rows], noise).tolist()
 
     return blocks()
+
+
+def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
+    """ADC sample stream for a load scenario: a lazy iterator of SampleLine.
+
+    The ticks of ``simulate_blocks``, checked the same way when this is
+    called.
+    """
+    blocks = simulate_blocks(cfg, scenario, seed=seed)
+    return (SampleLine(t, tuple(codes)) for times, rows in blocks
+            for t, codes in zip(times, rows))
 
 
 def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> CalibrationDataset:
@@ -106,6 +127,12 @@ class CodeTables:
     per-signal replay uses, and then looked up. The tables fill on first
     sight of a code, so they stay as small as the set of codes a stream
     uses, whatever the ADC width.
+
+    ``text`` holds the same values per channel keyed by the canonical
+    spelling of each code seen (``str(code)``), so a stream line can be
+    looked up without converting its fields; channel 0 maps to the
+    force and its ``repr``. Other spellings of a code are never added,
+    so these tables are bounded by the code count too.
     """
 
     def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig):
@@ -113,6 +140,7 @@ class CodeTables:
         self.est_cfg = est_cfg
         self.force = {}
         self.on = tuple({} for _ in est_cfg.element_thresholds)
+        self.text = ({}, {}, {}, {}, {})
 
     def learn(self, channels, where: str) -> None:
         """Add the codes of one sample, in channel order, checking each."""
@@ -123,11 +151,24 @@ class CodeTables:
                 raise DataError(f"{where}: channel value {value!r} is not an ADC code")
             if not 0 <= code <= max_code:
                 raise DataError(f"{where}: code {code} outside [0, {max_code}]")
+            table = self.on[channel - 1] if channel else self.force
+            if code in table:
+                continue
             signal = channel_signal(self.cfg, code)
-            if channel == 0:
-                self.force[code] = estimate_force(est_cfg, signal)
+            if channel:
+                value = signal >= est_cfg.element_thresholds[channel - 1]
+                self.text[channel][str(code)] = value
             else:
-                self.on[channel - 1][code] = signal >= est_cfg.element_thresholds[channel - 1]
+                value = estimate_force(est_cfg, signal)
+                self.text[0][str(code)] = (value, repr(value))
+            table[code] = value
+
+
+#: Contact pattern and frame-record tail of each element on-state tuple.
+_ON_STATES = {
+    on: (classify_pattern(on), frame_tail(on, classify_pattern(on)))
+    for on in product((False, True), repeat=4)
+}
 
 
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
@@ -147,16 +188,65 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
             tables.learn(sample.channels, _where(sample, ordinal))
             raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
         try:
-            frame = advance(state, sample.time, raw, on)
+            filtered = advance(state, sample.time, raw)
         except StreamError as exc:
             raise StreamError(f"{_where(sample, ordinal)}: {exc}") from exc
-        yield frame
+        yield EstimateFrame(sample.time, raw, filtered, on, _ON_STATES[on][0])
 
 
 def _where(sample: SampleLine, ordinal: int) -> str:
     if sample.line_number is not None:
         return f"line {sample.line_number}"
     return f"sample {ordinal}"
+
+
+def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> None:
+    """Replay sample stream lines and write their frame record lines to ``out``.
+
+    Writes what ``format_frame`` gives for each frame of
+    ``estimate_frames(cfg, est_cfg, read_samples(lines))``, reading and
+    writing ``BLOCK_TICKS`` lines at a time, so memory stays constant
+    however long the stream. A line of a time and five canonically
+    spelled codes is split once and its fields looked up in
+    ``CodeTables.text``; its time alone is converted. Any other line
+    goes through ``parse_sample_line`` and ``CodeTables.learn``, which
+    name the line in any error. The frames before a bad line are written
+    before the error propagates.
+    """
+    tables = CodeTables(cfg, est_cfg)
+    force, (on1, on2, on3, on4), (t0, t1, t2, t3, t4) = tables.force, tables.on, tables.text
+    state = StreamState(est_cfg.filter_window)
+    lines, number, inf = iter(lines), 0, math.inf
+    while block := list(islice(lines, BLOCK_TICKS)):
+        frames = []
+        try:
+            for line in block:
+                number += 1
+                try:
+                    t, c0, c1, c2, c3, c4 = line.strip().split(",")
+                    (raw, raw_text), on = t0[c0], (t1[c1], t2[c2], t3[c3], t4[c4])
+                    time = float(t)
+                    fast = 0.0 <= time < inf
+                except (ValueError, KeyError):
+                    fast = False
+                if not fast:
+                    text = line.strip()
+                    if not text or text.startswith("#"):
+                        continue
+                    sample = parse_sample_line(text, number)
+                    tables.learn(sample.channels, f"line {number}")
+                    time, (c0, c1, c2, c3, c4) = sample.time, sample.channels
+                    raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
+                    raw_text = repr(raw)
+                try:
+                    filtered = advance(state, time, raw)
+                except StreamError as exc:
+                    raise StreamError(f"line {number}: {exc}") from exc
+                # A settled window returns its first force: often this tick's own.
+                filtered_text = raw_text if filtered is raw else repr(filtered)
+                frames.append(f"{time!r},{raw_text},{filtered_text},{_ON_STATES[on][1]}\n")
+        finally:
+            out.write("".join(frames))
 
 
 def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -> str:
@@ -166,11 +256,9 @@ def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -
     pattern counts; with a ground-truth scenario it also reports the
     RMSE of the filtered force against the scenario force.
     """
-    count = 0
+    count = saturated = 0
     t_first = t_last = None
-    saturated = 0
-    on_counts = [0, 0, 0, 0]
-    pattern_counts = dict.fromkeys(PATTERNS, 0)
+    tally = {}
     estimates, true_forces = [], []
     for frame in frames:
         if count == 0:
@@ -179,14 +267,72 @@ def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -
         count += 1
         if frame.raw_force >= sensing_range:
             saturated += 1
-        for index, on in enumerate(frame.element_state):
-            on_counts[index] += bool(on)
-        pattern_counts[frame.pattern] += 1
+        key = (frame.element_state, frame.pattern)
+        tally[key] = tally.get(key, 0) + 1
         if truth is not None:
             estimates.append(frame.filtered_force)
             true_forces.append(truth.at(frame.time)[0])
+    scored = (estimates, true_forces) if truth is not None else None
+    return _summary(count, t_first, t_last, saturated, tally, scored)
+
+
+def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> str:
+    """``summarize_frames`` of the frames in frame record lines.
+
+    A line whose ``e1,e2,e3,e4,pattern`` tail is spelled canonically is
+    split once, its tail looked up in a table that ``parse_frame``
+    fills, and its three numbers converted and checked as
+    ``parse_frame`` checks them. Any other line goes through
+    ``parse_frame``, which names the line in any error. Frames are
+    counted per tail, and the counts become duty cycles and pattern
+    counts at the end.
+    """
+    count = saturated = 0
+    t_first = t_last = None
+    tails, tally = {}, {}  # canonical tail -> (states, pattern); tail -> frames
+    estimates, true_forces = [], []
+    inf = math.inf
+    for number, line in enumerate(lines, start=1):
+        try:
+            t, r, f, tail = line.strip().split(",", 3)
+            time, raw, filtered = float(t), float(r), float(f)
+            fast = (tail in tails and 0.0 <= time < inf
+                    and -inf < raw < inf and -inf < filtered < inf)
+        except ValueError:
+            fast = False
+        if not fast:
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            frame = parse_frame(text, number)
+            time, raw, filtered = frame.time, frame.raw_force, frame.filtered_force
+            tail = frame_tail(frame.element_state, frame.pattern)
+            tails[tail] = (frame.element_state, frame.pattern)
+        if count == 0:
+            t_first = time
+        t_last = time
+        count += 1
+        if raw >= sensing_range:
+            saturated += 1
+        tally[tail] = tally.get(tail, 0) + 1
+        if truth is not None:
+            estimates.append(filtered)
+            true_forces.append(truth.at(time)[0])
+    scored = (estimates, true_forces) if truth is not None else None
+    return _summary(count, t_first, t_last, saturated,
+                    {tails[tail]: n for tail, n in tally.items()}, scored)
+
+
+def _summary(count, t_first, t_last, saturated, tally, scored) -> str:
+    """Summary text from the frame counts; ``tally`` maps (states, pattern) to frames."""
     lines = [f"frames,{count}"]
     if count:
+        on_counts = [0, 0, 0, 0]
+        pattern_counts = dict.fromkeys(PATTERNS, 0)
+        for (states, pattern), n in tally.items():
+            for index, on in enumerate(states):
+                on_counts[index] += n * bool(on)
+            pattern_counts[pattern] += n
         lines.append(f"t_first,{t_first!r}")
         lines.append(f"t_last,{t_last!r}")
         lines.append(f"saturated_frames,{saturated}")
@@ -194,8 +340,8 @@ def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -
             lines.append(f"duty_cycle_e{index},{on / count!r}")
         for label in PATTERNS:
             lines.append(f"pattern_{label},{pattern_counts[label]}")
-    if truth is not None:
+    if scored is not None:
         if not count:
             raise UsageError("cannot compute RMSE of an empty frame stream")
-        lines.append(f"rmse_n,{rmse(estimates, true_forces)!r}")
+        lines.append(f"rmse_n,{rmse(*scored)!r}")
     return "\n".join(lines)

@@ -97,6 +97,16 @@ def read_samples(lines):
         yield parse_sample_line(stripped, line_number)
 
 
+def format_sample_block(times, codes) -> str:
+    """Canonical lines, newline-terminated, for a block of simulated ticks.
+
+    ``times`` are float tick times and ``codes`` the five int ADC codes
+    of each tick; each line is what ``format_sample_line`` gives for
+    that tick.
+    """
+    return "".join([f"{t!r},{a},{b},{c},{d},{e}\n" for t, (a, b, c, d, e) in zip(times, codes)])
+
+
 def write_samples(handle, samples) -> None:
     for sample in samples:
         handle.write(format_sample_line(sample) + "\n")

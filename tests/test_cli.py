@@ -26,6 +26,14 @@ def workdir(tmp_path, cfg, chain_dataset):
     return tmp_path
 
 
+@pytest.fixture()
+def model_path(tmp_path):
+    """A linear volts model for replaying hand-written streams."""
+    path = tmp_path / "model.json"
+    save_model(path, PolynomialModel((-0.05, 0.3)))
+    return path
+
+
 def run(capsys, *args):
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
@@ -309,24 +317,33 @@ BAD_STREAM_LINES = {
 }
 
 
+def _stream_line(n: int) -> str:
+    """Line n of a valid stream: tick n - 1, codes that vary from tick to tick."""
+    t = n - 1
+    return f"{t / 9.6!r},{t % 256},{7 * t % 256},0,255,{t % 3}"
+
+
+#: A bad stream line at tick time {t} -> the error message after "line k: "
+#: ({t} there is the time of the line before).
+BLOCK_EDGE_STREAM_LINES = {
+    "arity": ("{t!r},1,2,3,4", "expected time plus 5 channels, got 5 fields"),
+    "non_numeric": ("{t!r},1,abc,3,4,5", "could not convert string to float: 'abc'"),
+    "non_finite": ("{t!r},1,2,inf,4,5", "sample fields must be finite"),
+    "negative_time": ("-1.5,1,2,3,4,5", "sample time must be non-negative"),
+    "non_integral_code": ("{t!r},1,2,3,12.5,5", "channel value 12.5 is not an ADC code"),
+    "code_out_of_range": ("{t!r},1,2,3,4,256", "code 256 outside [0, 255]"),
+    "time_not_advancing": ("0.0,1,2,3,4,5", "timestamp 0.0 s does not advance past {t!r} s"),
+}
+
+
 class TestEstimateStreamErrors:
     """A bad stream line k exits 2 naming line k, after the k-1 good frames."""
 
-    @pytest.fixture()
-    def model_path(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_model(path, PolynomialModel((-0.05, 0.3)))
-        return path
-
-    @pytest.mark.parametrize("source", ("file", "stdin"))
-    @pytest.mark.parametrize("case", sorted(BAD_STREAM_LINES))
-    def test_bad_line_stops_after_earlier_frames(self, case, source, model_path, tmp_path,
-                                                 capsys, monkeypatch):
+    @staticmethod
+    def replay(lines, source, model_path, tmp_path, capsys, monkeypatch):
+        """(exit code, stdout, stderr, frames written) of estimate on ``lines``."""
         import io
 
-        k, bad_line, message = BAD_STREAM_LINES[case]
-        lines = [f"{t / 9.6!r},{t % 256},{7 * t % 256},0,255,12" for t in range(60)]
-        lines[k - 1] = bad_line
         text = "\n".join(lines) + "\n"
         frames_path = tmp_path / "frames.csv"
         if source == "stdin":
@@ -336,7 +353,141 @@ class TestEstimateStreamErrors:
             stream = tmp_path / "stream.csv"
             stream.write_text(text)
         code, out, err = run(capsys, "estimate", stream, "-m", model_path, "-o", frames_path)
+        return code, out, err, frames_path.read_text().count("\n")
+
+    @pytest.mark.parametrize("source", ("file", "stdin"))
+    @pytest.mark.parametrize("case", sorted(BAD_STREAM_LINES))
+    def test_bad_line_stops_after_earlier_frames(self, case, source, model_path, tmp_path,
+                                                 capsys, monkeypatch):
+        k, bad_line, message = BAD_STREAM_LINES[case]
+        lines = [f"{t / 9.6!r},{t % 256},{7 * t % 256},0,255,12" for t in range(60)]
+        lines[k - 1] = bad_line
+        result = self.replay(lines, source, model_path, tmp_path, capsys, monkeypatch)
+        assert result == (2, "", f"tactsim: error: {message}\n", k - 1)
+
+    @pytest.mark.parametrize("source", ("file", "stdin"))
+    @pytest.mark.parametrize("case, k", [
+        (case, k) for case in sorted(BLOCK_EDGE_STREAM_LINES) for k in (1, 1024, 1025, 2049)
+        if (case, k) != ("time_not_advancing", 1)  # the first tick has no earlier time
+    ])
+    def test_bad_line_at_block_edge(self, case, k, source, model_path, tmp_path, capsys,
+                                    monkeypatch):
+        bad_line, message = BLOCK_EDGE_STREAM_LINES[case]
+        lines = [_stream_line(n) for n in range(1, 2101)]
+        lines[k - 1] = bad_line.format(t=(k - 1) / 9.6)
+        result = self.replay(lines, source, model_path, tmp_path, capsys, monkeypatch)
+        message = f"line {k}: {message.format(t=(k - 2) / 9.6)}"
+        assert result == (2, "", f"tactsim: error: {message}\n", k - 1)
+
+
+class TestEstimateMemory:
+    """``estimate`` replays a stream from stdin in the memory of one block."""
+
+    @staticmethod
+    def replay_peak(lines, model_path, capsys, monkeypatch):
+        """Peak traced memory of ``tactsim estimate -`` on a line iterator."""
+        import tracemalloc
+
+        class Sink:
+            frames = 0
+
+            def write(self, text):
+                self.frames += text.count("\n")
+
+        sink = Sink()
+        monkeypatch.setattr("sys.stdin", lines)
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["estimate", "-", "-m", str(model_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        return peak, sink.frames
+
+    def test_peak_does_not_grow_with_stream_length(self, model_path, capsys, monkeypatch):
+        rows = [f"{c},{7 * c % 256},0,255,{c % 3}\n" for c in range(256)]
+
+        def stream(ticks):
+            return (f"{n},{rows[n % 256]}" for n in range(ticks))
+
+        short, short_frames = self.replay_peak(stream(50_000), model_path, capsys, monkeypatch)
+        long, long_frames = self.replay_peak(stream(200_000), model_path, capsys, monkeypatch)
+        assert (short_frames, long_frames) == (50_000, 200_000)
+        assert short < 3_000_000 and long < 3_000_000
+        # within one block: 1,024 input lines and their frame lines
+        assert abs(long - short) < 1024 * 200
+
+    def test_code_spellings_do_not_grow_the_tables(self, model_path, capsys, monkeypatch):
+        from tactsim import pipeline
+
+        tables = []
+
+        class Recorded(pipeline.CodeTables):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        # code 5 in 3,000 spellings: 5.0, 5.00, 05.0, 005.000, ...
+        spellings = [f"{'0' * a}5.{'0' * b}" for a in range(50) for b in range(1, 61)]
+        monkeypatch.setattr(pipeline, "CodeTables", Recorded)
+        lines = (f"{n / 9.6!r},{spelling},5,5,5,5\n" for n, spelling in enumerate(spellings))
+        _, frames = self.replay_peak(lines, model_path, capsys, monkeypatch)
+        assert frames == 3_000
+        (recorded,) = tables
+        assert [len(t) for t in recorded.text] == [1, 1, 1, 1, 1]
+        assert list(recorded.text[0]) == ["5"]
+        assert len(recorded.force) == 1
+
+
+#: A bad frame line -> the error message after "line k: ".
+BAD_FRAME_LINES = {
+    "arity": ("{t!r},0.5,0.5,0,0,0,none", "expected 8 fields, got 7"),
+    "bad_float": ("{t!r},abc,0.5,0,0,0,0,none", "could not convert string to float: 'abc'"),
+    "state_2": ("{t!r},0.5,0.5,0,2,0,0,point", "element state must be 0 or 1, got '2'"),
+    "unknown_pattern": ("{t!r},0.5,0.5,0,0,0,0,blob", "unknown pattern 'blob'"),
+    "nan_force": ("{t!r},nan,0.5,1,0,0,0,point", "frame fields must be finite"),
+    "inf_force": ("{t!r},0.5,inf,1,0,0,0,point", "frame fields must be finite"),
+    "inf_time": ("inf,0.5,0.5,1,0,0,0,point", "frame fields must be finite"),
+    "negative_time": ("-1.0,0.5,0.5,1,0,0,0,point", "frame time must be non-negative"),
+}
+
+
+class TestReportFrameErrors:
+    """A bad frame line k exits 2 naming line k, and nothing is printed."""
+
+    @staticmethod
+    def frame_line(n: int) -> str:
+        t = n - 1
+        states = [(t >> bit) & 1 for bit in range(4)]
+        pattern = ("none", "point", "line", "area", "area")[sum(states)]
+        return f"{t / 9.6!r},{t % 7 / 5!r},{t % 5 / 4!r},{','.join(map(str, states))},{pattern}"
+
+    @pytest.mark.parametrize("truth", (False, True))
+    @pytest.mark.parametrize("k", (1, 1024, 1025, 2049))
+    @pytest.mark.parametrize("case", sorted(BAD_FRAME_LINES))
+    def test_bad_line_exits_with_its_number(self, case, k, truth, tmp_path, capsys):
+        bad_line, message = BAD_FRAME_LINES[case]
+        lines = ["# t,raw_n,filtered_n,e1,e2,e3,e4,pattern"]
+        lines += [self.frame_line(n) for n in range(1, 2100)]
+        lines[k - 1] = bad_line.format(t=(k - 1) / 9.6)
+        frames_path = tmp_path / "frames.csv"
+        frames_path.write_text("\n".join(lines) + "\n")
+        args = ["report", frames_path]
+        if truth:
+            scenario_path = tmp_path / "scenario.csv"
+            save_scenario(scenario_path, accuracy_scenario())
+            args += ["--truth", scenario_path, "--rmse"]
+        code, out, err = run(capsys, *args)
         assert code == 2
-        assert err == f"tactsim: error: {message}\n"
+        assert err == f"tactsim: error: line {k}: {message}\n"
         assert out == ""
-        assert frames_path.read_text().count("\n") == k - 1
+
+    def test_valid_lines_around_the_block_edges_summarize(self, tmp_path, capsys):
+        lines = [self.frame_line(n) for n in range(1, 2100)]
+        frames_path = tmp_path / "frames.csv"
+        frames_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "report", frames_path)
+        assert code == 0, err
+        assert out.startswith("frames,2099\n")

@@ -265,6 +265,25 @@ class TestFrameRecords:
         with pytest.raises(ParseError):
             parse_frame("0.0,0.0,0.0,0,0,0,none")
 
+    @pytest.mark.parametrize("line", (
+        "0.5,nan,0.0,0,0,0,0,none",
+        "0.5,0.0,inf,0,0,0,0,none",
+        "0.5,-inf,0.0,0,0,0,0,none",
+        "nan,0.0,0.0,0,0,0,0,none",
+        "inf,0.0,0.0,0,0,0,0,none",
+    ))
+    def test_parse_rejects_non_finite_fields(self, line):
+        with pytest.raises(ParseError, match="^line 7: frame fields must be finite$"):
+            parse_frame(line, 7)
+
+    def test_parse_rejects_negative_time(self):
+        with pytest.raises(ParseError, match="^line 3: frame time must be non-negative$"):
+            parse_frame("-1.0,0.5,0.5,1,0,0,0,point", 3)
+
+    def test_parse_accepts_negative_zero_time_and_forces(self):
+        frame = parse_frame("-0.0,-0.0,-0.0,0,0,0,0,none")
+        assert repr((frame.time, frame.raw_force, frame.filtered_force)) == "(-0.0, -0.0, -0.0)"
+
 
 class TestConfigValidation:
     def test_window_must_be_positive(self):

@@ -9,11 +9,18 @@ The estimator reference converts every code of every tick to a signal
 and runs ``process_frame`` on it. The code-indexed ``estimate_frames``
 must yield the same frames, down to the sign of a zero.
 
+The block text paths of the three replay commands (``simulate_blocks``
+with ``format_sample_block``, ``estimate_lines`` and ``summarize_lines``)
+must write the same bytes as the per-item functions, and fail on the
+same line with the same message after writing the same frames, for any
+block size and any mix of spellings, comments and bad lines.
+
 The stage properties check the balanced null, the monotone bridge and
 the half-LSB quantization bound on random configurations, and every
 file format must read back what it wrote.
 """
 
+import io
 import math
 from dataclasses import replace
 from unittest import mock
@@ -52,6 +59,7 @@ from tactsim import (
     parse_frame,
     parse_sample_line,
     process_frame,
+    read_samples,
     save_dataset,
     save_model,
     save_scenario,
@@ -59,6 +67,7 @@ from tactsim import (
 from tactsim import pipeline
 from tactsim.config import channel_signal
 from tactsim.estimator import PATTERNS
+from tactsim.streams import format_sample_block
 
 QUADRANTS = (1, 2, 3, 4)
 
@@ -154,7 +163,10 @@ def scenarios(draw, max_duration=20.0):
 def test_block_stream_matches_per_tick_reference(cfg, scenario, seed, block):
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
         stream = list(pipeline.simulate_samples(cfg, scenario, seed=seed))
+        text = "".join(format_sample_block(times, codes)
+                       for times, codes in pipeline.simulate_blocks(cfg, scenario, seed=seed))
     assert [(s.time, s.channels) for s in stream] == reference_stream(cfg, scenario, seed)
+    assert text == "".join(format_sample_line(sample) + "\n" for sample in stream)
     for sample in stream:
         assert type(sample.time) is float
         assert all(type(code) is int for code in sample.channels)
@@ -219,6 +231,93 @@ def test_code_tables_match_per_tick_reference(case):
     cfg, est_cfg, samples = case
     frames = list(pipeline.estimate_frames(cfg, est_cfg, samples))
     assert [repr(f) for f in frames] == [repr(f) for f in reference_frames(cfg, est_cfg, samples)]
+
+
+def outcome(write):
+    """(text written, error type, message) of ``write(out)``."""
+    out = io.StringIO()
+    try:
+        write(out)
+    except Exception as exc:  # compared, not swallowed
+        return out.getvalue(), type(exc), str(exc)
+    return out.getvalue(), None, None
+
+
+def respell(line: str, form: str) -> str:
+    """A line with the same values: as written, float-form numbers, padded fields."""
+    fields = line.split(",")
+    if form == "float":
+        fields = [f if "." in f or "e" in f or not f[-1].isdigit() else f + ".0"
+                  for f in fields]
+    elif form == "padded":
+        fields = [f" {f}\t" for f in fields]
+    return ",".join(fields)
+
+
+spelling = st.sampled_from(("as_written", "as_written", "float", "padded"))
+interjection = st.sampled_from((None, None, None, None, "", "# note", "bad"))
+
+
+def text_lines(data, lines, bad_lines):
+    """``lines`` respelled, with blank, comment and bad lines drawn in between."""
+    result = []
+    for line in lines:
+        extra = data.draw(interjection)
+        if extra == "bad":
+            extra = data.draw(st.sampled_from(bad_lines))
+        if extra is not None:
+            result.append(extra + "\n")
+        result.append(respell(line, data.draw(spelling)) + "\n")
+    return result
+
+
+BAD_SAMPLE_LINES = ("0.0,0,0,0,0,0", "x", "1e9,0,0,0,0,4096", "1e9,0,0,0,0,0.5",
+                    "-1,0,0,0,0,0", "1e9,nan,0,0,0,0", "1e9,0,0,0,0")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=estimator_cases(), data=st.data(), block=st.integers(1, 8))
+def test_block_replay_matches_per_frame_reference(case, data, block):
+    cfg, est_cfg, samples = case
+    lines = text_lines(data, [format_sample_line(s) for s in samples], BAD_SAMPLE_LINES)
+
+    def reference(out):
+        for frame in pipeline.estimate_frames(cfg, est_cfg, read_samples(lines)):
+            out.write(format_frame(frame) + "\n")
+
+    def blocks(out):
+        with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+            pipeline.estimate_lines(cfg, est_cfg, lines, out)
+
+    assert outcome(blocks) == outcome(reference)
+
+
+BAD_FRAME_LINES = ("0.5,0.1,0.1,0,0,0,none", "0.5,x,0.1,0,0,0,0,none",
+                   "0.5,0.1,0.1,0,2,0,0,point", "0.5,0.1,0.1,0,0,0,0,blob",
+                   "0.5,nan,0.1,0,0,0,0,none", "inf,0.1,0.1,0,0,0,0,none",
+                   "-1.0,0.1,0.1,0,0,0,0,none")
+
+force = st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False)
+frame_values = st.builds(
+    EstimateFrame, st.floats(0.0, 200.0), force, force,
+    st.tuples(*[st.booleans()] * 4), st.sampled_from(PATTERNS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames=st.lists(frame_values, max_size=40), data=st.data(),
+       sensing_range=st.floats(0.1, 3.0), truth=st.none() | scenarios(max_duration=100.0))
+def test_block_summary_matches_per_frame_reference(frames, data, sensing_range, truth):
+    lines = text_lines(data, [format_frame(f) for f in frames], BAD_FRAME_LINES)
+
+    def reference(out):
+        parsed = (parse_frame(line, number) for number, line in enumerate(lines, start=1)
+                  if line.strip() and not line.lstrip().startswith("#"))
+        out.write(pipeline.summarize_frames(parsed, sensing_range, truth=truth))
+
+    def blocks(out):
+        out.write(pipeline.summarize_lines(lines, sensing_range, truth=truth))
+
+    assert outcome(blocks) == outcome(reference)
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """Regression gate: the simulated sample stream keeps its exact bytes.
 
-Each case runs ``simulate_samples`` on a seeded scenario and compares the
-sha256 of its canonical text form (what ``tactsim simulate`` writes) with
-a digest recorded from the original per-tick implementation. The cases
+Each case runs the ``tactsim simulate`` command on a seeded scenario and
+compares the sha256 of the stream it writes with a digest recorded from
+the original per-tick implementation. The cases
 cover several seeds, the two published gains and one off-table gain,
 volts and counts, 8- and 10-bit ADCs, an unequal-arm fabric bridge, and
 scenarios whose tick counts sit at, just below and just above the
@@ -10,15 +10,13 @@ simulator's block size.
 """
 
 import hashlib
-import io
 import random
 from dataclasses import replace
 
 import pytest
 
-from tactsim import AdcConfig, LoadScenario, LoadStep, default_config
-from tactsim.pipeline import simulate_samples
-from tactsim.streams import write_samples
+from tactsim import AdcConfig, LoadScenario, LoadStep, default_config, save_scenario
+from tactsim.cli import cmd_simulate
 
 RATE = 9.6
 
@@ -89,16 +87,18 @@ DIGESTS = {
 }
 
 
-def stream_text(name: str) -> str:
+def stream_text(name: str, tmp_path) -> str:
+    """The stream ``tactsim simulate`` writes for one case."""
     cfg, seed, ticks, steps = CASES[name]
-    out = io.StringIO()
-    write_samples(out, simulate_samples(cfg, random_scenario(seed, ticks, steps), seed=seed))
-    return out.getvalue()
+    scenario_path, stream_path = tmp_path / "scenario.csv", tmp_path / "stream.csv"
+    save_scenario(scenario_path, random_scenario(seed, ticks, steps))
+    cmd_simulate(cfg, scenario_path, stream_path, seed=seed)
+    return stream_path.read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stream_digest(name):
-    text = stream_text(name)
+def test_stream_digest(name, tmp_path):
+    text = stream_text(name, tmp_path)
     assert text.count("\n") == CASES[name][2]
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
 
