@@ -262,36 +262,42 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
 def invert_model(model: PolynomialModel, force: float, v_max: float = 50.0) -> float:
     """Smallest non-negative signal at which the model reads ``force``.
 
-    Linear models invert exactly. Higher orders scan [0, v_max] for the
-    first crossing and bisect inside it; fitted polynomials need not be
-    monotone, and forces outside the model's reach are an error.
+    Linear models invert exactly. Higher orders take the smallest real
+    root of ``model - force`` on [0, v_max], polished by Newton steps on
+    the model; fitted polynomials need not be monotone, and forces
+    outside the model's reach are an error.
     """
     if model.order == 1:
         a0, a1 = model.coefficients
         if a1 == 0:
             raise ValueError("cannot invert a flat linear model")
         return (force - a0) / a1
-    steps = 4096
-    prev_v, prev_f = 0.0, evaluate_model(model, 0.0)
-    if prev_f == force:
+    if evaluate_model(model, 0.0) == force:
         return 0.0
-    for i in range(1, steps + 1):
-        v = v_max * i / steps
-        f = evaluate_model(model, v)
-        if (prev_f - force) * (f - force) <= 0:
-            lo, hi = prev_v, v
-            increasing = f >= prev_f
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if (evaluate_model(model, mid) < force) == increasing:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        prev_v, prev_f = v, f
-    raise ValueError(
-        f"force {force} N is not reached by the model on signal range [0, {v_max}]"
-    )
+    a0, *rest = model.coefficients
+    terms = [a0 - force, *rest]
+    # Leading terms too small to move the model by a rounding error on
+    # the range only add huge, ill-conditioned roots.
+    sizes = [abs(c) * v_max ** k for k, c in enumerate(terms)]
+    while len(terms) > 1 and sizes[len(terms) - 1] <= np.finfo(float).eps * sum(sizes):
+        terms.pop()
+    poly = np.array(terms[::-1])
+    roots = np.roots(poly)
+    # A root at an end of the range may round to just outside it.
+    slack = 1e-9 * v_max
+    reached = [v for v in roots[np.isreal(roots)].real.tolist() if -slack <= v <= v_max + slack]
+    if not reached:
+        raise ValueError(
+            f"force {force} N is not reached by the model on signal range [0, {v_max}]"
+        )
+    # Eigenvalue roots lose digits when the terms span many magnitudes.
+    v, slope = min(reached), np.polyder(poly)
+    for _ in range(3):
+        d = float(np.polyval(slope, v))
+        if d == 0:
+            break
+        v -= (evaluate_model(model, v) - force) / d
+    return min(max(v, 0.0), v_max)
 
 
 def synthetic_protocol_dataset(model: PolynomialModel, noise_sigma: float = 0.0,

@@ -69,13 +69,6 @@ def default_config(**overrides) -> ToolkitConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def signal_from_volts(cfg: ToolkitConfig, volts: float) -> float:
-    """Convert an analog level to the configured signal units."""
-    if cfg.signal_units == "volts":
-        return volts
-    return volts * cfg.adc.max_code / cfg.adc.full_scale
-
-
 def channel_signal(cfg: ToolkitConfig, code: int) -> float:
     """Signal value the estimator sees for one ADC code."""
     if cfg.signal_units == "volts":
@@ -99,7 +92,10 @@ def element_signal_thresholds(cfg: ToolkitConfig) -> tuple:
         level = amplify(bridge_cfg, bridge_output(bridge_cfg, delta), 0.0)
         if level <= 0:
             raise ConfigError(f"element {index + 1} produces no usable signal")
-        thresholds.append(signal_from_volts(cfg, level / 2.0))
+        threshold = level / 2.0
+        if cfg.signal_units == "counts":
+            threshold = threshold * cfg.adc.max_code / cfg.adc.full_scale
+        thresholds.append(threshold)
     return tuple(thresholds)
 
 

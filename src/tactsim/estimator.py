@@ -150,8 +150,9 @@ def advance(state: StreamState, time: float, raw: float) -> float:
     """One step of the stream: clock check, then the filtered force.
 
     ``raw`` is the clamped force of the tick. Every replay steps the
-    stream through here: ``process_frame`` and the code-indexed
-    ``pipeline.estimate_frames`` and ``pipeline.estimate_lines``.
+    stream through here: ``process_frame``, and so
+    ``pipeline.estimate_frames``, and the code-indexed
+    ``pipeline.estimate_lines``.
     """
     last = state.last_time
     if last is not None and time <= last:

@@ -12,13 +12,13 @@ from itertools import islice, product
 
 import numpy as np
 
-from .bridge import sample_chain
+from .bridge import Chain
+from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
 from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, StreamError, UsageError
 from .estimator import (
     PATTERNS,
-    EstimateFrame,
     EstimatorConfig,
     StreamState,
     advance,
@@ -26,8 +26,8 @@ from .estimator import (
     estimate_force,
     frame_tail,
     parse_frame,
+    process_frame,
 )
-from .estimator import process_frame  # noqa: F401  the per-signal step; bench/spans.py traces it here
 from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine, parse_sample_line
 from .units import gw_to_newtons, rmse
@@ -104,15 +104,12 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     if weights is None:
         weights = protocol_weights()
-    signals, forces, weights_gw = [], [], []
-    for weight, count in weights:
-        force = gw_to_newtons(weight)
-        delta = fabric_delta_r(cfg.fabric, force)
-        for _ in range(count):
-            code = sample_chain(cfg.bridge, cfg.adc, delta, rng.uniform(-1.0, 1.0))
-            signals.append(channel_signal(cfg, code))
-            forces.append(force)
-            weights_gw.append(float(weight))
+    weights_gw = [float(weight) for weight, count in weights for _ in range(count)]
+    forces = [gw_to_newtons(weight) for weight in weights_gw]
+    deltas = [[fabric_delta_r(cfg.fabric, force)] for force in forces]
+    noise = rng.uniform(-1.0, 1.0, size=(len(forces), 1))
+    codes = Chain((cfg.bridge,), cfg.adc).codes(deltas, noise)[:, 0].tolist()
+    signals = [channel_signal(cfg, code) for code in codes]
     return CalibrationDataset(
         np.array(signals), np.array(forces), weights_gw=np.array(weights_gw)
     )
@@ -123,75 +120,75 @@ class CodeTables:
 
     A replay feeds the estimator ADC codes, and an N-bit ADC has only
     2^N of them, so the model, the clamp and the element thresholds are
-    evaluated once per distinct code, from the same scalar definitions a
-    per-signal replay uses, and then looked up. The tables fill on first
-    sight of a code, so they stay as small as the set of codes a stream
-    uses, whatever the ADC width.
+    evaluated once per distinct code, with the values ``process_frame``
+    gives for that code's signal, and then looked up.
 
-    ``text`` holds the same values per channel keyed by the canonical
+    ``text`` holds one table per channel, keyed by the canonical
     spelling of each code seen (``str(code)``), so a stream line can be
-    looked up without converting its fields; channel 0 maps to the
-    force and its ``repr``. Other spellings of a code are never added,
-    so these tables are bounded by the code count too.
+    looked up without converting its fields: channel 0 maps to the
+    clamped force and its ``repr``, channels 1-4 to the element's on
+    state. Other spellings of a code are never added, so the tables
+    stay as small as the set of codes a stream uses, whatever the ADC
+    width.
     """
 
     def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig):
         self.cfg = cfg
         self.est_cfg = est_cfg
-        self.force = {}
-        self.on = tuple({} for _ in est_cfg.element_thresholds)
         self.text = ({}, {}, {}, {}, {})
 
-    def learn(self, channels, where: str) -> None:
-        """Add the codes of one sample, in channel order, checking each."""
-        est_cfg, max_code = self.est_cfg, self.cfg.adc.max_code
-        for channel, value in enumerate(channels):
-            code = int(round(value))
-            if code != value:
-                raise DataError(f"{where}: channel value {value!r} is not an ADC code")
-            if not 0 <= code <= max_code:
-                raise DataError(f"{where}: code {code} outside [0, {max_code}]")
-            table = self.on[channel - 1] if channel else self.force
-            if code in table:
-                continue
-            signal = channel_signal(self.cfg, code)
-            if channel:
-                value = signal >= est_cfg.element_thresholds[channel - 1]
-                self.text[channel][str(code)] = value
-            else:
-                value = estimate_force(est_cfg, signal)
-                self.text[0][str(code)] = (value, repr(value))
-            table[code] = value
+    def learn(self, channels, where: str) -> list:
+        """Add the codes of one sample, in channel order, checking each.
+
+        Returns the sample's five table keys.
+        """
+        keys = []
+        for channel, code in enumerate(_checked_codes(self.cfg, channels, where)):
+            key, table = str(code), self.text[channel]
+            if key not in table:
+                signal = channel_signal(self.cfg, code)
+                if channel:
+                    table[key] = signal >= self.est_cfg.element_thresholds[channel - 1]
+                else:
+                    force = estimate_force(self.est_cfg, signal)
+                    table[key] = (force, repr(force))
+            keys.append(key)
+        return keys
 
 
-#: Contact pattern and frame-record tail of each element on-state tuple.
-_ON_STATES = {
-    on: (classify_pattern(on), frame_tail(on, classify_pattern(on)))
-    for on in product((False, True), repeat=4)
-}
+def _checked_codes(cfg: ToolkitConfig, channels, where: str) -> list:
+    """The channel values of one sample as int ADC codes, each checked."""
+    max_code, codes = cfg.adc.max_code, []
+    for value in channels:
+        code = int(round(value))
+        if code != value:
+            raise DataError(f"{where}: channel value {value!r} is not an ADC code")
+        if not 0 <= code <= max_code:
+            raise DataError(f"{where}: code {code} outside [0, {max_code}]")
+        codes.append(code)
+    return codes
+
+
+#: Frame-record tail of each element on-state tuple.
+_TAILS = {on: frame_tail(on, classify_pattern(on)) for on in product((False, True), repeat=4)}
 
 
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     """Yield one EstimateFrame per sample, lazily.
 
-    Per tick this is five table lookups and one ``advance`` of the
-    stream; see ``CodeTables``.
+    The per-tick definition of a replay: each tick's codes are checked,
+    converted to signals and stepped through ``process_frame``.
+    ``estimate_lines`` writes the same frames from per-code tables.
     """
-    tables = CodeTables(cfg, est_cfg)
-    force, (on1, on2, on3, on4) = tables.force, tables.on
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
-        c0, c1, c2, c3, c4 = sample.channels
+        codes = _checked_codes(cfg, sample.channels, _where(sample, ordinal))
+        signals = tuple(channel_signal(cfg, code) for code in codes)
         try:
-            raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
-        except KeyError:
-            tables.learn(sample.channels, _where(sample, ordinal))
-            raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
-        try:
-            filtered = advance(state, sample.time, raw)
+            frame = process_frame(est_cfg, state, signals, sample.time)
         except StreamError as exc:
             raise StreamError(f"{_where(sample, ordinal)}: {exc}") from exc
-        yield EstimateFrame(sample.time, raw, filtered, on, _ON_STATES[on][0])
+        yield frame
 
 
 def _where(sample: SampleLine, ordinal: int) -> str:
@@ -214,7 +211,7 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
     before the error propagates.
     """
     tables = CodeTables(cfg, est_cfg)
-    force, (on1, on2, on3, on4), (t0, t1, t2, t3, t4) = tables.force, tables.on, tables.text
+    t0, t1, t2, t3, t4 = tables.text
     state = StreamState(est_cfg.filter_window)
     lines, number, inf = iter(lines), 0, math.inf
     while block := list(islice(lines, BLOCK_TICKS)):
@@ -234,17 +231,16 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
                     if not text or text.startswith("#"):
                         continue
                     sample = parse_sample_line(text, number)
-                    tables.learn(sample.channels, f"line {number}")
-                    time, (c0, c1, c2, c3, c4) = sample.time, sample.channels
-                    raw, on = force[c0], (on1[c1], on2[c2], on3[c3], on4[c4])
-                    raw_text = repr(raw)
+                    c0, c1, c2, c3, c4 = tables.learn(sample.channels, f"line {number}")
+                    time = sample.time
+                    (raw, raw_text), on = t0[c0], (t1[c1], t2[c2], t3[c3], t4[c4])
                 try:
                     filtered = advance(state, time, raw)
                 except StreamError as exc:
                     raise StreamError(f"line {number}: {exc}") from exc
                 # A settled window returns its first force: often this tick's own.
                 filtered_text = raw_text if filtered is raw else repr(filtered)
-                frames.append(f"{time!r},{raw_text},{filtered_text},{_ON_STATES[on][1]}\n")
+                frames.append(f"{time!r},{raw_text},{filtered_text},{_TAILS[on]}\n")
         finally:
             out.write("".join(frames))
 

@@ -41,25 +41,7 @@ def _format_number(value: float) -> str:
 
 
 def parse_sample_line(text: str, line_number=None) -> SampleLine:
-    """Parse one stream line, tolerating surrounding whitespace.
-
-    ``float`` already ignores whitespace around a number, so a valid
-    line needs one split and six conversions. Any line that fails here
-    goes through the field-by-field checks, which name the fault.
-    """
-    try:
-        time, c0, c1, c2, c3, c4 = map(float, text.split(","))
-    except ValueError:
-        pass
-    else:
-        # A sum is finite only if every term is; a finite sum that
-        # overflows just takes the checked path below.
-        if time >= 0 and math.isfinite(time + c0 + c1 + c2 + c3 + c4):
-            return SampleLine(time, (c0, c1, c2, c3, c4), line_number=line_number)
-    return _checked_sample_line(text, line_number)
-
-
-def _checked_sample_line(text: str, line_number) -> SampleLine:
+    """Parse one stream line, tolerating whitespace around each field."""
     fields = [f.strip() for f in text.strip().split(",")]
     if len(fields) != CHANNEL_COUNT + 1:
         raise ArityError(

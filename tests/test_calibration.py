@@ -235,7 +235,7 @@ class TestInvertModel:
         v = invert_model(model, 1.0)
         assert v == pytest.approx((1.0 + 0.0650) / 0.0889, rel=1e-12)
 
-    def test_cubic_inverse_by_bisection(self):
+    def test_cubic_inverse(self):
         model = PRESET_MODELS[3]
         for force in (0.3, 0.49, 0.9):
             v = invert_model(model, force)

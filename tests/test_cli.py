@@ -438,7 +438,6 @@ class TestEstimateMemory:
         (recorded,) = tables
         assert [len(t) for t in recorded.text] == [1, 1, 1, 1, 1]
         assert list(recorded.text[0]) == ["5"]
-        assert len(recorded.force) == 1
 
 
 #: A bad frame line -> the error message after "line k: ".

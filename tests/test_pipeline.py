@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from tactsim import (
+    AdcConfig,
+    BridgeConfig,
     DataError,
     LoadScenario,
     LoadStep,
@@ -16,6 +20,7 @@ from tactsim import (
     fabric_delta_r,
     gw_to_newtons,
     make_estimator_config,
+    save_dataset,
     simulate_samples,
     summarize_frames,
 )
@@ -162,6 +167,46 @@ class TestCaptureProtocolDataset:
         a = capture_protocol_dataset(cfg, seed=3)
         b = capture_protocol_dataset(cfg, seed=3)
         assert np.array_equal(a.signals, b.signals)
+
+    #: sha256 of the saved dataset CSV, per (case, seed).
+    DIGESTS = {
+        ("default", 0): "16d661e3a35bd7d197efd215cadefde330cc04b7114e89a80838016a29ee9e1f",
+        ("default", 7): "8609b59c4bb6a31a417e583f89443474b193da9679bd9dfc81b5f68145065ca5",
+        ("default", 123456789):
+            "a9c8953c7d3e6a268e935f9458e08016e0e6c650d3e25e0f62acfa75c17c8d61",
+        ("gain_22", 0): "33495905fb4970cac508562e0bf57cce9950fa19f4a0757b4a6ab554c384c19f",
+        ("gain_22", 7): "08d7ba8902cec1068af3a093ee3ed0ccc81ac3d984e6142c16bacbfe0b1c2001",
+        ("gain_22", 123456789):
+            "e977a233ffec36597bd255578841138a95f35c526838d28cc65239d3c8d95133",
+        ("counts", 0): "099bb63442618246cc91d5a0d56a116eb1c81d82f6eba6580559259ab7b63ced",
+        ("counts", 7): "f589cfab87a84410dcd401c4ad9ef781ea6b990e0b29e9e9aa73302f78869f29",
+        ("counts", 123456789):
+            "b2f64282e66027eb1e100610dac94b6b34c57aab64849466724add234930d73e",
+        ("adc_10_bits", 0): "67f1694c9b0e5ea1038ae4ddcd71a1051eed16a50faa25a1e670f3cf44e6b521",
+        ("adc_10_bits", 7): "3e25618e43d919d00e77c055dfd7710f6e186e0dd2d105c4d8260410ae727249",
+        ("adc_10_bits", 123456789):
+            "a5af19709601e505589fabbc64e5f91fcca9411a3360fcefc2ebb379aa1219d8",
+        ("custom_weights", 0):
+            "0e6168fd8f9cb8f979e8c60d45692e28d7c84df659e86ecf74b809c74bf0c829",
+        ("custom_weights", 7):
+            "fb4df0dc6c92247d9b81bc3fdf61506f04a9c70679e412526f6f4cba23a46e3b",
+        ("custom_weights", 123456789):
+            "54af6df1aed24439edb951771af69266633ae5999524f7ebe6962ae8422b086a",
+    }
+    CASES = {
+        "default": (default_config(), None),
+        "gain_22": (default_config(bridge=BridgeConfig(amplifier_gain=22.0)), None),
+        "counts": (default_config(signal_units="counts"), None),
+        "adc_10_bits": (default_config(adc=AdcConfig(bits=10)), None),
+        "custom_weights": (default_config(), [(5, 3), (35, 1), (100, 4), (250, 2)]),
+    }
+
+    @pytest.mark.parametrize("case, seed", sorted(DIGESTS))
+    def test_dataset_bytes_are_pinned(self, case, seed, tmp_path):
+        cfg, weights = self.CASES[case]
+        path = tmp_path / "dataset.csv"
+        save_dataset(path, capture_protocol_dataset(cfg, seed=seed, weights=weights))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[case, seed]
 
 
 class TestEstimateFrames:

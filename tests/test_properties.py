@@ -6,8 +6,9 @@ zero-order-hold lookup. The block simulator must produce exactly the
 same stream for any valid configuration, scenario and block size.
 
 The estimator reference converts every code of every tick to a signal
-and runs ``process_frame`` on it. The code-indexed ``estimate_frames``
-must yield the same frames, down to the sign of a zero.
+and runs ``process_frame`` on it, as ``estimate_frames`` does. The
+code-indexed ``estimate_lines`` must write the same frames, down to the
+sign of a zero.
 
 The block text paths of the three replay commands (``simulate_blocks``
 with ``format_sample_block``, ``estimate_lines`` and ``summarize_lines``)
@@ -16,8 +17,9 @@ same line with the same message after writing the same frames, for any
 block size and any mix of spellings, comments and bad lines.
 
 The stage properties check the balanced null, the monotone bridge and
-the half-LSB quantization bound on random configurations, and every
-file format must read back what it wrote.
+the half-LSB quantization bound on random configurations. Model
+inversion must find the first crossing of the force on random models of
+orders 2-5, and every file format must read back what it wrote.
 """
 
 import io
@@ -27,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tactsim import (
@@ -50,9 +52,11 @@ from tactsim import (
     default_config,
     dequantize,
     element_resistance,
+    evaluate_model,
     fabric_delta_r,
     format_frame,
     format_sample_line,
+    invert_model,
     load_dataset,
     load_model,
     load_scenario,
@@ -229,8 +233,10 @@ def estimator_cases(draw):
 @given(case=estimator_cases())
 def test_code_tables_match_per_tick_reference(case):
     cfg, est_cfg, samples = case
-    frames = list(pipeline.estimate_frames(cfg, est_cfg, samples))
-    assert [repr(f) for f in frames] == [repr(f) for f in reference_frames(cfg, est_cfg, samples)]
+    out = io.StringIO()
+    pipeline.estimate_lines(cfg, est_cfg, [format_sample_line(s) + "\n" for s in samples], out)
+    expected = reference_frames(cfg, est_cfg, samples)
+    assert out.getvalue() == "".join(format_frame(f) + "\n" for f in expected)
 
 
 def outcome(write):
@@ -351,6 +357,26 @@ def test_quantization_within_half_lsb(bits, full_scale, fraction):
     # A voltage on a code boundary is exactly half an LSB from the code's
     # centre, and the centre itself is rounded to a float: allow that.
     assert abs(error) <= full_scale / (2 * adc.max_code) + 2 * math.ulp(full_scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit=st.lists(coefficient, min_size=3, max_size=6), u0=st.floats(0.0, 1.0),
+       v_max=st.just(50.0) | st.floats(1.0, 100.0))
+def test_inverse_is_the_first_crossing(unit, u0, v_max):
+    # The polynomial in u = v / v_max has the drawn coefficients, so its
+    # values on [0, v_max] are bounded by ``scale``.
+    model = PolynomialModel(tuple(a / v_max ** k for k, a in enumerate(unit)))
+    scale = sum(abs(a) for a in unit)
+    slope = sum(k * a * u0 ** (k - 1) for k, a in enumerate(unit) if k)
+    assume(scale > 1e-200)  # values of a smaller model are subnormal floats
+    assume(abs(slope) > 1e-6 * scale)  # the model crosses the force, not touches it
+    force = evaluate_model(model, u0 * v_max)
+    tol = 1e-9 * scale
+    v = invert_model(model, force, v_max)
+    assert 0.0 <= v <= v_max
+    assert abs(evaluate_model(model, v) - force) <= tol
+    below = evaluate_model(model, np.linspace(0.0, v, 256, endpoint=False)) - force
+    assert not ((below > tol).any() and (below < -tol).any())
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
