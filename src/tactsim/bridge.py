@@ -45,6 +45,8 @@ class BridgeConfig:
     rail_high: float = 5.0
 
     def __post_init__(self):
+        if self.supply_voltage <= 0:
+            raise ValueError("supply voltage must be positive")
         for name in ("r1", "r2", "r3", "rx_rest"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

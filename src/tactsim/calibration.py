@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SingularFitError, UnderdeterminedFitError, UsageError
+from .streams import read_table
 from .units import gw_to_newtons, rmse
 
 
@@ -324,40 +325,18 @@ DATASET_HEADERS = (("v", "force_n"), ("v", "force_n", "weight_gw"))
 
 def load_dataset(path) -> CalibrationDataset:
     """Read a dataset CSV: ``v,force_n`` with an optional ``weight_gw``."""
-    signals, forces, weights = [], [], []
-    has_weights = False
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        for line_number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_number == 1:
-                header = tuple(col.strip().lower() for col in row)
-                if header not in DATASET_HEADERS:
-                    raise ParseError(
-                        "expected header 'v,force_n' or 'v,force_n,weight_gw'",
-                        line_number,
-                    )
-                has_weights = len(header) == 3
-                continue
-            expected = 3 if has_weights else 2
-            if len(row) != expected:
-                raise ParseError(
-                    f"expected {expected} fields, got {len(row)}", line_number
-                )
-            try:
-                signals.append(float(row[0]))
-                forces.append(float(row[1]))
-                if has_weights:
-                    weights.append(float(row[2]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line_number) from exc
-    if not signals:
+    rows = []
+    for line_number, row in read_table(path, DATASET_HEADERS):
+        try:
+            values = [float(f) for f in row]
+        except ValueError as exc:
+            raise ParseError(str(exc), line_number) from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError("dataset fields must be finite", line_number)
+        rows.append(values)
+    if not rows:
         raise ParseError(f"dataset {path} has no samples")
-    return CalibrationDataset(
-        np.array(signals), np.array(forces),
-        weights_gw=np.array(weights) if has_weights else None,
-    )
+    return CalibrationDataset(*(np.array(column) for column in zip(*rows)))
 
 
 def save_dataset(path, dataset: CalibrationDataset) -> None:

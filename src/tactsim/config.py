@@ -9,6 +9,7 @@ Configs load from a flat ``key = value`` text file; every key has a
 default, unknown keys are rejected.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from .bridge import AdcConfig, BridgeConfig, Chain, amplify, bridge_output, dequantize
@@ -116,126 +117,79 @@ def make_estimator_config(cfg: ToolkitConfig, model: PolynomialModel) -> Estimat
     )
 
 
-# Keys of the flat config file and how to parse each value.
-_SCALARS = {
-    "supply_voltage": float,
-    "gain": float,
-    "noise_fraction": float,
-    "rail_low": float,
-    "rail_high": float,
-    "adc_bits": int,
-    "adc_full_scale": float,
-    "sample_rate": float,
-    "fabric_rest": float,
-    "fabric_max_delta": float,
-    "fabric_full_scale_force": float,
-    "element_signal_delta": float,
-    "element_saturation_force": float,
-    "filter_window": int,
-    "kfold": int,
-    "repeats": int,
-    "seed": int,
-    "signal_units": str,
-}
-_LISTS = {
-    "element_rest": float,
-    "element_threshold_force": float,
+def _four_floats(text: str) -> tuple:
+    """One comma-separated value per element."""
+    return tuple(float(item.strip()) for item in text.split(","))
+
+
+#: Each key of the flat config file: the part of the config it sets, the
+#: field there, and how to parse its value. A scalar ``elements`` key
+#: sets every element alike.
+_KEYS = {
+    "supply_voltage": ("bridge", "supply_voltage", float),
+    "gain": ("bridge", "amplifier_gain", float),
+    "noise_fraction": ("bridge", "noise_fraction", float),
+    "rail_low": ("bridge", "rail_low", float),
+    "rail_high": ("bridge", "rail_high", float),
+    "adc_bits": ("adc", "bits", int),
+    "adc_full_scale": ("adc", "full_scale", float),
+    "sample_rate": ("adc", "sample_rate", float),
+    "fabric_rest": ("fabric", "rest_resistance", float),
+    "fabric_max_delta": ("fabric", "max_fractional_delta", float),
+    "fabric_full_scale_force": ("fabric", "full_scale_force", float),
+    "element_rest": ("elements", "rest_resistance", _four_floats),
+    "element_threshold_force": ("elements", "trigger_threshold", _four_floats),
+    "element_signal_delta": ("elements", "active_signal_delta", float),
+    "element_saturation_force": ("elements", "saturation_force", float),
+    "filter_window": ("toolkit", "filter_window", int),
+    "kfold": ("toolkit", "kfold", int),
+    "repeats": ("toolkit", "repeats", int),
+    "seed": ("toolkit", "seed", int),
+    "signal_units": ("toolkit", "signal_units", str),
 }
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ToolkitConfig:
-    values = {}
+    parts = {"fabric": {}, "elements": {}, "bridge": {}, "adc": {}, "toolkit": {}}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source} line {line_number}"
         if "=" not in line:
-            raise ConfigError(f"{source} line {line_number}: expected key = value")
+            raise ConfigError(f"{where}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in _SCALARS:
-            caster = _SCALARS[key]
-            try:
-                values[key] = caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{source} line {line_number}: {exc}") from exc
-        elif key in _LISTS:
-            caster = _LISTS[key]
-            try:
-                parsed = tuple(caster(item.strip()) for item in value.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"{source} line {line_number}: {exc}") from exc
-            if len(parsed) != 4:
-                raise ConfigError(
-                    f"{source} line {line_number}: {key} needs 4 comma-separated values"
-                )
-            values[key] = parsed
-        else:
-            raise ConfigError(f"{source} line {line_number}: unknown key {key!r}")
-    return _build_config(values, source)
+        if key not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        part, name, parse = _KEYS[key]
+        try:
+            parsed = parse(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        numbers = parsed if parse is _four_floats else (parsed,)
+        if parse is _four_floats and len(parsed) != 4:
+            raise ConfigError(f"{where}: {key} needs 4 comma-separated values")
+        if parse is not str and not all(math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{where}: {key} must be finite")
+        parts[part][name] = parsed
+    return _build_config(parts, source)
 
 
-def _build_config(values: dict, source: str) -> ToolkitConfig:
-    base = default_config()
+def _build_config(parts: dict, source: str) -> ToolkitConfig:
+    """Build each part once, in a fixed order, so the first error is stable."""
     try:
-        fabric = FabricModel(
-            rest_resistance=values.get("fabric_rest", base.fabric.rest_resistance),
-            max_fractional_delta=values.get(
-                "fabric_max_delta", base.fabric.max_fractional_delta
-            ),
-            full_scale_force=values.get(
-                "fabric_full_scale_force", base.fabric.full_scale_force
-            ),
-        )
-        rests = values.get(
-            "element_rest", tuple(e.rest_resistance for e in base.elements)
-        )
-        thresholds = values.get(
-            "element_threshold_force", tuple(e.trigger_threshold for e in base.elements)
-        )
-        delta = values.get("element_signal_delta", base.elements[0].active_signal_delta)
-        saturation = values.get(
-            "element_saturation_force", base.elements[0].saturation_force
-        )
+        fabric = FabricModel(**parts["fabric"])
         elements = tuple(
-            ElementModel(
-                rest_resistance=r,
-                trigger_threshold=t,
-                active_signal_delta=delta,
-                saturation_force=saturation,
-            )
-            for r, t in zip(rests, thresholds)
+            replace(base, **{name: value[index] if isinstance(value, tuple) else value
+                             for name, value in parts["elements"].items()})
+            for index, base in enumerate(default_elements())
         )
-        fabric_rest = fabric.rest_resistance
-        bridge = BridgeConfig(
-            supply_voltage=values.get("supply_voltage", base.bridge.supply_voltage),
-            r1=fabric_rest,
-            r2=fabric_rest,
-            r3=fabric_rest,
-            rx_rest=fabric_rest,
-            amplifier_gain=values.get("gain", base.bridge.amplifier_gain),
-            noise_fraction=values.get("noise_fraction", base.bridge.noise_fraction),
-            rail_low=values.get("rail_low", base.bridge.rail_low),
-            rail_high=values.get("rail_high", base.bridge.rail_high),
-        )
-        adc = AdcConfig(
-            bits=values.get("adc_bits", base.adc.bits),
-            sample_rate=values.get("sample_rate", base.adc.sample_rate),
-            full_scale=values.get("adc_full_scale", base.adc.full_scale),
-        )
-        return ToolkitConfig(
-            fabric=fabric,
-            elements=elements,
-            bridge=bridge,
-            adc=adc,
-            filter_window=values.get("filter_window", base.filter_window),
-            kfold=values.get("kfold", base.kfold),
-            repeats=values.get("repeats", base.repeats),
-            seed=values.get("seed", base.seed),
-            signal_units=values.get("signal_units", base.signal_units),
-        )
-    except ValueError as exc:
+        rest = fabric.rest_resistance
+        bridge = BridgeConfig(r1=rest, r2=rest, r3=rest, rx_rest=rest, **parts["bridge"])
+        adc = AdcConfig(**parts["adc"])
+        return ToolkitConfig(fabric, elements, bridge, adc, **parts["toolkit"])
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 

@@ -13,10 +13,12 @@ can be shared freely between threads.
 """
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .streams import read_table
 
 #: Multiple of the rest resistance used for the near-open regime of an
 #: overloaded rubber element (stands in for "almost open circuit").
@@ -101,6 +103,8 @@ class LoadStep:
     quadrants: frozenset
 
     def __post_init__(self):
+        if not (math.isfinite(self.time) and math.isfinite(self.force)):
+            raise ValueError("scenario time and force must be finite")
         if self.force < 0:
             raise ValueError("applied force must be non-negative")
         if self.force > 0 and not self.quadrants:
@@ -234,30 +238,12 @@ SCENARIO_HEADER = ("t", "force_n", "quadrants")
 def load_scenario(path) -> LoadScenario:
     """Read a scenario CSV with header ``t,force_n,quadrants``."""
     steps = []
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        for line_number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_number == 1:
-                header = tuple(col.strip().lower() for col in row)
-                if header != SCENARIO_HEADER:
-                    raise ParseError(
-                        f"expected header {','.join(SCENARIO_HEADER)!r}", line_number
-                    )
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line_number)
-            try:
-                time = float(row[0])
-                force = float(row[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_number) from exc
-            quadrants = parse_quadrants(row[2], line_number)
-            try:
-                steps.append(LoadStep(time, force, quadrants))
-            except ValueError as exc:
-                raise ParseError(str(exc), line_number) from exc
+    for line_number, (time, force, quadrants) in read_table(path, (SCENARIO_HEADER,)):
+        try:
+            step = LoadStep(float(time), float(force), parse_quadrants(quadrants, line_number))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_number) from exc
+        steps.append(step)
     try:
         return LoadScenario(tuple(steps))
     except ValueError as exc:

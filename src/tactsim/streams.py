@@ -5,8 +5,12 @@ position elements, mimicking the five analog pins of the reference
 firmware. The canonical form prints times as shortest round-trip floats
 and integral channel values (ADC codes) as integers. Blank lines and
 ``#`` comments are skipped on input.
+
+``read_table`` is the one reader of the headed CSV files (scenarios and
+calibration datasets).
 """
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -92,3 +96,27 @@ def format_sample_block(times, codes) -> str:
 def write_samples(handle, samples) -> None:
     for sample in samples:
         handle.write(format_sample_line(sample) + "\n")
+
+
+def read_table(path, headers):
+    """Yield ``(line_number, row)`` for each data row of a headed CSV file.
+
+    Line 1 must be one of ``headers`` (case and surrounding spaces
+    ignored); when line 1 is blank the rows are read as ``headers[0]``.
+    Blank rows are skipped, and every row must have as many fields as
+    its header, so the header a file uses is told by its rows' length.
+    """
+    header = headers[0]
+    with open(path, "r", newline="") as handle:
+        for line_number, row in enumerate(csv.reader(handle), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if line_number == 1:
+                header = tuple(col.strip().lower() for col in row)
+                if header not in headers:
+                    names = " or ".join(repr(",".join(h)) for h in headers)
+                    raise ParseError(f"expected header {names}", line_number)
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_number)
+            yield line_number, row

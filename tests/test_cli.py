@@ -300,6 +300,67 @@ class TestExitCodes:
         assert "not balanced" in err
 
 
+#: A scenario or dataset file with a non-finite number -> the error message.
+NON_FINITE_INPUTS = {
+    "scenario_time_inf": ("simulate", "t,force_n,quadrants\n0,0,\ninf,0.5,1\n",
+                          "line 3: scenario time and force must be finite"),
+    "scenario_time_nan": ("simulate", "t,force_n,quadrants\nnan,0,\n1,0.5,1\n",
+                          "line 2: scenario time and force must be finite"),
+    "scenario_force_nan": ("simulate", "t,force_n,quadrants\n0,0,\n1,nan,1\n",
+                           "line 3: scenario time and force must be finite"),
+    "scenario_force_inf": ("simulate", "t,force_n,quadrants\n0,0,\n1,inf,1\n",
+                           "line 3: scenario time and force must be finite"),
+    "truth_force_nan": ("report", "t,force_n,quadrants\n0,0,\n1,nan,1\n",
+                        "line 3: scenario time and force must be finite"),
+    "dataset_signal_nan": ("calibrate", "v,force_n\n0.1,0\nnan,0.1\n",
+                           "line 3: dataset fields must be finite"),
+    "dataset_force_inf": ("calibrate", "v,force_n\n0.1,-inf\n",
+                          "line 2: dataset fields must be finite"),
+    "dataset_weight_inf": ("calibrate", "v,force_n,weight_gw\n0.1,0,5\n0.2,0.1,inf\n",
+                           "line 3: dataset fields must be finite"),
+}
+
+#: A config line -> the error message after the config file's path.
+BAD_CONFIG_LINES = {
+    "sample_rate = inf": " line 2: sample_rate must be finite",
+    "gain = nan": " line 2: gain must be finite",
+    "gain = -inf": " line 2: gain must be finite",
+    "rail_high = 1e400": " line 2: rail_high must be finite",
+    "element_rest = 1e6,nan,1e6,1e6": " line 2: element_rest must be finite",
+    "supply_voltage = -5": ": supply voltage must be positive",
+    "supply_voltage = 0": ": supply voltage must be positive",
+    "seed = -1": ": seed must be non-negative",
+    "kfold = 1": ": kfold must be at least 2",
+    "repeats = 0": ": repeats must be at least 1",
+    "filter_window = 0": ": filter_window must be at least 1",
+    "signal_units = amps": ": signal_units must be one of ('volts', 'counts')",
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+    def test_non_finite_number_names_its_line(self, case, capsys, tmp_path):
+        command, text, message = NON_FINITE_INPUTS[case]
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        if command == "report":
+            frames = tmp_path / "frames.csv"
+            frames.write_text("0.0,0.0,0.0,0,0,0,0,none\n")
+            args = ("report", frames, "--truth", path)
+        else:
+            args = (command, path)
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
+
+    @pytest.mark.parametrize("line", sorted(BAD_CONFIG_LINES))
+    def test_bad_config_names_the_file(self, line, capsys, tmp_path, workdir):
+        config = tmp_path / "x.cfg"
+        config.write_text(f"# deployment\n{line}\n")
+        code, out, err = run(capsys, "simulate", workdir / "scenario.csv", "--config", config)
+        expected = f"tactsim: error: {config}{BAD_CONFIG_LINES[line]}\n"
+        assert (code, out, err) == (2, "", expected)
+
+
 #: A bad line k in an otherwise valid 60-line stream -> the error message.
 BAD_STREAM_LINES = {
     "arity": (1, "0.0,1,2,3,4", "line 1: expected time plus 5 channels, got 5 fields"),

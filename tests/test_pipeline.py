@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tactsim import (
     AdcConfig,
     BridgeConfig,
     DataError,
+    EstimatorConfig,
     LoadScenario,
     LoadStep,
     StreamError,
@@ -24,7 +26,8 @@ from tactsim import (
     simulate_samples,
     summarize_frames,
 )
-from tactsim.pipeline import sample_times
+from tactsim.config import channel_signal
+from tactsim.pipeline import estimate_lines, sample_times
 from tactsim.streams import SampleLine
 
 from conftest import accuracy_scenario
@@ -268,6 +271,27 @@ class TestEstimateFrames:
         samples = [SampleLine(0.0, (999, 0, 0, 0, 0))]
         with pytest.raises(DataError):
             list(estimate_frames(cfg, est, samples))
+
+    @pytest.mark.parametrize("units", ["volts", "counts"])
+    def test_element_signal_at_its_threshold_is_on(self, units):
+        """An element is on from the code whose signal equals its threshold."""
+        cfg = default_config(signal_units=units)
+        k = 100
+        est = EstimatorConfig(
+            model=_linear_volts_model(),
+            element_thresholds=(channel_signal(cfg, k),) * 4,
+            sensing_range=1.0,
+            resolution=0.05,
+        )
+        codes = (0, k, k - 1, k, k - 1)
+        # The first tick fills the code tables; the second is looked up in them.
+        lines = [f"{t!r},{','.join(map(str, codes))}\n" for t in (0.0, 0.5)]
+        out = io.StringIO()
+        estimate_lines(cfg, est, lines, out)
+        assert [line.split(",", 3)[3] for line in out.getvalue().splitlines()] == [
+            "1,0,1,0,line"] * 2
+        frames = estimate_frames(cfg, est, [SampleLine(0.0, codes)])
+        assert next(frames).element_state == (True, False, True, False)
 
 
 class TestAlternateConfigurations:

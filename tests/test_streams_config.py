@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from tactsim import (
@@ -15,7 +18,7 @@ from tactsim import (
     read_samples,
 )
 from tactsim.bridge import amplify, bridge_output
-from tactsim.config import channel_signal, parse_config_text
+from tactsim.config import _KEYS, channel_signal, parse_config_text
 
 
 class TestSampleLines:
@@ -135,6 +138,14 @@ class TestConfigFile:
     def test_invalid_physics_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("fabric_max_delta = 2.0\n")
+
+    def test_readme_block_lists_every_key_at_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Configuration", 1)[1].split("```")[1]
+        pairs = re.findall(r"(\w+) = (\S+)", block)
+        assert sorted(key for key, _ in pairs) == sorted(_KEYS)
+        cfg = parse_config_text("".join(f"{key} = {value}\n" for key, value in pairs))
+        assert repr(cfg) == repr(default_config())
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "toolkit.cfg"
