@@ -13,10 +13,10 @@ analysis but does not load the divider: instrumentation-amplifier
 inputs draw negligible current.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError, UsageError
 
@@ -123,7 +123,20 @@ def _check_balanced(cfg: BridgeConfig) -> None:
 
 # The stage arithmetic below is shared by the scalar stages and the
 # block kernel, so both give bit-identical results. Every operation is
-# elementwise, so the same code runs on floats and on numpy arrays.
+# elementwise, so the same code runs on floats and on numpy arrays; the
+# block kernel passes numpy's clip and floor, the scalar stages use these.
+
+def _clip(v, low, high):
+    """``np.minimum(np.maximum(v, low), high)`` for floats: NaN propagates
+    and a tie returns the bound, so ``-0.0`` clips to a ``0.0`` bound."""
+    v = v if v != v or v > low else low
+    return v if v != v or v < high else high
+
+
+def _array_clip(v, low, high):
+    import numpy as np
+    return np.minimum(np.maximum(v, low), high)
+
 
 def _divider_volts(supply, r3, rx_rest, reference, delta_rx):
     rx = rx_rest + delta_rx
@@ -131,14 +144,13 @@ def _divider_volts(supply, r3, rx_rest, reference, delta_rx):
     return supply * (sense - reference)
 
 
-def _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise):
+def _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise, clip=_clip):
     v = gain * v_in * (1.0 + noise_fraction * noise)
-    return np.minimum(np.maximum(v, rail_low), rail_high)
+    return clip(v, rail_low, rail_high)
 
 
-def _rounded_code(max_code, full_scale, v):
-    clamped = np.minimum(np.maximum(v, 0.0), full_scale)
-    return np.floor(clamped * max_code / full_scale + 0.5)
+def _rounded_code(max_code, full_scale, v, clip=_clip, floor=math.floor):
+    return floor(clip(v, 0.0, full_scale) * max_code / full_scale + 0.5)
 
 
 def bridge_output(cfg: BridgeConfig, delta_rx: float) -> float:
@@ -178,7 +190,7 @@ def adc_sample(adc: AdcConfig, v: float) -> int:
     """
     if not math.isfinite(v):
         raise ValueError("ADC input must be finite")
-    return int(_rounded_code(adc.max_code, adc.full_scale, v))
+    return _rounded_code(adc.max_code, adc.full_scale, v)
 
 
 def dequantize(adc: AdcConfig, code: int) -> float:
@@ -198,6 +210,7 @@ class Chain:
     """
 
     def __init__(self, bridges, adc: AdcConfig):
+        import numpy as np
         for bridge in bridges:
             _check_balanced(bridge)
         self.adc = adc
@@ -215,16 +228,18 @@ class Chain:
 
         Both arrays have one column per channel and one row per sample.
         """
+        import numpy as np
         delta_rx = np.asarray(delta_rx, dtype=float)
         if (delta_rx < 0).any():
             raise ValueError("delta_rx must be non-negative")
         v_in = _divider_volts(*self._divider, delta_rx)
         if not np.isfinite(v_in).all():
             raise ValueError("amplifier input must be finite")
-        v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float))
+        v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float), _array_clip)
         if not np.isfinite(v).all():
             raise ValueError("ADC input must be finite")
-        return _rounded_code(self.adc.max_code, self.adc.full_scale, v).astype(np.int64)
+        codes = _rounded_code(self.adc.max_code, self.adc.full_scale, v, _array_clip, np.floor)
+        return codes.astype(np.int64)
 
 
 def sample_chain(bridge: BridgeConfig, adc: AdcConfig, delta_rx: float,

@@ -9,12 +9,12 @@ coefficients) and a signal-units tag so a model trained on one signal
 scale cannot silently be applied to another.
 """
 
+from __future__ import annotations
+
 import csv
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParseError, SingularFitError, UnderdeterminedFitError, UsageError
 from .streams import read_table
@@ -56,7 +56,12 @@ PRESET_MODELS = {
 
 def evaluate_model(model: PolynomialModel, v):
     """Evaluate the polynomial at ``v`` (scalar or array) by Horner's rule."""
-    if not np.all(np.isfinite(v)):
+    if isinstance(v, (int, float)):
+        finite = math.isfinite(v)
+    else:
+        import numpy as np
+        finite = np.all(np.isfinite(v))
+    if not finite:
         raise ValueError("signal value must be finite")
     result = 0.0
     for c in reversed(model.coefficients):
@@ -88,6 +93,7 @@ def build_design_matrix(signals, order: int) -> np.ndarray:
     Valid for any number of rows; whether the system is solvable is the
     fit's concern.
     """
+    import numpy as np
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 1:
         raise ValueError("signals must be one-dimensional")
@@ -106,6 +112,7 @@ def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
     returned solution satisfies the normal equations: the residual is
     orthogonal to every column of the design matrix.
     """
+    import numpy as np
     design = np.asarray(design, dtype=float)
     forces = np.asarray(forces, dtype=float)
     m, cols = design.shape
@@ -143,6 +150,7 @@ class CalibrationDataset:
     weights_gw: np.ndarray = None
 
     def __post_init__(self):
+        import numpy as np
         self.signals = np.asarray(self.signals, dtype=float)
         self.forces = np.asarray(self.forces, dtype=float)
         if self.signals.shape != self.forces.shape or self.signals.ndim != 1:
@@ -167,6 +175,7 @@ def kfold_split(dataset, k: int = 5, seed=0) -> np.ndarray:
     n = len(dataset)
     if n < k:
         raise ValueError(f"cannot split {n} samples into {k} folds")
+    import numpy as np
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     folds = np.empty(n, dtype=int)
@@ -218,6 +227,7 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
 
     Fitting failures on any fold abort the whole run.
     """
+    import numpy as np
     orders = tuple(orders)
     if not orders:
         raise UsageError("cross_validate needs at least one order")
@@ -268,6 +278,7 @@ def invert_model(model: PolynomialModel, force: float, v_max: float = 50.0) -> f
     the model; fitted polynomials need not be monotone, and forces
     outside the model's reach are an error.
     """
+    import numpy as np
     if model.order == 1:
         a0, a1 = model.coefficients
         if a1 == 0:
@@ -311,6 +322,7 @@ def synthetic_protocol_dataset(model: PolynomialModel, noise_sigma: float = 0.0,
     that does not reach some protocol force on [0, 50] raises
     ValueError naming the first such force, in protocol order.
     """
+    import numpy as np
     forces_true = np.array(protocol_forces())
     signals = np.array([invert_model(model, f) for f in forces_true])
     rng = np.random.default_rng(seed)
@@ -325,6 +337,7 @@ DATASET_HEADERS = (("v", "force_n"), ("v", "force_n", "weight_gw"))
 
 def load_dataset(path) -> CalibrationDataset:
     """Read a dataset CSV: ``v,force_n`` with an optional ``weight_gw``."""
+    import numpy as np
     rows = []
     for line_number, row in read_table(path, DATASET_HEADERS):
         try:
@@ -386,6 +399,8 @@ def load_model(path) -> PolynomialModel:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"model file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"model file {path}: not a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ParseError(f"model file {path}: unknown format {payload.get('format')!r}")
     try:

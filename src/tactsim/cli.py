@@ -6,6 +6,7 @@ seed; re-runs are byte-identical.
 """
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -163,6 +164,8 @@ def _load_cfg(args) -> ToolkitConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.gain is not None:
+        if not math.isfinite(args.gain):
+            raise UsageError(f"--gain must be finite, got {args.gain}")
         if args.gain <= 0:
             raise UsageError("--gain must be positive")
         cfg = replace(cfg, bridge=replace(cfg.bridge, amplifier_gain=args.gain))

@@ -7,10 +7,10 @@ exactly five amplifier-noise samples per tick in channel order, which
 makes every run byte-reproducible.
 """
 
+from __future__ import annotations
+
 import math
 from itertools import islice, product
-
-import numpy as np
 
 from .bridge import Chain
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
@@ -48,6 +48,7 @@ def _step_deltas(cfg: ToolkitConfig, scenario: LoadScenario) -> np.ndarray:
     One row per scenario step: the load is held between steps, so these
     rows are all the resistance states a simulation can visit.
     """
+    import numpy as np
     rows = []
     for step in scenario.steps:
         fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
@@ -64,6 +65,7 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     there. The scenario and the bridges are checked when this is called,
     before any sample is produced.
     """
+    import numpy as np
     if scenario.start_time > 0:
         raise ValueError(
             f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
@@ -101,6 +103,7 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     force-layer signal recorded against the known force, yielding the
     dataset a real calibration session would produce.
     """
+    import numpy as np
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     if weights is None:
         weights = protocol_weights()

@@ -139,6 +139,16 @@ class TestAmplify:
         with pytest.raises(ValueError):
             amplify(BridgeConfig(), math.inf)
 
+    def test_negative_zero_clips_to_the_rail(self):
+        # A tie with the rail returns the rail, as numpy's maximum does.
+        assert repr(amplify(BridgeConfig(), -0.0)) == "0.0"
+
+    def test_nan_noise_passes_through_to_the_adc_check(self):
+        v = amplify(BridgeConfig(), 0.1, math.nan)
+        assert math.isnan(v)
+        with pytest.raises(ValueError, match="ADC input must be finite"):
+            adc_sample(AdcConfig(), v)
+
 
 class TestAdc:
     adc = AdcConfig()

@@ -337,6 +337,29 @@ BAD_CONFIG_LINES = {
 }
 
 
+#: A --gain value -> the error message.
+BAD_GAINS = {
+    "nan": "--gain must be finite, got nan",
+    "inf": "--gain must be finite, got inf",
+    "-inf": "--gain must be finite, got -inf",
+    "0": "--gain must be positive",
+    "-1": "--gain must be positive",
+}
+
+#: JSON kind -> a model file of that kind that is not an object.
+NON_OBJECT_MODELS = {
+    "array": "[1, 2]",
+    "string": '"tactsim-model-v1"',
+    "integer": "3",
+    "float": "2.5",
+    "boolean": "true",
+    "null": "null",
+}
+
+STREAM_LINE = "0.0,1,2,3,4,5\n"
+FRAME_LINE = "0.0,0.0,0.0,0,0,0,0,none\n"
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
     def test_non_finite_number_names_its_line(self, case, capsys, tmp_path):
@@ -359,6 +382,30 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "simulate", workdir / "scenario.csv", "--config", config)
         expected = f"tactsim: error: {config}{BAD_CONFIG_LINES[line]}\n"
         assert (code, out, err) == (2, "", expected)
+
+    @pytest.mark.parametrize("command", ("simulate", "calibrate", "estimate", "report"))
+    @pytest.mark.parametrize("gain", sorted(BAD_GAINS))
+    def test_bad_gain_flag_is_usage_error(self, command, gain, capsys, tmp_path, workdir,
+                                          model_path):
+        stream, frames = tmp_path / "stream.csv", tmp_path / "frames.csv"
+        stream.write_text(STREAM_LINE)
+        frames.write_text(FRAME_LINE)
+        inputs = {
+            "simulate": (workdir / "scenario.csv",),
+            "calibrate": (workdir / "calibration.csv",),
+            "estimate": (stream, "-m", model_path),
+            "report": (frames,),
+        }
+        code, out, err = run(capsys, command, *inputs[command], f"--gain={gain}")
+        assert (code, out, err) == (1, "", f"tactsim: error: {BAD_GAINS[gain]}\n")
+
+    @pytest.mark.parametrize("kind", sorted(NON_OBJECT_MODELS))
+    def test_model_file_that_is_not_an_object(self, kind, capsys, tmp_path):
+        model, stream = tmp_path / "model.json", tmp_path / "stream.csv"
+        model.write_text(NON_OBJECT_MODELS[kind] + "\n")
+        stream.write_text(STREAM_LINE)
+        code, out, err = run(capsys, "estimate", stream, "-m", model)
+        assert (code, out, err) == (2, "", f"tactsim: error: model file {model}: not a JSON object\n")
 
 
 #: A bad line k in an otherwise valid 60-line stream -> the error message.

@@ -17,7 +17,9 @@ same line with the same message after writing the same frames, for any
 block size and any mix of spellings, comments and bad lines.
 
 The stage properties check the balanced null, the monotone bridge and
-the half-LSB quantization bound on random configurations. Model
+the half-LSB quantization bound on random configurations, and that the
+scalar amplifier and ADC stages clip and round as numpy's
+``minimum``/``maximum``/``floor`` do, down to signed zeros and NaN. Model
 inversion must find the first crossing of the force on random models of
 orders 2-5, and every file format must read back what it wrote.
 """
@@ -357,6 +359,41 @@ def test_quantization_within_half_lsb(bits, full_scale, fraction):
     # A voltage on a code boundary is exactly half an LSB from the code's
     # centre, and the centre itself is rounded to a float: allow that.
     assert abs(error) <= full_scale / (2 * adc.max_code) + 2 * math.ulp(full_scale)
+
+
+def numpy_clip(v, low, high):
+    return np.minimum(np.maximum(v, low), high)
+
+
+def signed(values):
+    """The given floats, their negations and random floats in [-10, 10]."""
+    edges = {repr(x): x for v in values for x in (v, -v)}
+    return st.sampled_from(list(edges.values())) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), gain=st.sampled_from((1.0, 41.36)) | st.floats(0.5, 200.0),
+       noise_fraction=st.sampled_from((0.0, 0.01)) | st.floats(0.0, 0.5),
+       rail_low=st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0),
+       width=st.floats(0.5, 8.0))
+def test_amplify_matches_numpy_clip(data, gain, noise_fraction, rail_low, width):
+    cfg = BridgeConfig(amplifier_gain=gain, noise_fraction=noise_fraction,
+                       rail_low=rail_low, rail_high=rail_low + width)
+    # With a gain of 1 and no noise, the rails themselves are hit exactly.
+    v_in = data.draw(signed((0.0, rail_low, cfg.rail_high)))
+    noise = data.draw(st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf))
+                      | st.floats(-1.0, 1.0))
+    v = gain * v_in * (1.0 + noise_fraction * noise)
+    assert repr(amplify(cfg, v_in, noise)) == repr(float(numpy_clip(v, rail_low, cfg.rail_high)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), bits=st.integers(1, 16), full_scale=st.floats(0.1, 20.0))
+def test_adc_sample_matches_numpy_clip_and_floor(data, bits, full_scale):
+    adc = AdcConfig(bits=bits, full_scale=full_scale)
+    v = data.draw(signed((0.0, full_scale)))
+    expected = np.floor(numpy_clip(v, 0.0, full_scale) * adc.max_code / full_scale + 0.5)
+    assert repr(adc_sample(adc, v)) == repr(int(expected))
 
 
 @settings(max_examples=300, deadline=None)
