@@ -45,16 +45,17 @@ class BridgeConfig:
     rail_high: float = 5.0
 
     def __post_init__(self):
-        if self.supply_voltage <= 0:
+        # Written so that NaN fails each check.
+        if not self.supply_voltage > 0:
             raise ValueError("supply voltage must be positive")
         for name in ("r1", "r2", "r3", "rx_rest"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.amplifier_gain <= 0:
+        if not self.amplifier_gain > 0:
             raise ValueError("amplifier gain must be positive")
         if not 0 <= self.noise_fraction < 1:
             raise ValueError("noise_fraction must be in [0, 1)")
-        if self.rail_low >= self.rail_high:
+        if not self.rail_low < self.rail_high:
             raise ValueError("rail_low must be below rail_high")
 
 
@@ -67,11 +68,12 @@ class AdcConfig:
     full_scale: float = 5.0
 
     def __post_init__(self):
+        # As in BridgeConfig, NaN fails the float checks.
         if self.bits < 1:
             raise ValueError("ADC needs at least 1 bit")
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError("sample rate must be positive")
-        if self.full_scale <= 0:
+        if not self.full_scale > 0:
             raise ValueError("full scale must be positive")
 
     @property

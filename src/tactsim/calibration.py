@@ -245,6 +245,8 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
             test_mask = folds == fold
             v_train, f_train = signals[~test_mask], forces[~test_mask]
             v_test, f_test = signals[test_mask], forces[test_mask]
+            # rmse on Python floats: the same result as on numpy scalars, faster.
+            truth_train, truth_test = f_train.tolist(), f_test.tolist()
             for order in orders:
                 try:
                     model = fit_polynomial(v_train, f_train, order)
@@ -252,8 +254,8 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
                     raise type(exc)(
                         f"repeat {repeat}, test fold {fold}: {exc}"
                     ) from exc
-                train_sums[order] += rmse(evaluate_model(model, v_train), f_train)
-                test_sums[order] += rmse(evaluate_model(model, v_test), f_test)
+                train_sums[order] += rmse(evaluate_model(model, v_train).tolist(), truth_train)
+                test_sums[order] += rmse(evaluate_model(model, v_test).tolist(), truth_test)
             evaluations += 1
     train_means = tuple(train_sums[o] / evaluations for o in orders)
     test_means = tuple(test_sums[o] / evaluations for o in orders)
@@ -409,9 +411,14 @@ def load_model(path) -> PolynomialModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model file {path}: {exc}") from exc
-    if payload.get("order") != model.order:
+    order = payload.get("order")
+    if type(order) is not int:  # a JSON integer; true and 1.0 are not
         raise ParseError(
-            f"model file {path}: order {payload.get('order')} does not match "
+            f"model file {path}: order must be an integer, got {json.dumps(order)}"
+        )
+    if order != model.order:
+        raise ParseError(
+            f"model file {path}: order {order} does not match "
             f"{len(model.coefficients)} coefficients"
         )
     return model

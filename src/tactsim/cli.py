@@ -7,6 +7,7 @@ seed; re-runs are byte-identical.
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -205,5 +206,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """Entry point of the ``tactsim`` command and ``python -m tactsim``.
+
+    Runs ``main`` with OpenBLAS on one thread unless the environment
+    already sets ``OPENBLAS_NUM_THREADS``. No tactsim array is large
+    enough to use a BLAS thread pool, and starting one is about 40% of
+    numpy's import. Set here, not on import, so that a program importing
+    tactsim keeps its own BLAS settings.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -33,15 +33,24 @@ def rmse(predicted, truth) -> float:
     """Root-mean-square error between two equal-length force sequences.
 
     Uses an exactly rounded sum so the result does not depend on the
-    order of the samples.
+    order of the samples. The values are taken as Python floats, so a
+    numpy array gives the same result as its ``tolist()``, and a sum of
+    squares too large for a float gives ``inf`` without a warning (``nan``
+    if a difference is ``nan``).
     """
-    predicted = list(predicted)
-    truth = list(truth)
+    predicted = list(map(float, predicted))
+    truth = list(map(float, truth))
     if len(predicted) != len(truth):
         raise UsageError(
             f"rmse needs equal-length sequences, got {len(predicted)} and {len(truth)}"
         )
     if not predicted:
         raise UsageError("rmse of empty sequences is undefined")
-    total = math.fsum((p - t) ** 2 for p, t in zip(predicted, truth))
+    try:
+        total = math.fsum((p - t) ** 2 for p, t in zip(predicted, truth))
+    except OverflowError:
+        # A square or fsum's running sum passed the largest float. The sum
+        # is inf then, or nan if a difference is nan, as it is without one.
+        nan = any(math.isnan(p - t) for p, t in zip(predicted, truth))
+        total = math.nan if nan else math.inf
     return math.sqrt(total / len(predicted))

@@ -194,6 +194,27 @@ class TestAdc:
             AdcConfig(sample_rate=0.0)
 
 
+#: Config class, field -> the message its NaN check raises.
+NAN_FIELDS = {
+    (BridgeConfig, "supply_voltage"): "supply voltage must be positive",
+    (BridgeConfig, "r1"): "r1 must be positive",
+    (BridgeConfig, "r2"): "r2 must be positive",
+    (BridgeConfig, "r3"): "r3 must be positive",
+    (BridgeConfig, "rx_rest"): "rx_rest must be positive",
+    (BridgeConfig, "amplifier_gain"): "amplifier gain must be positive",
+    (BridgeConfig, "rail_low"): "rail_low must be below rail_high",
+    (BridgeConfig, "rail_high"): "rail_low must be below rail_high",
+    (AdcConfig, "sample_rate"): "sample rate must be positive",
+    (AdcConfig, "full_scale"): "full scale must be positive",
+}
+
+
+@pytest.mark.parametrize("kind, field", list(NAN_FIELDS))
+def test_nan_field_is_rejected(kind, field):
+    with pytest.raises(ValueError, match=f"^{NAN_FIELDS[kind, field]}$"):
+        kind(**{field: math.nan})
+
+
 class TestSampleChain:
     def test_composes_stages(self):
         cfg = BridgeConfig(noise_fraction=0.0)

@@ -356,6 +356,14 @@ NON_OBJECT_MODELS = {
     "null": "null",
 }
 
+#: The "order" member of a two-coefficient model file that is not a JSON integer.
+NON_INTEGER_ORDERS = {
+    "true": "true",
+    "float": "1.0",
+    "string": '"1"',
+    "null": "null",
+}
+
 STREAM_LINE = "0.0,1,2,3,4,5\n"
 FRAME_LINE = "0.0,0.0,0.0,0,0,0,0,none\n"
 
@@ -406,6 +414,27 @@ class TestMalformedInputs:
         stream.write_text(STREAM_LINE)
         code, out, err = run(capsys, "estimate", stream, "-m", model)
         assert (code, out, err) == (2, "", f"tactsim: error: model file {model}: not a JSON object\n")
+
+    @pytest.mark.parametrize("kind", sorted(NON_INTEGER_ORDERS))
+    def test_model_order_that_is_not_an_integer(self, kind, capsys, tmp_path):
+        model, stream = tmp_path / "model.json", tmp_path / "stream.csv"
+        order = NON_INTEGER_ORDERS[kind]
+        model.write_text('{"format": "tactsim-model-v1", "order": %s, '
+                         '"coefficients": [-0.05, 0.3], "signal_units": "volts"}\n' % order)
+        stream.write_text(STREAM_LINE)
+        code, out, err = run(capsys, "estimate", stream, "-m", model)
+        expected = f"tactsim: error: model file {model}: order must be an integer, got {order}\n"
+        assert (code, out, err) == (2, "", expected)
+
+    @pytest.mark.parametrize("force", ("1e200", "1.2e154"))
+    def test_report_rmse_that_overflows_is_inf(self, force, capsys, tmp_path, workdir):
+        frames = tmp_path / "frames.csv"
+        frames.write_text(f"0.0,{force},{force},0,0,0,0,none\n"
+                          f"0.5,{force},{force},0,0,0,0,none\n")
+        code, out, err = run(capsys, "report", frames, "--truth", workdir / "scenario.csv",
+                             "--rmse")
+        assert (code, err) == (0, "")
+        assert out.endswith("\nrmse_n,inf\n")
 
 
 #: A bad line k in an otherwise valid 60-line stream -> the error message.

@@ -19,7 +19,9 @@ block size and any mix of spellings, comments and bad lines.
 The stage properties check the balanced null, the monotone bridge and
 the half-LSB quantization bound on random configurations, and that the
 scalar amplifier and ADC stages clip and round as numpy's
-``minimum``/``maximum``/``floor`` do, down to signed zeros and NaN. Model
+``minimum``/``maximum``/``floor`` do, down to signed zeros and NaN.
+``rmse`` must give the same float on an array, on its ``tolist()`` and
+as the numpy-scalar arithmetic it replaced, overflow included. Model
 inversion must find the first crossing of the force on random models of
 orders 2-5, and every file format must read back what it wrote.
 """
@@ -66,6 +68,7 @@ from tactsim import (
     parse_sample_line,
     process_frame,
     read_samples,
+    rmse,
     save_dataset,
     save_model,
     save_scenario,
@@ -396,6 +399,38 @@ def test_adc_sample_matches_numpy_clip_and_floor(data, bits, full_scale):
     assert repr(adc_sample(adc, v)) == repr(int(expected))
 
 
+def numpy_scalar_rmse(a, b):
+    """``rmse`` as it was computed on numpy scalars; None where ``fsum``
+    raised, its running sum having passed the largest float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            total = math.fsum((p - t) ** 2 for p, t in zip(a, b))
+        except OverflowError:
+            return None
+    return math.sqrt(total / len(a))
+
+
+#: Signed zeros, subnormals, and values whose squares (or their sum) overflow.
+rmse_edges = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                              1.2e154, -1.2e154, 1e200, 1.7976931348623157e308))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=st.lists(st.tuples(rmse_edges | st.floats(), rmse_edges | st.floats()),
+                      min_size=1, max_size=12))
+def test_rmse_of_arrays_matches_lists(pairs):
+    a, b = np.array(pairs).T
+    expected = repr(rmse(a.tolist(), b.tolist()))
+    assert repr(rmse(a, b)) == expected
+    before = numpy_scalar_rmse(a, b)
+    if before is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan = np.isnan(a - b).any()
+        assert expected == ("nan" if nan else "inf")
+    else:
+        assert repr(before) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(unit=st.lists(coefficient, min_size=3, max_size=6), u0=st.floats(0.0, 1.0),
        v_max=st.just(50.0) | st.floats(1.0, 100.0))
@@ -467,8 +502,11 @@ def test_dataset_csv_round_trip(rows, weighted, tmp_path_factory):
 @given(coefficients=st.lists(finite, min_size=2, max_size=7), units=st.text())
 def test_model_json_round_trip(coefficients, units, tmp_path_factory):
     model = PolynomialModel(tuple(coefficients), units)
-    path = tmp_path_factory.mktemp("model") / "model.json"
+    directory = tmp_path_factory.mktemp("model")
+    path, again = directory / "model.json", directory / "again.json"
     save_model(path, model)
     loaded = load_model(path)
     assert loaded == model
     assert [repr(c) for c in loaded.coefficients] == [repr(c) for c in model.coefficients]
+    save_model(again, loaded)
+    assert again.read_bytes() == path.read_bytes()

@@ -1,8 +1,9 @@
 """Start-up: ``estimate`` and ``report`` run on the standard library.
 
 numpy is imported only inside the array code that ``simulate`` and
-``calibrate`` reach, so the replay commands skip its import time. The
-test modules import numpy themselves, so every command here runs as
+``calibrate`` reach, so the replay commands skip its import time, and
+the command-line entry point starts OpenBLAS with one thread. The test
+modules import numpy themselves, so every command here runs as
 ``python -m tactsim`` in a fresh interpreter, and ``-X importtime``
 lists the modules it imported.
 """
@@ -15,19 +16,27 @@ from pathlib import Path
 import pytest
 
 import tactsim
-from tactsim import save_dataset, save_scenario
+from tactsim import cli, save_dataset, save_scenario
 
 from conftest import accuracy_scenario
 
 SRC = Path(tactsim.__file__).resolve().parents[1]
+#: Thread-count settings of the BLAS builds numpy ships with. They are
+#: dropped from every child, so that only the CLI's own default is seen.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def python(*args, stdin=None):
-    """Run the interpreter on ``args``; return its result and imported modules."""
+def python(*args, stdin=None, env=None):
+    """Run the interpreter on ``args``; return its result and imported modules.
+
+    The child gets this environment without ``THREAD_VARIABLES``, plus ``env``.
+    """
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    child = {name: value for name, value in os.environ.items()
+             if name not in THREAD_VARIABLES}
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *args], input=stdin, capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        text=True, env={**child, "PYTHONPATH": path, **(env or {})}, timeout=120,
     )
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
@@ -89,3 +98,52 @@ def test_report_leaves_numpy_out(replay, truth):
     assert out.startswith("frames,154\n")
     assert ("rmse_n," in out) is truth
     assert not uses_numpy(imported)
+
+
+# Runs ``cli.run`` with ``main`` replaced by a probe that imports numpy and
+# prints the variable and the number of threads the process then has.
+ENTRY_PROBE = """
+import os, sys
+from tactsim import cli
+
+def probe():
+    import numpy
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+    return 0
+
+cli.main = probe
+sys.exit(cli.run())
+"""
+
+
+def test_entry_point_starts_blas_with_one_thread():
+    done, imported = python("-c", ENTRY_PROBE)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert uses_numpy(imported)
+    value, threads = done.stdout.split()
+    assert value == "1"
+    if threads != "None":  # no /proc to count them on this platform
+        assert threads == "1"
+
+
+def test_entry_point_keeps_a_thread_count_the_user_set():
+    done, _ = python("-c", ENTRY_PROBE, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split()[0] == "2"
+
+
+def test_import_leaves_the_thread_count_unset():
+    done, _ = python("-c", "import os, tactsim.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "None\n"
+
+
+def test_main_in_process_leaves_the_environment(replay, capsys, monkeypatch):
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert cli.main(["report", str(replay["frames.csv"])]) == 0
+    assert capsys.readouterr().out.startswith("frames,154\n")
+    assert dict(os.environ) == before

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tactsim import UsageError, gw_to_newtons, rmse
@@ -73,3 +74,12 @@ class TestRmse:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             rmse([], [])
+
+    # 1e200 squares past the largest float; 1.2e154 squares to 1.44e308,
+    # so two of them overflow inside fsum's running sum.
+    @pytest.mark.parametrize("force", (1e200, 1.2e154))
+    @pytest.mark.parametrize("kind", (list, np.array))
+    def test_overflowing_sum_of_squares_is_inf(self, force, kind):
+        # Any warning fails the test, so this also checks that numpy
+        # scalars raise none.
+        assert rmse(kind([force, force]), kind([0.0, 0.0])) == math.inf
