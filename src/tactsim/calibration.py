@@ -16,7 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError, SingularFitError, UnderdeterminedFitError, UsageError
+from .errors import (
+    DataError, FitError, ParseError, SingularFitError, UnderdeterminedFitError, UsageError,
+)
 from .streams import read_table
 from .units import gw_to_newtons, rmse
 
@@ -91,17 +93,21 @@ def build_design_matrix(signals, order: int) -> np.ndarray:
     """Vandermonde matrix with rows [1, v, v^2, ..., v^order].
 
     Valid for any number of rows; whether the system is solvable is the
-    fit's concern.
+    fit's concern, except that a power overflowing a float is a fit failure.
     """
     import numpy as np
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 1:
         raise ValueError("signals must be one-dimensional")
-    if not np.all(np.isfinite(signals)):
-        raise ValueError("signals must be finite")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return np.vander(signals, order + 1, increasing=True)
+    with np.errstate(over="ignore"):
+        design = np.vander(signals, order + 1, increasing=True)
+    if not np.isfinite(design).all():  # a signal that is not finite, or a power that overflows
+        if not np.isfinite(signals).all():
+            raise ValueError("signals must be finite")
+        raise SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
+    return design
 
 
 def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
@@ -138,7 +144,10 @@ def fit_polynomial(signals, forces, order: int, signal_units: str = "volts") -> 
     """Convenience wrapper: design matrix + least squares -> model."""
     design = build_design_matrix(signals, order)
     coeffs = least_squares_fit(design, forces)
-    return PolynomialModel(tuple(coeffs), signal_units)
+    try:
+        return PolynomialModel(tuple(coeffs), signal_units)
+    except ValueError as exc:  # coefficients past the float range
+        raise FitError(f"order-{order} fit overflows: {exc}") from exc
 
 
 @dataclass
@@ -174,7 +183,7 @@ def kfold_split(dataset, k: int = 5, seed=0) -> np.ndarray:
         raise UsageError(f"k-fold split needs k >= 2, got {k}")
     n = len(dataset)
     if n < k:
-        raise ValueError(f"cannot split {n} samples into {k} folds")
+        raise DataError(f"cannot split {n} samples into {k} folds")
     import numpy as np
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -237,10 +246,10 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
     forces = dataset.forces
     train_sums = {order: 0.0 for order in orders}
     test_sums = {order: 0.0 for order in orders}
-    evaluations = 0
+    test_folds = (0,) if strict_paper else range(k)
+    evaluations = repeats * len(test_folds)
     for repeat in range(repeats):
         folds = kfold_split(dataset, k=k, seed=[seed, repeat])
-        test_folds = (0,) if strict_paper else range(k)
         for fold in test_folds:
             test_mask = folds == fold
             v_train, f_train = signals[~test_mask], forces[~test_mask]
@@ -250,13 +259,10 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
             for order in orders:
                 try:
                     model = fit_polynomial(v_train, f_train, order)
-                except (SingularFitError, UnderdeterminedFitError) as exc:
-                    raise type(exc)(
-                        f"repeat {repeat}, test fold {fold}: {exc}"
-                    ) from exc
+                except FitError as exc:
+                    raise type(exc)(f"repeat {repeat}, test fold {fold}: {exc}") from exc
                 train_sums[order] += rmse(evaluate_model(model, v_train).tolist(), truth_train)
                 test_sums[order] += rmse(evaluate_model(model, v_test).tolist(), truth_test)
-            evaluations += 1
     train_means = tuple(train_sums[o] / evaluations for o in orders)
     test_means = tuple(test_sums[o] / evaluations for o in orders)
     selected = orders[int(np.argmin(test_means))]

@@ -33,68 +33,52 @@ from .streams import read_samples, write_samples  # noqa: F401
 
 
 @contextmanager
-def _input(path):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r") as handle:
-            yield handle
-
-
-@contextmanager
-def _output(path):
+def _open(path, mode):
+    """The file at ``path``, or stdin or stdout (by ``mode``) for ``-`` or no path."""
     if path is None or path == "-":
-        yield sys.stdout
+        yield sys.stdin if mode == "r" else sys.stdout
     else:
-        with open(path, "w") as handle:
+        with open(path, mode) as handle:
             yield handle
 
 
 def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None, seed=None) -> None:
     """Run a scenario through the sensor chain and write the sample stream."""
     blocks = simulate_blocks(cfg, load_scenario(scenario_path), seed=seed)
-    with _output(output_path) as out:
+    with _open(output_path, "w") as out:
         for times, codes in blocks:
             out.write(format_sample_block(times, codes))
 
 
 def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,
-                  orders=(1, 2, 3, 4, 5), repeats=None, seed=None,
-                  strict_paper=False, out=None):
+                  orders=(1, 2, 3, 4, 5), repeats=None, strict_paper=False) -> None:
     """Cross-validate polynomial orders, persist the winner, print the table.
 
     The persisted model is refit on the full dataset at the selected
     order. Nothing is persisted if any fold fails to fit.
     """
     dataset = load_dataset(dataset_path)
-    report = cross_validate(
-        dataset,
-        orders=orders,
-        k=cfg.kfold,
-        repeats=cfg.repeats if repeats is None else repeats,
-        seed=cfg.seed if seed is None else seed,
-        strict_paper=strict_paper,
-    )
+    report = cross_validate(dataset, orders=orders, k=cfg.kfold, seed=cfg.seed,
+                            repeats=cfg.repeats if repeats is None else repeats,
+                            strict_paper=strict_paper)
     model = fit_polynomial(
         dataset.signals, dataset.forces, report.selected_order,
         signal_units=cfg.signal_units,
     )
     if model_path is not None:
         save_model(model_path, model, report)
-    print(report.table(), file=out or sys.stdout)
-    return report, model
+    print(report.table())
 
 
 def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) -> None:
     """Replay a sample stream through a calibrated model, frame by frame."""
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
-    with _input(stream_path) as stream, _output(output_path) as out:
+    with _open(stream_path, "r") as stream, _open(output_path, "w") as out:
         estimate_lines(cfg, est_cfg, stream, out)
 
 
-def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None,
-               want_rmse=False, out=None) -> None:
+def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None, want_rmse=False) -> None:
     """Summarize a frame stream, optionally scoring it against a scenario."""
     if want_rmse and truth_path is None:
         raise UsageError("--rmse needs a ground-truth scenario (--truth)")
@@ -102,7 +86,7 @@ def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None,
     sensing_range, _ = range_for_gain(cfg.bridge.amplifier_gain)
     with open(frames_path, "r") as handle:
         summary = summarize_lines(handle, sensing_range, truth=truth)
-    print(summary, file=out or sys.stdout)
+    print(summary)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,11 +169,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             cmd_simulate(cfg, args.scenario, args.output)
         elif args.command == "calibrate":
-            cmd_calibrate(
-                cfg, args.dataset, args.output,
-                orders=args.orders, repeats=args.repeats,
-                strict_paper=args.strict_paper_cv,
-            )
+            cmd_calibrate(cfg, args.dataset, args.output, orders=args.orders,
+                          repeats=args.repeats, strict_paper=args.strict_paper_cv)
         elif args.command == "estimate":
             cmd_estimate(cfg, args.model, args.stream, args.output)
         elif args.command == "report":
@@ -197,10 +178,7 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"tactsim: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"tactsim: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"tactsim: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -108,13 +108,16 @@ def make_estimator_config(cfg: ToolkitConfig, model: PolynomialModel) -> Estimat
             f"configuration expects {cfg.signal_units!r}"
         )
     sensing_range, resolution = range_for_gain(cfg.bridge.amplifier_gain)
-    return EstimatorConfig(
-        model=model,
-        element_thresholds=element_signal_thresholds(cfg),
-        sensing_range=sensing_range,
-        resolution=resolution,
-        filter_window=cfg.filter_window,
-    )
+    try:
+        return EstimatorConfig(
+            model=model,
+            element_thresholds=element_signal_thresholds(cfg),
+            sensing_range=sensing_range,
+            resolution=resolution,
+            filter_window=cfg.filter_window,
+        )
+    except ValueError as exc:  # values whose chain overflows, or a gain past the range table
+        raise ConfigError(str(exc)) from exc
 
 
 def _four_floats(text: str) -> tuple:

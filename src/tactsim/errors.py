@@ -1,10 +1,10 @@
 """Exception types shared across the toolkit.
 
-Every toolkit exception carries the CLI exit code it maps to:
-1 for usage mistakes, 2 for bad input data or configuration, 3 for
-numerical fitting failures. Plain ``ValueError`` is raised for domain
-violations in pure functions (negative weights, stretch ratios below 1,
-and so on) and is treated as a data error (exit 2) by the CLI.
+Every toolkit exception carries the CLI exit code it maps to: 1 for
+usage mistakes, 2 for bad input data or configuration, 3 for numerical
+fitting failures. The CLI maps only these, and files it cannot read
+(exit 2). A plain ``ValueError`` is a caller error: code that meets bad
+input data raises one of these classes where it finds it.
 """
 
 
@@ -59,4 +59,4 @@ class UnderdeterminedFitError(FitError):
 
 
 class SingularFitError(FitError):
-    """Design matrix is rank deficient at the requested order."""
+    """Design matrix is rank deficient, or overflows, at the requested order."""

@@ -16,7 +16,7 @@ from .bridge import Chain
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
 from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
-from .errors import DataError, StreamError, UsageError
+from .errors import DataError, ParseError, StreamError, UsageError
 from .estimator import (
     PATTERNS,
     EstimatorConfig,
@@ -67,11 +67,16 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     """
     import numpy as np
     if scenario.start_time > 0:
-        raise ValueError(
+        raise DataError(
             f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
         )
     chain = cfg.sensing_chain()
     deltas = _step_deltas(cfg, scenario)
+    try:  # every state the run can visit; noise cannot make a finite input overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain.codes(deltas, np.zeros(deltas.shape))
+    except ValueError as exc:  # config values whose chain overflows
+        raise DataError(str(exc)) from exc
     step_times = np.array(scenario.step_times)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     clock = sample_times(cfg.adc.sample_rate, scenario.end_time)
@@ -153,7 +158,10 @@ class CodeTables:
                 if channel:
                     table[key] = signal >= self.est_cfg.element_thresholds[channel - 1]
                 else:
-                    force = estimate_force(self.est_cfg, signal)
+                    try:
+                        force = estimate_force(self.est_cfg, signal)
+                    except ValueError as exc:  # a signal that overflows at this ADC scale
+                        raise DataError(f"{where}: {exc}") from exc
                     table[key] = (force, repr(force))
             keys.append(key)
         return keys
@@ -185,19 +193,14 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     """
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
-        codes = _checked_codes(cfg, sample.channels, _where(sample, ordinal))
+        where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
+        codes = _checked_codes(cfg, sample.channels, where)
         signals = tuple(channel_signal(cfg, code) for code in codes)
         try:
             frame = process_frame(est_cfg, state, signals, sample.time)
         except StreamError as exc:
-            raise StreamError(f"{_where(sample, ordinal)}: {exc}") from exc
+            raise StreamError(f"{where}: {exc}") from exc
         yield frame
-
-
-def _where(sample: SampleLine, ordinal: int) -> str:
-    if sample.line_number is not None:
-        return f"line {sample.line_number}"
-    return f"sample {ordinal}"
 
 
 def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> None:
@@ -316,7 +319,10 @@ def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> 
         tally[tail] = tally.get(tail, 0) + 1
         if truth is not None:
             estimates.append(filtered)
-            true_forces.append(truth.at(time)[0])
+            try:
+                true_forces.append(truth.at(time)[0])
+            except ValueError as exc:  # a frame before the scenario start
+                raise ParseError(str(exc), number) from exc
     scored = (estimates, true_forces) if truth is not None else None
     return _summary(count, t_first, t_last, saturated,
                     {tails[tail]: n for tail, n in tally.items()}, scored)

@@ -44,11 +44,11 @@ class FabricModel:
     full_scale_force: float = 3.5
 
     def __post_init__(self):
-        if self.rest_resistance <= 0:
+        if not self.rest_resistance > 0:
             raise ValueError("fabric rest resistance must be positive")
         if not 0 < self.max_fractional_delta <= 1:
             raise ValueError("max_fractional_delta must be in (0, 1]")
-        if self.full_scale_force <= 0:
+        if not self.full_scale_force > 0:
             raise ValueError("full_scale_force must be positive")
 
 
@@ -71,11 +71,11 @@ class ElementModel:
     def __post_init__(self):
         if not 1e6 <= self.rest_resistance <= 2e6:
             raise ValueError("element rest resistance must be within [1 MOhm, 2 MOhm]")
-        if self.trigger_threshold <= 0:
+        if not self.trigger_threshold > 0:
             raise ValueError("trigger threshold must be positive")
-        if self.active_signal_delta <= 0:
+        if not self.active_signal_delta > 0:
             raise ValueError("active_signal_delta must be positive")
-        if self.saturation_force <= self.trigger_threshold:
+        if not self.saturation_force > self.trigger_threshold:
             raise ValueError("saturation force must exceed the trigger threshold")
 
 

@@ -105,18 +105,24 @@ def read_table(path, headers):
     ignored); when line 1 is blank the rows are read as ``headers[0]``.
     Blank rows are skipped, and every row must have as many fields as
     its header, so the header a file uses is told by its rows' length.
+    Rows are numbered by the file line they start on.
     """
     header = headers[0]
     with open(path, "r", newline="") as handle:
-        for line_number, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_number == 1:
-                header = tuple(col.strip().lower() for col in row)
-                if header not in headers:
-                    names = " or ".join(repr(",".join(h)) for h in headers)
-                    raise ParseError(f"expected header {names}", line_number)
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_number)
-            yield line_number, row
+        reader, start = csv.reader(handle), 1
+        try:
+            for row in reader:
+                line_number, start = start, reader.line_num + 1
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if line_number == 1:
+                    header = tuple(col.strip().lower() for col in row)
+                    if header not in headers:
+                        names = " or ".join(repr(",".join(h)) for h in headers)
+                        raise ParseError(f"expected header {names}", line_number)
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_number)
+                yield line_number, row
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ParseError(str(exc), reader.line_num) from exc

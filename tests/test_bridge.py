@@ -7,6 +7,8 @@ from tactsim import (
     AdcConfig,
     BridgeConfig,
     ConfigError,
+    ElementModel,
+    FabricModel,
     UsageError,
     adc_sample,
     amplify,
@@ -206,6 +208,11 @@ NAN_FIELDS = {
     (BridgeConfig, "rail_high"): "rail_low must be below rail_high",
     (AdcConfig, "sample_rate"): "sample rate must be positive",
     (AdcConfig, "full_scale"): "full scale must be positive",
+    (FabricModel, "rest_resistance"): "fabric rest resistance must be positive",
+    (FabricModel, "full_scale_force"): "full_scale_force must be positive",
+    (ElementModel, "trigger_threshold"): "trigger threshold must be positive",
+    (ElementModel, "active_signal_delta"): "active_signal_delta must be positive",
+    (ElementModel, "saturation_force"): "saturation force must exceed the trigger threshold",
 }
 
 

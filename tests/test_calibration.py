@@ -7,6 +7,7 @@ import pytest
 
 from tactsim import (
     CalibrationDataset,
+    DataError,
     ParseError,
     PolynomialModel,
     PRESET_MODELS,
@@ -171,7 +172,7 @@ class TestKfoldSplit:
             kfold_split(range(10), k=1)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             kfold_split(range(3), k=5)
 
 

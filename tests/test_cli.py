@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -627,3 +628,125 @@ class TestReportFrameErrors:
         code, out, err = run(capsys, "report", frames_path)
         assert code == 0, err
         assert out.startswith("frames,2099\n")
+
+
+#: Each reader of an input file -> the command line that reads {bad} with it.
+INPUT_READERS = {
+    "config": ("simulate", "{scenario}", "--config", "{bad}"),
+    "scenario": ("simulate", "{bad}"),
+    "truth": ("report", "{frames}", "--truth", "{bad}"),
+    "dataset": ("calibrate", "{bad}"),
+    "model": ("estimate", "{stream}", "-m", "{bad}"),
+    "stream": ("estimate", "{bad}", "-m", "{model}"),
+    "frames": ("report", "{bad}"),
+}
+
+CSV_FIELD_LIMIT = csv.field_size_limit()
+
+#: A scenario or dataset file -> its command and the error message. Rows are
+#: numbered by the file line they start on, also after a field that spans lines.
+CSV_TABLE_ERRORS = {
+    "after_multi_line_field": ("simulate", 't,force_n,quadrants\n0,0,\n1,0.2,"1\n+2"\n2,abc,\n',
+                               "line 5: could not convert string to float: 'abc'"),
+    "in_multi_line_field": ("simulate", 't,force_n,quadrants\n0,0,\n1,abc,"1\n+2"\n2,0,\n',
+                            "line 3: could not convert string to float: 'abc'"),
+    "dataset_after_multi_line_field": ("calibrate", 'v,force_n\n"0.1\n",0.2\n0.2,abc\n',
+                                       "line 4: could not convert string to float: 'abc'"),
+    "oversized_scenario_field": ("simulate",
+                                 "t,force_n,quadrants\n0,0,\n1,0.2," + "1" * (CSV_FIELD_LIMIT + 1),
+                                 f"line 3: field larger than field limit ({CSV_FIELD_LIMIT})"),
+    "oversized_dataset_field": ("calibrate", "v,force_n\n0.1," + "0" * (CSV_FIELD_LIMIT + 1) + "\n",
+                                f"line 2: field larger than field limit ({CSV_FIELD_LIMIT})"),
+}
+
+
+def overflow_dataset(tmp_path, v, force):
+    """A 20-row dataset file with signals ``v(i)`` and forces ``force(i)``."""
+    path = tmp_path / "overflow.csv"
+    path.write_text("v,force_n\n" + "".join(f"{v(i)!r},{force(i)!r}\n" for i in range(1, 21)))
+    return path
+
+
+class TestExitCodeRule:
+    """Only toolkit errors and unreadable files become exit codes."""
+
+    @pytest.mark.parametrize("reader", sorted(INPUT_READERS))
+    def test_file_that_is_not_utf8_is_a_data_error(self, reader, capsys, tmp_path, workdir,
+                                                   model_path):
+        bad, stream, frames = tmp_path / "bad", tmp_path / "stream.csv", tmp_path / "frames.csv"
+        bad.write_bytes(b"t,force_n,quadrants\n0,0,\xff\n")
+        stream.write_text(STREAM_LINE)
+        frames.write_text(FRAME_LINE)
+        paths = dict(bad=bad, stream=stream, frames=frames, model=model_path,
+                     scenario=workdir / "scenario.csv")
+        args = [arg.format(**paths) for arg in INPUT_READERS[reader]]
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("tactsim: error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_frame_before_the_truth_start_names_its_line(self, k, capsys, tmp_path):
+        truth, frames = tmp_path / "truth.csv", tmp_path / "frames.csv"
+        truth.write_text("t,force_n,quadrants\n0.5,0.2,1\n2.0,0.0,\n")
+        times = [0.5, 0.75, 1.0]
+        times[k - 1] = 0.0
+        frames.write_text("".join(f"{t!r},0.1,0.1,1,0,0,0,point\n" for t in times))
+        code, out, err = run(capsys, "report", frames, "--truth", truth, "--rmse")
+        message = f"line {k}: time 0.0 s is before the scenario start (0.5 s)"
+        assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
+
+    def test_design_matrix_overflow_is_a_fit_failure(self, capfd, tmp_path):
+        dataset = overflow_dataset(tmp_path, lambda i: 1e154 * (1 + i / 10), lambda i: i / 10)
+        code, out, err = run(capfd, "calibrate", dataset, "--orders", "2")
+        message = "repeat 0, test fold 0: signals too large for an order-2 fit: v^2 overflows"
+        assert (code, out, err) == (3, "", f"tactsim: error: {message}\n")
+
+    def test_coefficient_overflow_is_a_fit_failure(self, capfd, tmp_path):
+        dataset = overflow_dataset(tmp_path, lambda i: i / 10, lambda i: 1.7e308 * (-1) ** i)
+        code, out, err = run(capfd, "calibrate", dataset, "--orders", "3")
+        message = "repeat 0, test fold 0: order-3 fit overflows: model coefficients must be finite"
+        assert (code, out, err) == (3, "", f"tactsim: error: {message}\n")
+
+    @pytest.mark.parametrize("case", sorted(CSV_TABLE_ERRORS))
+    def test_csv_table_error_names_its_file_line(self, case, capsys, tmp_path):
+        command, text, message = CSV_TABLE_ERRORS[case]
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
+
+    def test_gain_past_the_range_table_is_a_data_error(self, capsys, tmp_path, model_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text(STREAM_LINE)
+        code, out, err = run(capsys, "estimate", stream, "-m", model_path, "--gain", "500")
+        assert (code, out, err) == (2, "", "tactsim: error: resolution must be positive\n")
+
+    @pytest.mark.parametrize("command", ("simulate", "estimate"))
+    def test_config_whose_chain_overflows_is_a_data_error(self, command, capsys, tmp_path,
+                                                          model_path):
+        config, scenario, stream = tmp_path / "x.cfg", tmp_path / "s.csv", tmp_path / "st.csv"
+        config.write_text("element_signal_delta = 1e308\n")
+        scenario.write_text("t,force_n,quadrants\n0,0.5,1+2+3+4\n1,0,\n")
+        stream.write_text(STREAM_LINE)
+        inputs = {"simulate": (scenario,), "estimate": (stream, "-m", model_path)}
+        code, out, err = run(capsys, command, *inputs[command], "--config", config)
+        assert (code, out, err) == (2, "", "tactsim: error: amplifier input must be finite\n")
+
+    def test_signal_that_overflows_names_its_line(self, capsys, tmp_path, model_path):
+        config, stream = tmp_path / "x.cfg", tmp_path / "st.csv"
+        config.write_text("adc_full_scale = 1.7e308\n")
+        stream.write_text("0.0,1,0,0,0,0\n0.1,200,0,0,0,0\n")
+        code, out, err = run(capsys, "estimate", stream, "-m", model_path, "--config", config)
+        assert (code, len(out.splitlines())) == (2, 1)
+        assert err == "tactsim: error: line 2: signal value must be finite\n"
+
+    def test_value_error_inside_a_command_propagates(self, monkeypatch, tmp_path, workdir):
+        from tactsim import cli
+
+        def load_scenario(path):
+            raise ValueError("a caller error")
+
+        monkeypatch.setattr(cli, "load_scenario", load_scenario)
+        with pytest.raises(ValueError, match="^a caller error$"):
+            main(["simulate", str(workdir / "scenario.csv")])

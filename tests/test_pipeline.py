@@ -125,7 +125,7 @@ class TestSimulate:
             LoadStep(0.5, 0.2, frozenset({1})),
             LoadStep(2.0, 0.0, frozenset()),
         ))
-        with pytest.raises(ValueError, match="t = 0"):
+        with pytest.raises(DataError, match="t = 0"):
             simulate_samples(default_config(), late, seed=0)
 
     def test_long_scenario_streams_in_one_block(self):
