@@ -71,6 +71,8 @@ class AdcConfig:
         # As in BridgeConfig, NaN fails the float checks.
         if self.bits < 1:
             raise ValueError("ADC needs at least 1 bit")
+        if self.bits > 53:  # beyond, codes are not all exact floats
+            raise ValueError("ADC has at most 53 bits")
         if not self.sample_rate > 0:
             raise ValueError("sample rate must be positive")
         if not self.full_scale > 0:
@@ -152,7 +154,8 @@ def _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise, clip=_c
 
 
 def _rounded_code(max_code, full_scale, v, clip=_clip, floor=math.floor):
-    return floor(clip(v, 0.0, full_scale) * max_code / full_scale + 0.5)
+    # Past 51 bits the top voltage can round up to max_code + 1.
+    return clip(floor(clip(v, 0.0, full_scale) * max_code / full_scale + 0.5), 0, max_code)
 
 
 def bridge_output(cfg: BridgeConfig, delta_rx: float) -> float:
@@ -234,13 +237,23 @@ class Chain:
         delta_rx = np.asarray(delta_rx, dtype=float)
         if (delta_rx < 0).any():
             raise ValueError("delta_rx must be non-negative")
-        v_in = _divider_volts(*self._divider, delta_rx)
+        try:  # arms past the float range would read as a zero divider
+            with np.errstate(over="raise", invalid="ignore"):
+                v_in = _divider_volts(*self._divider, delta_rx)
+        except FloatingPointError as exc:
+            raise ValueError("bridge arm resistances overflow") from exc
         if not np.isfinite(v_in).all():
             raise ValueError("amplifier input must be finite")
-        v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float), _array_clip)
+        with np.errstate(over="ignore"):  # an output past the rails clips to them
+            v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float), _array_clip)
         if not np.isfinite(v).all():
             raise ValueError("ADC input must be finite")
-        codes = _rounded_code(self.adc.max_code, self.adc.full_scale, v, _array_clip, np.floor)
+        try:  # a full scale so large that an input times the top code overflows
+            with np.errstate(over="raise"):
+                codes = _rounded_code(self.adc.max_code, self.adc.full_scale, v, _array_clip,
+                                      np.floor)
+        except FloatingPointError as exc:
+            raise ValueError("ADC input times the largest code overflows") from exc
         return codes.astype(np.int64)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import (
     DataError, FitError, ParseError, SingularFitError, UnderdeterminedFitError, UsageError,
 )
-from .streams import read_table
+from .streams import open_input, read_table
 from .units import gw_to_newtons, rmse
 
 
@@ -261,8 +261,9 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
                     model = fit_polynomial(v_train, f_train, order)
                 except FitError as exc:
                     raise type(exc)(f"repeat {repeat}, test fold {fold}: {exc}") from exc
-                train_sums[order] += rmse(evaluate_model(model, v_train).tolist(), truth_train)
-                test_sums[order] += rmse(evaluate_model(model, v_test).tolist(), truth_test)
+                with np.errstate(over="ignore", invalid="ignore"):  # overflows score inf or nan
+                    train_sums[order] += rmse(evaluate_model(model, v_train).tolist(), truth_train)
+                    test_sums[order] += rmse(evaluate_model(model, v_test).tolist(), truth_test)
     train_means = tuple(train_sums[o] / evaluations for o in orders)
     test_means = tuple(test_sums[o] / evaluations for o in orders)
     selected = orders[int(np.argmin(test_means))]
@@ -402,7 +403,7 @@ def save_model(path, model: PolynomialModel, report: FitReport = None) -> None:
 
 
 def load_model(path) -> PolynomialModel:
-    with open(path, "r") as handle:
+    with open_input(path) as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -9,7 +9,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .calibration import (
@@ -24,7 +24,7 @@ from .errors import ToolkitError, UsageError
 from .estimator import range_for_gain
 from .pipeline import estimate_lines, simulate_blocks, summarize_lines
 from .sensor import load_scenario
-from .streams import format_sample_block
+from .streams import format_sample_block, open_input
 
 # The per-item paths each block path reproduces; bench/spans.py traces them here.
 from .estimator import format_frame, parse_frame  # noqa: F401
@@ -32,20 +32,15 @@ from .pipeline import estimate_frames, simulate_samples, summarize_frames  # noq
 from .streams import read_samples, write_samples  # noqa: F401
 
 
-@contextmanager
-def _open(path, mode):
-    """The file at ``path``, or stdin or stdout (by ``mode``) for ``-`` or no path."""
-    if path is None or path == "-":
-        yield sys.stdin if mode == "r" else sys.stdout
-    else:
-        with open(path, mode) as handle:
-            yield handle
+def _output(path):
+    """The file at ``path`` to write, or stdout for ``-`` or no path."""
+    return nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w")
 
 
 def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None, seed=None) -> None:
     """Run a scenario through the sensor chain and write the sample stream."""
     blocks = simulate_blocks(cfg, load_scenario(scenario_path), seed=seed)
-    with _open(output_path, "w") as out:
+    with _output(output_path) as out:
         for times, codes in blocks:
             out.write(format_sample_block(times, codes))
 
@@ -74,7 +69,8 @@ def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) 
     """Replay a sample stream through a calibrated model, frame by frame."""
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
-    with _open(stream_path, "r") as stream, _open(output_path, "w") as out:
+    stream_path = None if stream_path == "-" else stream_path
+    with open_input(stream_path) as stream, _output(output_path) as out:
         estimate_lines(cfg, est_cfg, stream, out)
 
 
@@ -84,7 +80,7 @@ def cmd_report(cfg: ToolkitConfig, frames_path, truth_path=None, want_rmse=False
         raise UsageError("--rmse needs a ground-truth scenario (--truth)")
     truth = load_scenario(truth_path) if truth_path is not None else None
     sensing_range, _ = range_for_gain(cfg.bridge.amplifier_gain)
-    with open(frames_path, "r") as handle:
+    with open_input(frames_path) as handle:
         summary = summarize_lines(handle, sensing_range, truth=truth)
     print(summary)
 
@@ -175,12 +171,9 @@ def main(argv=None) -> int:
             cmd_estimate(cfg, args.model, args.stream, args.output)
         elif args.command == "report":
             cmd_report(cfg, args.frames, truth_path=args.truth, want_rmse=args.rmse)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:  # OSError: a file that cannot be opened
         print(f"tactsim: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"tactsim: error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, ToolkitError) else 2
     return 0
 
 

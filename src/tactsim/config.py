@@ -10,6 +10,7 @@ default, unknown keys are rejected.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .bridge import AdcConfig, BridgeConfig, Chain, amplify, bridge_output, dequantize
@@ -17,6 +18,7 @@ from .calibration import PolynomialModel
 from .errors import ConfigError
 from .estimator import EstimatorConfig, range_for_gain
 from .sensor import ElementModel, FabricModel, default_elements
+from .streams import open_input
 
 SIGNAL_UNITS = ("volts", "counts")
 
@@ -40,6 +42,8 @@ class ToolkitConfig:
             raise ConfigError("exactly four position elements are required")
         if self.filter_window < 1:
             raise ConfigError("filter_window must be at least 1")
+        if self.filter_window > sys.maxsize:
+            raise ConfigError(f"filter_window must be at most {sys.maxsize}")
         if self.kfold < 2:
             raise ConfigError("kfold must be at least 2")
         if self.repeats < 1:
@@ -197,5 +201,5 @@ def _build_config(parts: dict, source: str) -> ToolkitConfig:
 
 
 def load_config(path) -> ToolkitConfig:
-    with open(path, "r") as handle:
+    with open_input(path) as handle:
         return parse_config_text(handle.read(), source=str(path))

@@ -8,6 +8,7 @@ label. The model runs before the filter, matching the firmware order.
 """
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.filter_window < 1:
             raise ValueError("filter window must be at least 1")
+        if self.filter_window > sys.maxsize:
+            raise ValueError(f"filter window must be at most {sys.maxsize}")
         if self.sensing_range <= 0:
             raise ValueError("sensing range must be positive")
         if self.resolution <= 0:
@@ -150,9 +153,8 @@ def advance(state: StreamState, time: float, raw: float) -> float:
     """One step of the stream: clock check, then the filtered force.
 
     ``raw`` is the clamped force of the tick. Every replay steps the
-    stream through here: ``process_frame``, and so
-    ``pipeline.estimate_frames``, and the code-indexed
-    ``pipeline.estimate_lines``.
+    stream through here: ``process_frame`` and the code-indexed
+    ``pipeline.estimate_frames`` and ``pipeline.estimate_lines``.
     """
     last = state.last_time
     if last is not None and time <= last:

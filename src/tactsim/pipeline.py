@@ -2,9 +2,9 @@
 
 Everything here streams: simulation and estimation work one block of
 ``BLOCK_TICKS`` ticks or lines at a time, so a replay never holds more
-than one block in memory regardless of length. All randomness comes from one seeded generator that draws
-exactly five amplifier-noise samples per tick in channel order, which
-makes every run byte-reproducible.
+than one block in memory regardless of length. All randomness comes from
+one seeded generator that draws exactly five amplifier-noise samples per
+tick in channel order, which makes every run byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ from .calibration import CalibrationDataset, protocol_weights
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, ParseError, StreamError, UsageError
 from .estimator import (
-    PATTERNS,
-    EstimatorConfig,
-    StreamState,
-    advance,
-    classify_pattern,
-    estimate_force,
-    frame_tail,
-    parse_frame,
-    process_frame,
+    PATTERNS, EstimateFrame, EstimatorConfig, StreamState, advance, classify_pattern,
+    estimate_force, format_frame, frame_tail, parse_frame,
 )
+from .estimator import process_frame  # noqa: F401  imported only for bench/spans.py to trace
 from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine, parse_sample_line
 from .units import gw_to_newtons, rmse
@@ -72,9 +66,8 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
         )
     chain = cfg.sensing_chain()
     deltas = _step_deltas(cfg, scenario)
-    try:  # every state the run can visit; noise cannot make a finite input overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            chain.codes(deltas, np.zeros(deltas.shape))
+    try:  # every state the run can visit, at the noise that drives each output highest
+        chain.codes(deltas, np.ones(deltas.shape))
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
     step_times = np.array(scenario.step_times)
@@ -146,12 +139,19 @@ class CodeTables:
         self.text = ({}, {}, {}, {}, {})
 
     def learn(self, channels, where: str) -> list:
-        """Add the codes of one sample, in channel order, checking each.
+        """Check the channel values of one sample as ADC codes, then add them.
 
-        Returns the sample's five table keys.
+        Returns the sample's five table keys, in channel order.
         """
-        keys = []
-        for channel, code in enumerate(_checked_codes(self.cfg, channels, where)):
+        max_code, codes, keys = self.cfg.adc.max_code, [], []
+        for value in channels:
+            code = int(round(value))
+            if code != value:
+                raise DataError(f"{where}: channel value {value!r} is not an ADC code")
+            if not 0 <= code <= max_code:
+                raise DataError(f"{where}: code {code} outside [0, {max_code}]")
+            codes.append(code)
+        for channel, code in enumerate(codes):
             key, table = str(code), self.text[channel]
             if key not in table:
                 signal = channel_signal(self.cfg, code)
@@ -167,19 +167,6 @@ class CodeTables:
         return keys
 
 
-def _checked_codes(cfg: ToolkitConfig, channels, where: str) -> list:
-    """The channel values of one sample as int ADC codes, each checked."""
-    max_code, codes = cfg.adc.max_code, []
-    for value in channels:
-        code = int(round(value))
-        if code != value:
-            raise DataError(f"{where}: channel value {value!r} is not an ADC code")
-        if not 0 <= code <= max_code:
-            raise DataError(f"{where}: code {code} outside [0, {max_code}]")
-        codes.append(code)
-    return codes
-
-
 #: Frame-record tail of each element on-state tuple.
 _TAILS = {on: frame_tail(on, classify_pattern(on)) for on in product((False, True), repeat=4)}
 
@@ -187,20 +174,22 @@ _TAILS = {on: frame_tail(on, classify_pattern(on)) for on in product((False, Tru
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     """Yield one EstimateFrame per sample, lazily.
 
-    The per-tick definition of a replay: each tick's codes are checked,
-    converted to signals and stepped through ``process_frame``.
-    ``estimate_lines`` writes the same frames from per-code tables.
+    Each sample's codes are checked and looked up in ``CodeTables``, and
+    its force stepped through ``advance``, as ``estimate_lines`` does for
+    each line. An error names the sample's line, or else its ordinal.
     """
+    tables = CodeTables(cfg, est_cfg)
+    t0, *elements = tables.text
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
         where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
-        codes = _checked_codes(cfg, sample.channels, where)
-        signals = tuple(channel_signal(cfg, code) for code in codes)
+        c0, *keys = tables.learn(sample.channels, where)
+        raw, on = t0[c0][0], tuple(table[key] for table, key in zip(elements, keys))
         try:
-            frame = process_frame(est_cfg, state, signals, sample.time)
+            filtered = advance(state, sample.time, raw)
         except StreamError as exc:
             raise StreamError(f"{where}: {exc}") from exc
-        yield frame
+        yield EstimateFrame(sample.time, raw, filtered, on, classify_pattern(on))
 
 
 def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> None:
@@ -252,34 +241,20 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
 
 
 def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -> str:
-    """Deterministic plain-text summary of a frame stream.
+    """``summarize_lines`` of the frame record lines of ``frames``.
+
+    Frames are checked as ``report`` checks frame lines, so a frame that
+    ``parse_frame`` would reject raises its ``ParseError``.
+    """
+    return summarize_lines(map(format_frame, frames), sensing_range, truth=truth)
+
+
+def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> str:
+    """Deterministic plain-text summary of frame record lines.
 
     Reports frame and saturation counts, per-element duty cycles, and
     pattern counts; with a ground-truth scenario it also reports the
     RMSE of the filtered force against the scenario force.
-    """
-    count = saturated = 0
-    t_first = t_last = None
-    tally = {}
-    estimates, true_forces = [], []
-    for frame in frames:
-        if count == 0:
-            t_first = frame.time
-        t_last = frame.time
-        count += 1
-        if frame.raw_force >= sensing_range:
-            saturated += 1
-        key = (frame.element_state, frame.pattern)
-        tally[key] = tally.get(key, 0) + 1
-        if truth is not None:
-            estimates.append(frame.filtered_force)
-            true_forces.append(truth.at(frame.time)[0])
-    scored = (estimates, true_forces) if truth is not None else None
-    return _summary(count, t_first, t_last, saturated, tally, scored)
-
-
-def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> str:
-    """``summarize_frames`` of the frames in frame record lines.
 
     A line whose ``e1,e2,e3,e4,pattern`` tail is spelled canonically is
     split once, its tail looked up in a table that ``parse_frame``
@@ -323,30 +298,20 @@ def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> 
                 true_forces.append(truth.at(time)[0])
             except ValueError as exc:  # a frame before the scenario start
                 raise ParseError(str(exc), number) from exc
-    scored = (estimates, true_forces) if truth is not None else None
-    return _summary(count, t_first, t_last, saturated,
-                    {tails[tail]: n for tail, n in tally.items()}, scored)
-
-
-def _summary(count, t_first, t_last, saturated, tally, scored) -> str:
-    """Summary text from the frame counts; ``tally`` maps (states, pattern) to frames."""
-    lines = [f"frames,{count}"]
+    summary = [f"frames,{count}"]
     if count:
         on_counts = [0, 0, 0, 0]
         pattern_counts = dict.fromkeys(PATTERNS, 0)
-        for (states, pattern), n in tally.items():
+        for tail, n in tally.items():
+            states, pattern = tails[tail]
             for index, on in enumerate(states):
-                on_counts[index] += n * bool(on)
+                on_counts[index] += n * on
             pattern_counts[pattern] += n
-        lines.append(f"t_first,{t_first!r}")
-        lines.append(f"t_last,{t_last!r}")
-        lines.append(f"saturated_frames,{saturated}")
-        for index, on in enumerate(on_counts, start=1):
-            lines.append(f"duty_cycle_e{index},{on / count!r}")
-        for label in PATTERNS:
-            lines.append(f"pattern_{label},{pattern_counts[label]}")
-    if scored is not None:
+        summary += [f"t_first,{t_first!r}", f"t_last,{t_last!r}", f"saturated_frames,{saturated}"]
+        summary += [f"duty_cycle_e{i},{on / count!r}" for i, on in enumerate(on_counts, start=1)]
+        summary += [f"pattern_{label},{pattern_counts[label]}" for label in PATTERNS]
+    if truth is not None:
         if not count:
             raise UsageError("cannot compute RMSE of an empty frame stream")
-        lines.append(f"rmse_n,{rmse(*scored)!r}")
-    return "\n".join(lines)
+        summary.append(f"rmse_n,{rmse(estimates, true_forces)!r}")
+    return "\n".join(summary)

@@ -6,15 +6,17 @@ firmware. The canonical form prints times as shortest round-trip floats
 and integral channel values (ADC codes) as integers. Blank lines and
 ``#`` comments are skipped on input.
 
-``read_table`` is the one reader of the headed CSV files (scenarios and
-calibration datasets).
+``open_input`` opens every input file, and ``read_table`` is the one
+reader of the headed CSV files (scenarios and calibration datasets).
 """
 
 import csv
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import ArityError, ParseError
+from .errors import ArityError, DataError, ParseError
 
 CHANNEL_COUNT = 5
 
@@ -98,6 +100,25 @@ def write_samples(handle, samples) -> None:
         handle.write(format_sample_line(sample) + "\n")
 
 
+@contextmanager
+def open_input(path):
+    """The file at ``path``, or stdin if ``path`` is None, to read as UTF-8 text.
+
+    Line ends are kept as read, as the csv module needs. A decode error
+    raised in the block becomes a DataError naming the file, ``-`` for stdin.
+    """
+    try:
+        if path is None:
+            if hasattr(sys.stdin, "reconfigure"):  # a text file, not an in-memory one
+                sys.stdin.reconfigure(encoding="utf-8")
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8", newline="") as handle:
+                yield handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{'-' if path is None else path}: {exc}") from exc
+
+
 def read_table(path, headers):
     """Yield ``(line_number, row)`` for each data row of a headed CSV file.
 
@@ -108,7 +129,7 @@ def read_table(path, headers):
     Rows are numbered by the file line they start on.
     """
     header = headers[0]
-    with open(path, "r", newline="") as handle:
+    with open_input(path) as handle:
         reader, start = csv.reader(handle), 1
         try:
             for row in reader:

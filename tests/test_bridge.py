@@ -195,6 +195,19 @@ class TestAdc:
         with pytest.raises(ValueError):
             AdcConfig(sample_rate=0.0)
 
+    @pytest.mark.parametrize("bits", (54, 64, 2000, 10**30))
+    def test_codes_wider_than_a_float_mantissa_are_rejected(self, bits):
+        with pytest.raises(ValueError, match="^ADC has at most 53 bits$"):
+            AdcConfig(bits=bits)
+
+    @pytest.mark.parametrize("full_scale", (0.1, 1.0, 1.7, 3.3, 7.0, 12.0))
+    def test_top_code_of_a_53_bit_adc_stays_in_range(self, full_scale):
+        # At 53 bits, max_code + 0.5 rounds up to 2**53.
+        adc = AdcConfig(bits=53, full_scale=full_scale)
+        assert adc_sample(adc, full_scale) <= adc.max_code
+        bridge = BridgeConfig(amplifier_gain=1e6, noise_fraction=0.0, rail_high=full_scale)
+        assert sample_chain(bridge, adc, 1e5) <= adc.max_code
+
 
 #: Config class, field -> the message its NaN check raises.
 NAN_FIELDS = {

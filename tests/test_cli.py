@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactsim import (
     PRESET_MODELS,
@@ -13,6 +18,7 @@ from tactsim import (
     synthetic_protocol_dataset,
 )
 from tactsim.cli import main
+from tactsim.config import _KEYS, _four_floats, load_config
 
 from conftest import accuracy_scenario
 
@@ -682,7 +688,16 @@ class TestExitCodeRule:
         args = [arg.format(**paths) for arg in INPUT_READERS[reader]]
         code, out, err = run(capsys, *args)
         assert (code, out) == (2, "")
-        assert err.startswith("tactsim: error: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"tactsim: error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_stdin_that_is_not_utf8_is_a_data_error(self, capsys, monkeypatch, model_path):
+        # Read as UTF-8 whatever stdin's own encoding; in latin-1 0xff would decode.
+        stdin = io.TextIOWrapper(io.BytesIO(b"0.0,1,2,3,4,5\n\xff\n"), encoding="latin-1")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "estimate", "-", "-m", model_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("tactsim: error: -: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("k", (1, 3))
@@ -706,6 +721,13 @@ class TestExitCodeRule:
         dataset = overflow_dataset(tmp_path, lambda i: i / 10, lambda i: 1.7e308 * (-1) ** i)
         code, out, err = run(capfd, "calibrate", dataset, "--orders", "3")
         message = "repeat 0, test fold 0: order-3 fit overflows: model coefficients must be finite"
+        assert (code, out, err) == (3, "", f"tactsim: error: {message}\n")
+
+    def test_coefficient_overflow_prints_no_warning(self, capfd, tmp_path):
+        # Folds before the failing one predict inf; they must not warn.
+        dataset = overflow_dataset(tmp_path, lambda i: i / 10, lambda i: 1.7e308 * (-1) ** i)
+        code, out, err = run(capfd, "calibrate", dataset, "--orders", "1")
+        message = "repeat 9, test fold 4: order-1 fit overflows: model coefficients must be finite"
         assert (code, out, err) == (3, "", f"tactsim: error: {message}\n")
 
     @pytest.mark.parametrize("case", sorted(CSV_TABLE_ERRORS))
@@ -733,6 +755,20 @@ class TestExitCodeRule:
         code, out, err = run(capsys, command, *inputs[command], "--config", config)
         assert (code, out, err) == (2, "", "tactsim: error: amplifier input must be finite\n")
 
+    @pytest.mark.parametrize("text, message", (
+        ("fabric_rest = 1e308\n", "bridge arm resistances overflow"),
+        ("supply_voltage = 1e308\nrail_high = 1e308\nadc_full_scale = 1e308\n",
+         "ADC input times the largest code overflows"),
+    ))
+    def test_chain_overflow_is_found_before_any_sample(self, text, message, capsys, tmp_path,
+                                                       workdir):
+        config, output = tmp_path / "x.cfg", tmp_path / "out.csv"
+        config.write_text(text)
+        code, out, err = run(capsys, "simulate", workdir / "scenario.csv", "--config", config,
+                             "-o", output)
+        assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
+        assert not output.exists()
+
     def test_signal_that_overflows_names_its_line(self, capsys, tmp_path, model_path):
         config, stream = tmp_path / "x.cfg", tmp_path / "st.csv"
         config.write_text("adc_full_scale = 1.7e308\n")
@@ -750,3 +786,72 @@ class TestExitCodeRule:
         monkeypatch.setattr(cli, "load_scenario", load_scenario)
         with pytest.raises(ValueError, match="^a caller error$"):
             main(["simulate", str(workdir / "scenario.csv")])
+
+
+#: Values drawn for every config key: zeros, the smallest and largest
+#: floats, integers past 64 bits, ADC widths at and past exact floats,
+#: non-finite spellings, a non-integer, and a few ordinary values.
+BOUNDARY_VALUES = ("0", "-0.0", "5e-324", "1e308", "-1e308", str(2**64), str(10**30), "53",
+                   "54", "nan", "-inf", "inf", "Infinity", "1.5", "1", "8", "1e5", "1.5e6")
+
+
+@st.composite
+def config_texts(draw):
+    """A config file setting a few keys to boundary values; the four-value
+    keys get three, four or five of them."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), min_size=1, max_size=6,
+                             unique=True)):
+        parse = _KEYS[key][2]
+        if parse is str:
+            value = draw(st.sampled_from(("volts", "counts", "nan")))
+        elif parse is _four_floats:
+            count = draw(st.sampled_from((4, 4, 3, 5)))
+            value = ",".join(draw(st.lists(st.sampled_from(BOUNDARY_VALUES),
+                                           min_size=count, max_size=count)))
+        else:
+            value = draw(st.sampled_from(BOUNDARY_VALUES))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A one-row scenario at t = 0 (one tick at any rate), a two-line
+    stream and a linear model in each signal unit."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "scenario.csv").write_text("t,force_n,quadrants\n0,0.5,1+2\n")
+    (directory / "stream.csv").write_text("0.0,0,1,1,1,1\n0.1,1,0,0,0,0\n")
+    for units in ("volts", "counts"):
+        save_model(directory / f"{units}.json", PolynomialModel((-0.05, 0.3), units))
+    return directory
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(text=config_texts(), units=st.sampled_from(("volts", "counts")))
+def test_config_fuzz_exits_with_one_error_line(fuzz_inputs, text, units):
+    config, output = fuzz_inputs / "fuzz.cfg", fuzz_inputs / "out.csv"
+    config.write_text(text)
+    commands = {
+        "simulate": ("simulate", fuzz_inputs / "scenario.csv"),
+        "estimate": ("estimate", fuzz_inputs / "stream.csv", "-m", fuzz_inputs / f"{units}.json"),
+    }
+    for command, args in commands.items():
+        output.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("always")
+            code = main([str(a) for a in (*args, "--config", config, "-o", output)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert [str(w.message) for w in caught] == []
+        if code:
+            assert err.startswith("tactsim: error: ") and err.count("\n") == 1, err
+            assert command != "simulate" or not output.exists()
+        else:
+            assert err == ""
+            if command == "simulate":
+                top = load_config(config).adc.max_code
+                codes = output.read_text().strip().split(",")[1:]
+                assert all(0 <= int(c) <= top for c in codes)

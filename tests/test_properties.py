@@ -6,15 +6,17 @@ zero-order-hold lookup. The block simulator must produce exactly the
 same stream for any valid configuration, scenario and block size.
 
 The estimator reference converts every code of every tick to a signal
-and runs ``process_frame`` on it, as ``estimate_frames`` does. The
-code-indexed ``estimate_lines`` must write the same frames, down to the
-sign of a zero.
+and runs ``process_frame`` on it. The code-indexed ``estimate_lines``
+must write the same frames, down to the sign of a zero.
 
-The block text paths of the three replay commands (``simulate_blocks``
-with ``format_sample_block``, ``estimate_lines`` and ``summarize_lines``)
-must write the same bytes as the per-item functions, and fail on the
-same line with the same message after writing the same frames, for any
-block size and any mix of spellings, comments and bad lines.
+The block text paths of the three replay commands must agree with the
+per-item paths for any block size and any mix of spellings, comments
+and bad lines. ``simulate_blocks`` with ``format_sample_block`` writes
+the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
+of ``estimate_frames`` over ``read_samples``, and fails on the same line
+with the same message after writing the same frames. ``summarize_lines``
+gives the summary that ``reference_summary`` counts frame by frame from
+the parsed lines, or the same error.
 
 The stage properties check the balanced null, the monotone bridge and
 the half-LSB quantization bound on random configurations, and that the
@@ -50,6 +52,7 @@ from tactsim import (
     SampleLine,
     StreamState,
     ToolkitConfig,
+    UsageError,
     adc_sample,
     amplify,
     bridge_output,
@@ -308,6 +311,42 @@ BAD_FRAME_LINES = ("0.5,0.1,0.1,0,0,0,none", "0.5,x,0.1,0,0,0,0,none",
                    "0.5,nan,0.1,0,0,0,0,none", "inf,0.1,0.1,0,0,0,0,none",
                    "-1.0,0.1,0.1,0,0,0,0,none")
 
+def reference_summary(frames, sensing_range: float, truth: LoadScenario = None) -> str:
+    """Summary text counted frame by frame, one scenario lookup per frame."""
+    count = saturated = 0
+    t_first = t_last = None
+    on_counts = [0, 0, 0, 0]
+    pattern_counts = dict.fromkeys(PATTERNS, 0)
+    estimates, true_forces = [], []
+    for frame in frames:
+        if count == 0:
+            t_first = frame.time
+        t_last = frame.time
+        count += 1
+        if frame.raw_force >= sensing_range:
+            saturated += 1
+        for index, on in enumerate(frame.element_state):
+            on_counts[index] += bool(on)
+        pattern_counts[frame.pattern] += 1
+        if truth is not None:
+            estimates.append(frame.filtered_force)
+            true_forces.append(truth.at(frame.time)[0])
+    lines = [f"frames,{count}"]
+    if count:
+        lines.append(f"t_first,{t_first!r}")
+        lines.append(f"t_last,{t_last!r}")
+        lines.append(f"saturated_frames,{saturated}")
+        for index, on in enumerate(on_counts, start=1):
+            lines.append(f"duty_cycle_e{index},{on / count!r}")
+        for label in PATTERNS:
+            lines.append(f"pattern_{label},{pattern_counts[label]}")
+    if truth is not None:
+        if not count:
+            raise UsageError("cannot compute RMSE of an empty frame stream")
+        lines.append(f"rmse_n,{rmse(estimates, true_forces)!r}")
+    return "\n".join(lines)
+
+
 force = st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False)
 frame_values = st.builds(
     EstimateFrame, st.floats(0.0, 200.0), force, force,
@@ -323,7 +362,7 @@ def test_block_summary_matches_per_frame_reference(frames, data, sensing_range, 
     def reference(out):
         parsed = (parse_frame(line, number) for number, line in enumerate(lines, start=1)
                   if line.strip() and not line.lstrip().startswith("#"))
-        out.write(pipeline.summarize_frames(parsed, sensing_range, truth=truth))
+        out.write(reference_summary(parsed, sensing_range, truth=truth))
 
     def blocks(out):
         out.write(pipeline.summarize_lines(lines, sensing_range, truth=truth))
