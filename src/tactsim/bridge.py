@@ -118,6 +118,9 @@ def thevenin_slope(rx: float, delta_rx: float) -> float:
 
 def _check_balanced(cfg: BridgeConfig) -> None:
     """Raise ConfigError unless the bridge reads an exact zero at rest."""
+    # An arm sum past the largest float would put its divider node at 0.
+    if not (math.isfinite(cfg.r1 + cfg.r2) and math.isfinite(cfg.r3 + cfg.rx_rest)):
+        raise ConfigError("bridge arm resistances overflow")
     if not is_balanced(cfg):
         raise ConfigError(
             "bridge is not balanced at rest: r1/r2 = "
@@ -195,7 +198,10 @@ def adc_sample(adc: AdcConfig, v: float) -> int:
     """
     if not math.isfinite(v):
         raise ValueError("ADC input must be finite")
-    return _rounded_code(adc.max_code, adc.full_scale, v)
+    try:
+        return _rounded_code(adc.max_code, adc.full_scale, v)
+    except OverflowError as exc:  # as in Chain.codes
+        raise ValueError("ADC input times the largest code overflows") from exc
 
 
 def dequantize(adc: AdcConfig, code: int) -> float:

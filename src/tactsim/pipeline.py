@@ -1,16 +1,20 @@
 """End-to-end runs: scenario simulation, stream estimation, summaries.
 
-Everything here streams: simulation and estimation work one block of
-``BLOCK_TICKS`` ticks or lines at a time, so a replay never holds more
-than one block in memory regardless of length. All randomness comes from
-one seeded generator that draws exactly five amplifier-noise samples per
-tick in channel order, which makes every run byte-reproducible.
+Everything here streams: simulation, estimation and summaries work one
+block of ``BLOCK_TICKS`` ticks or lines at a time, so a replay never
+holds more than one block in memory regardless of length. All
+randomness comes from one seeded generator that draws exactly five
+amplifier-noise samples per tick in channel order, which makes every run
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice, product
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import islice, product, repeat
+from operator import le
 
 from .bridge import Chain
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
@@ -24,7 +28,8 @@ from .estimator import (
 from .estimator import process_frame  # noqa: F401  imported only for bench/spans.py to trace
 from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine, parse_sample_line
-from .units import gw_to_newtons, rmse
+from .units import fsum_counted, gw_to_newtons
+from .units import rmse  # noqa: F401  imported only for bench/spans.py to trace
 
 #: Ticks per block, simulated or read and written; a replay holds at most one block.
 BLOCK_TICKS = 1024
@@ -256,62 +261,159 @@ def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> 
     pattern counts; with a ground-truth scenario it also reports the
     RMSE of the filtered force against the scenario force.
 
-    A line whose ``e1,e2,e3,e4,pattern`` tail is spelled canonically is
-    split once, its tail looked up in a table that ``parse_frame``
-    fills, and its three numbers converted and checked as
-    ``parse_frame`` checks them. Any other line goes through
-    ``parse_frame``, which names the line in any error. Frames are
-    counted per tail, and the counts become duty cycles and pattern
-    counts at the end.
+    Lines are read ``BLOCK_TICKS`` at a time and kept as counts only:
+    frames per ``e1,e2,e3,e4,pattern`` tail, and with a scenario the
+    squared error of each distinct pair of scenario step and filtered
+    force, summed exactly by ``fsum_counted``. So memory stays constant
+    however long the stream, and the RMSE is the exactly rounded one
+    of ``rmse`` over every frame.
     """
-    count = saturated = 0
-    t_first = t_last = None
-    tails, tally = {}, {}  # canonical tail -> (states, pattern); tail -> frames
-    estimates, true_forces = [], []
-    inf = math.inf
-    for number, line in enumerate(lines, start=1):
-        try:
-            t, r, f, tail = line.strip().split(",", 3)
-            time, raw, filtered = float(t), float(r), float(f)
-            fast = (tail in tails and 0.0 <= time < inf
-                    and -inf < raw < inf and -inf < filtered < inf)
-        except ValueError:
-            fast = False
-        if not fast:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            frame = parse_frame(text, number)
-            time, raw, filtered = frame.time, frame.raw_force, frame.filtered_force
-            tail = frame_tail(frame.element_state, frame.pattern)
-            tails[tail] = (frame.element_state, frame.pattern)
-        if count == 0:
-            t_first = time
-        t_last = time
-        count += 1
-        if raw >= sensing_range:
-            saturated += 1
-        tally[tail] = tally.get(tail, 0) + 1
-        if truth is not None:
-            estimates.append(filtered)
-            try:
-                true_forces.append(truth.at(time)[0])
-            except ValueError as exc:  # a frame before the scenario start
-                raise ParseError(str(exc), number) from exc
+    counts = _FrameCounts(sensing_range, truth)
+    total = fsum_counted(counts.squared_errors(lines))
+    count = counts.count
     summary = [f"frames,{count}"]
     if count:
         on_counts = [0, 0, 0, 0]
         pattern_counts = dict.fromkeys(PATTERNS, 0)
-        for tail, n in tally.items():
-            states, pattern = tails[tail]
+        for tail, n in counts.tails.items():
+            states, pattern = _FRAME_TAILS[tail]
             for index, on in enumerate(states):
                 on_counts[index] += n * on
             pattern_counts[pattern] += n
-        summary += [f"t_first,{t_first!r}", f"t_last,{t_last!r}", f"saturated_frames,{saturated}"]
+        summary += [f"t_first,{counts.t_first!r}", f"t_last,{counts.t_last!r}",
+                    f"saturated_frames,{counts.saturated}"]
         summary += [f"duty_cycle_e{i},{on / count!r}" for i, on in enumerate(on_counts, start=1)]
         summary += [f"pattern_{label},{pattern_counts[label]}" for label in PATTERNS]
     if truth is not None:
         if not count:
             raise UsageError("cannot compute RMSE of an empty frame stream")
-        summary.append(f"rmse_n,{rmse(estimates, true_forces)!r}")
+        summary.append(f"rmse_n,{math.sqrt(total / count)!r}")
     return "\n".join(summary)
+
+
+#: ``(states, pattern)`` of each canonically spelled frame tail, with each line end or none.
+_FRAME_TAILS = {
+    frame_tail(on, pattern) + end: (on, pattern)
+    for on in product((False, True), repeat=4) for pattern in PATTERNS
+    for end in ("", "\n", "\r\n")
+}
+
+
+def _squared_error(estimate: float, truth: float) -> float:
+    try:
+        return (estimate - truth) ** 2
+    except OverflowError:  # a square past the largest float
+        return math.inf
+
+
+class _FrameCounts:
+    """What ``summarize_lines`` keeps of the frame lines read so far."""
+
+    def __init__(self, sensing_range: float, truth: LoadScenario):
+        self.sensing_range, self.truth = sensing_range, truth
+        self.count = self.saturated = 0
+        self.t_first = self.t_last = None
+        self.tails = Counter()  # tail spelling -> frames
+
+    def squared_errors(self, lines):
+        """Count every line, one block at a time, lazily.
+
+        Yields ``(squared error, frames)`` pairs against the scenario, if
+        there is one. A block goes through ``_block``, or, if that
+        declines it, through ``_lines``.
+        """
+        lines, number = iter(lines), 0
+        while block := list(islice(lines, BLOCK_TICKS)):
+            pairs = self._block(block)
+            if pairs is None:
+                pairs = self._lines(block, number)
+            yield from pairs
+            number += len(block)
+
+    def _block(self, block):
+        """Count a block of canonically spelled frame lines in C-level passes.
+
+        Each line is split once, and each distinct raw, filtered and tail
+        spelling checked once, as ``parse_frame`` checks it. With a
+        scenario, times that do not decrease are paired with its steps
+        by bisection, and filtered spellings counted per step. Returns
+        the block's squared-error pairs, or None, with nothing counted,
+        for a block with any other line, or whose times go back or start
+        before the scenario.
+        """
+        columns = list(zip(*map(str.split, block, repeat(","), repeat(3))))
+        if len(columns) != 4:  # a line of fewer than four fields
+            return None
+        time_texts, raw_texts, filtered_texts, tail_texts = columns
+        tails, raws, spellings = Counter(tail_texts), Counter(raw_texts), set(filtered_texts)
+        try:
+            times = list(map(float, time_texts))
+            raw_values = list(map(float, raws))
+            filtered = dict(zip(spellings, map(float, spellings)))
+        except ValueError:
+            return None
+        if not (all(map(math.isfinite, times)) and min(times) >= 0.0
+                and all(map(math.isfinite, raw_values))
+                and all(map(math.isfinite, filtered.values()))
+                and _FRAME_TAILS.keys() >= tails.keys()):
+            return None
+        pairs = []
+        if self.truth is not None:
+            steps, step_times = self.truth.steps, self.truth.step_times
+            if not (times[0] >= self.truth.start_time
+                    and all(map(le, times, islice(times, 1, None)))):
+                return None
+            lo = 0
+            while lo < len(times):  # one pass per scenario step the block reaches
+                k = bisect_right(step_times, times[lo])
+                hi = bisect_left(times, step_times[k], lo) if k < len(steps) else len(times)
+                force = steps[k - 1].force
+                pairs += [(_squared_error(filtered[text], force), n)
+                          for text, n in Counter(filtered_texts[lo:hi]).items()]
+                lo = hi
+        if not self.count:
+            self.t_first = times[0]
+        self.t_last = times[-1]
+        self.count += len(times)
+        self.saturated += sum(n for value, n in zip(raw_values, raws.values())
+                              if value >= self.sensing_range)
+        self.tails.update(tails)
+        return pairs
+
+    def _lines(self, block, number: int):
+        """Count a block line by line, after the ``number`` lines before it.
+
+        A line whose tail is spelled canonically is split once and its
+        three numbers converted and checked as ``parse_frame`` checks
+        them. Any other line goes through ``parse_frame``, which names
+        the line in any error.
+        """
+        pairs = Counter()  # (filtered force, scenario force) -> frames
+        inf = math.inf
+        for number, line in enumerate(block, start=number + 1):
+            try:
+                t, r, f, tail = line.strip().split(",", 3)
+                time, raw, filtered = float(t), float(r), float(f)
+                fast = (tail in _FRAME_TAILS and 0.0 <= time < inf
+                        and -inf < raw < inf and -inf < filtered < inf)
+            except ValueError:
+                fast = False
+            if not fast:
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                frame = parse_frame(text, number)
+                time, raw, filtered = frame.time, frame.raw_force, frame.filtered_force
+                tail = frame_tail(frame.element_state, frame.pattern)
+            if not self.count:
+                self.t_first = time
+            self.t_last = time
+            self.count += 1
+            self.saturated += raw >= self.sensing_range
+            self.tails[tail] += 1
+            if self.truth is not None:
+                try:
+                    pairs[filtered, self.truth.at(time)[0]] += 1
+                except ValueError as exc:  # a frame before the scenario start
+                    raise ParseError(str(exc), number) from exc
+        return [(_squared_error(*pair), n) for pair, n in pairs.items()]

@@ -99,6 +99,20 @@ class TestBridgeOutput:
         with pytest.raises(ConfigError):
             bridge_output(cfg, 0.0)
 
+    @pytest.mark.parametrize("arms", (
+        dict(r1=1e308, r2=1e308, r3=1.0, rx_rest=1.0),
+        dict(r1=1.0, r2=1.0, r3=1e308, rx_rest=1e308),
+        dict(r1=1e308, r2=1e308, r3=1e308, rx_rest=1e308),
+    ))
+    def test_arm_sum_past_the_float_range_is_rejected(self, arms):
+        # Balanced ratios, but r1 + r2 (or r3 + rx) is inf: a node would read 0.
+        cfg = BridgeConfig(**arms)
+        assert is_balanced(cfg)
+        with pytest.raises(ConfigError, match="^bridge arm resistances overflow$"):
+            bridge_output(cfg, 0.0)
+        with pytest.raises(ConfigError, match="^bridge arm resistances overflow$"):
+            sample_chain(cfg, AdcConfig(), 0.0)
+
     def test_small_signal_linearity(self):
         # within 5% of rx the ideal quarter-bridge line is good to 2.6%
         cfg = BridgeConfig()
@@ -194,6 +208,13 @@ class TestAdc:
             AdcConfig(bits=0)
         with pytest.raises(ValueError):
             AdcConfig(sample_rate=0.0)
+
+    def test_input_times_top_code_past_the_float_range_is_a_value_error(self):
+        # The message Chain.codes gives for the same input.
+        adc = AdcConfig(full_scale=1e307)
+        with pytest.raises(ValueError, match="^ADC input times the largest code overflows$"):
+            adc_sample(adc, 1e307)
+        assert adc_sample(adc, 1e304) == 0
 
     @pytest.mark.parametrize("bits", (54, 64, 2000, 10**30))
     def test_codes_wider_than_a_float_mantissa_are_rejected(self, bits):

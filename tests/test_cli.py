@@ -584,6 +584,43 @@ class TestEstimateMemory:
         assert list(recorded.text[0]) == ["5"]
 
 
+class TestReportMemory:
+    """``report --truth --rmse`` summarizes a frame file in the memory of one block."""
+
+    @staticmethod
+    def report_peak(tmp_path, frames, capsys):
+        """Peak traced memory of ``tactsim report --truth --rmse`` on ``frames`` lines."""
+        import tracemalloc
+
+        scenario, path = tmp_path / "scenario.csv", tmp_path / "frames.csv"
+        steps = (f"{600 * k},{0.25 * (k % 5)},{'1+2' if k % 5 else ''}\n" for k in range(40))
+        scenario.write_text("t,force_n,quadrants\n" + "".join(steps))
+        tails = ("0,0,0,0,none", "1,0,0,0,point", "1,1,0,0,line", "1,1,1,1,area")
+        with open(path, "w") as handle:
+            handle.writelines(
+                f"{n / 9.6!r},{0.25 * (n % 7)!r},{(n % 97) / 64!r},{tails[n % 4]}\n"
+                for n in range(frames))
+        tracemalloc.start()
+        try:
+            code = main(["report", str(path), "--truth", str(scenario), "--rmse"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        summary = dict(line.split(",") for line in out.splitlines())
+        assert summary["frames"] == str(frames)
+        assert 0.0 < float(summary["rmse_n"]) < 2.0
+        return peak
+
+    def test_peak_does_not_grow_with_frame_count(self, tmp_path, capsys):
+        short = self.report_peak(tmp_path, 50_000, capsys)
+        long = self.report_peak(tmp_path, 200_000, capsys)
+        assert short < 3_000_000 and long < 3_000_000
+        # within one block: 1,024 lines and their fields
+        assert abs(long - short) < 1024 * 200
+
+
 #: A bad frame line -> the error message after "line k: ".
 BAD_FRAME_LINES = {
     "arity": ("{t!r},0.5,0.5,0,0,0,none", "expected 8 fields, got 7"),

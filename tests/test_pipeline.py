@@ -370,6 +370,31 @@ class TestSummarize:
     def test_empty_stream(self):
         assert summarize_frames([], sensing_range=1.0) == "frames,0"
 
+    def test_crlf_line_ends_summarize_as_lf(self):
+        from tactsim.pipeline import summarize_lines
+
+        scenario = LoadScenario((LoadStep(0.0, 0.5, frozenset({1})),))
+        lines = ("0.0,0.5,0.5,1,0,0,0,point", "0.1,1.5,0.25,0,0,0,0,none",
+                 "0.2,0.5,0.5,1,1,0,0,line")
+        crlf = summarize_lines([line + "\r\n" for line in lines], 1.0, truth=scenario)
+        assert crlf == summarize_lines([line + "\n" for line in lines], 1.0, truth=scenario)
+        assert "saturated_frames,1" in crlf.splitlines()
+
+    @pytest.mark.parametrize("block", (1, 2, 3, 1024))
+    def test_frame_at_a_step_time_takes_that_steps_force(self, block, monkeypatch):
+        from tactsim import EstimateFrame, pipeline
+
+        scenario = LoadScenario((
+            LoadStep(0.0, 1.0, frozenset({1})),
+            LoadStep(1.0, 0.0, frozenset()),
+            LoadStep(2.0, 0.5, frozenset({2})),
+        ))
+        frames = [EstimateFrame(t, 0.0, force, (False,) * 4, "none")
+                  for t, force in ((0.5, 1.0), (1.0, 0.0), (1.5, 0.0), (2.0, 0.5), (3.0, 0.5))]
+        monkeypatch.setattr(pipeline, "BLOCK_TICKS", block)
+        summary = summarize_frames(frames, sensing_range=1.0, truth=scenario)
+        assert summary.endswith("\nrmse_n,0.0")
+
 
 def _linear_volts_model():
     from tactsim import PolynomialModel

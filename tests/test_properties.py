@@ -23,7 +23,9 @@ the half-LSB quantization bound on random configurations, and that the
 scalar amplifier and ADC stages clip and round as numpy's
 ``minimum``/``maximum``/``floor`` do, down to signed zeros and NaN.
 ``rmse`` must give the same float on an array, on its ``tolist()`` and
-as the numpy-scalar arithmetic it replaced, overflow included. Model
+as the numpy-scalar arithmetic it replaced, overflow included, and
+``fsum_counted`` the ``math.fsum`` of its terms written out, read to the
+end, with ``rmse``'s result where the sum overflows. Model
 inversion must find the first crossing of the force on random models of
 orders 2-5, and every file format must read back what it wrote.
 """
@@ -48,6 +50,7 @@ from tactsim import (
     FabricModel,
     LoadScenario,
     LoadStep,
+    ParseError,
     PolynomialModel,
     SampleLine,
     StreamState,
@@ -80,6 +83,7 @@ from tactsim import pipeline
 from tactsim.config import channel_signal
 from tactsim.estimator import PATTERNS
 from tactsim.streams import format_sample_block
+from tactsim.units import fsum_counted
 
 QUADRANTS = (1, 2, 3, 4)
 
@@ -164,7 +168,8 @@ def scenarios(draw, max_duration=20.0):
     steps = []
     for time in times:
         quadrants = frozenset(draw(st.sets(st.sampled_from(QUADRANTS))))
-        force = draw(st.floats(0.0, 4.0)) if quadrants else 0.0
+        zero = st.sampled_from((0.0, -0.0))
+        force = draw(zero | st.floats(0.0, 4.0) if quadrants else zero)
         steps.append(LoadStep(time, force, quadrants))
     return LoadScenario(tuple(steps))
 
@@ -312,13 +317,17 @@ BAD_FRAME_LINES = ("0.5,0.1,0.1,0,0,0,none", "0.5,x,0.1,0,0,0,0,none",
                    "-1.0,0.1,0.1,0,0,0,0,none")
 
 def reference_summary(frames, sensing_range: float, truth: LoadScenario = None) -> str:
-    """Summary text counted frame by frame, one scenario lookup per frame."""
+    """Summary text counted frame by frame, one scenario lookup per frame.
+
+    ``frames`` holds ``(line number, frame)`` pairs; the number names a
+    frame before the scenario start.
+    """
     count = saturated = 0
     t_first = t_last = None
     on_counts = [0, 0, 0, 0]
     pattern_counts = dict.fromkeys(PATTERNS, 0)
     estimates, true_forces = [], []
-    for frame in frames:
+    for number, frame in frames:
         if count == 0:
             t_first = frame.time
         t_last = frame.time
@@ -330,7 +339,10 @@ def reference_summary(frames, sensing_range: float, truth: LoadScenario = None) 
         pattern_counts[frame.pattern] += 1
         if truth is not None:
             estimates.append(frame.filtered_force)
-            true_forces.append(truth.at(frame.time)[0])
+            try:
+                true_forces.append(truth.at(frame.time)[0])
+            except ValueError as exc:
+                raise ParseError(str(exc), number) from exc
     lines = [f"frames,{count}"]
     if count:
         lines.append(f"t_first,{t_first!r}")
@@ -348,24 +360,48 @@ def reference_summary(frames, sensing_range: float, truth: LoadScenario = None) 
 
 
 force = st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False)
-frame_values = st.builds(
-    EstimateFrame, st.floats(0.0, 200.0), force, force,
-    st.tuples(*[st.booleans()] * 4), st.sampled_from(PATTERNS))
 
 
-@settings(max_examples=100, deadline=None)
-@given(frames=st.lists(frame_values, max_size=40), data=st.data(),
-       sensing_range=st.floats(0.1, 3.0), truth=st.none() | scenarios(max_duration=100.0))
-def test_block_summary_matches_per_frame_reference(frames, data, sensing_range, truth):
-    lines = text_lines(data, [format_frame(f) for f in frames], BAD_FRAME_LINES)
+@st.composite
+def summary_cases(draw):
+    """Frames, a sensing range and maybe a scenario, with frames in time order or not.
+
+    Some raw forces equal the sensing range, and some times the step
+    times. Some scenarios start after the first frames.
+    """
+    sensing_range = draw(st.floats(0.1, 3.0))
+    truth = draw(st.none() | scenarios(max_duration=100.0))
+    time = st.floats(0.0, 200.0)
+    if truth is not None:
+        shift = draw(st.sampled_from((0.0, 0.0, 2.0)))
+        truth = LoadScenario(tuple(replace(step, time=step.time + shift) for step in truth.steps))
+        time = (st.floats(0.0, truth.end_time + 5.0)
+                | st.sampled_from([t for t in truth.step_times if t >= 0.0] or [0.0]))
+    frames = draw(st.lists(st.builds(
+        EstimateFrame, time, st.just(sensing_range) | force, force,
+        st.tuples(*[st.booleans()] * 4), st.sampled_from(PATTERNS)), max_size=40))
+    if draw(st.booleans()):
+        frames.sort(key=lambda frame: frame.time)
+    return frames, sensing_range, truth
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=summary_cases(), data=st.data(), block=st.integers(1, 8))
+def test_block_summary_matches_per_frame_reference(case, data, block):
+    frames, sensing_range, truth = case
+    lines = [format_frame(f) + "\n" for f in frames]
+    if data.draw(st.booleans()):  # else every line canonical, so that whole blocks are too
+        lines = text_lines(data, [format_frame(f) for f in frames], BAD_FRAME_LINES)
 
     def reference(out):
-        parsed = (parse_frame(line, number) for number, line in enumerate(lines, start=1)
+        parsed = ((number, parse_frame(line, number))
+                  for number, line in enumerate(lines, start=1)
                   if line.strip() and not line.lstrip().startswith("#"))
         out.write(reference_summary(parsed, sensing_range, truth=truth))
 
     def blocks(out):
-        out.write(pipeline.summarize_lines(lines, sensing_range, truth=truth))
+        with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+            out.write(pipeline.summarize_lines(lines, sensing_range, truth=truth))
 
     assert outcome(blocks) == outcome(reference)
 
@@ -468,6 +504,36 @@ def test_rmse_of_arrays_matches_lists(pairs):
         assert expected == ("nan" if nan else "inf")
     else:
         assert repr(before) == expected
+
+
+def fsum_outcome(terms):
+    """``math.fsum`` of ``terms``, with ``rmse``'s result where it overflows."""
+    try:
+        return repr(math.fsum(terms))
+    except OverflowError:
+        return "nan" if any(t != t for t in terms) else "inf"
+    except ValueError:  # inf and -inf
+        return ValueError
+
+
+#: Signed zeros, subnormals, the largest floats, whose sum overflows, and the non-finite values.
+sum_edges = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e200,
+                             1.7976931348623157e308, -1.7976931348623157e308,
+                             math.inf, -math.inf, math.nan))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=st.lists(st.tuples(sum_edges | st.floats(), st.integers(0, 4)), max_size=12))
+def test_counted_sum_matches_fsum_of_the_list(pairs):
+    terms = [term for term, count in pairs for _ in range(count)]
+    remaining = iter(pairs)
+    try:
+        result = repr(fsum_counted(remaining))
+    except ValueError:
+        result = ValueError
+    assert result == fsum_outcome(terms)
+    if result is not ValueError:
+        assert next(remaining, None) is None  # read to the end, overflow or not
 
 
 @settings(max_examples=300, deadline=None)
