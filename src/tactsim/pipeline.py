@@ -383,37 +383,24 @@ class _FrameCounts:
     def _lines(self, block, number: int):
         """Count a block line by line, after the ``number`` lines before it.
 
-        A line whose tail is spelled canonically is split once and its
-        three numbers converted and checked as ``parse_frame`` checks
-        them. Any other line goes through ``parse_frame``, which names
-        the line in any error.
+        Each line that is not blank or a ``#`` comment goes through
+        ``parse_frame``, which names the line in any error.
         """
         pairs = Counter()  # (filtered force, scenario force) -> frames
-        inf = math.inf
         for number, line in enumerate(block, start=number + 1):
-            try:
-                t, r, f, tail = line.strip().split(",", 3)
-                time, raw, filtered = float(t), float(r), float(f)
-                fast = (tail in _FRAME_TAILS and 0.0 <= time < inf
-                        and -inf < raw < inf and -inf < filtered < inf)
-            except ValueError:
-                fast = False
-            if not fast:
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                frame = parse_frame(text, number)
-                time, raw, filtered = frame.time, frame.raw_force, frame.filtered_force
-                tail = frame_tail(frame.element_state, frame.pattern)
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            frame = parse_frame(text, number)
             if not self.count:
-                self.t_first = time
-            self.t_last = time
+                self.t_first = frame.time
+            self.t_last = frame.time
             self.count += 1
-            self.saturated += raw >= self.sensing_range
-            self.tails[tail] += 1
+            self.saturated += frame.raw_force >= self.sensing_range
+            self.tails[frame_tail(frame.element_state, frame.pattern)] += 1
             if self.truth is not None:
                 try:
-                    pairs[filtered, self.truth.at(time)[0]] += 1
+                    pairs[frame.filtered_force, self.truth.at(frame.time)[0]] += 1
                 except ValueError as exc:  # a frame before the scenario start
                     raise ParseError(str(exc), number) from exc
         return [(_squared_error(*pair), n) for pair, n in pairs.items()]

@@ -60,25 +60,16 @@ def rmse(predicted, truth) -> float:
 def fsum_counted(pairs) -> float:
     """``math.fsum`` of each ``(term, count)`` pair's term, repeated count times.
 
-    The pairs are read lazily and always to the end, and only fsum's
-    partial sums are kept, so a sum over a stream costs constant memory.
-    The sum of non-negative terms, such as squared errors, does not
-    depend on their order. A sum past the largest float is ``inf``, or
-    ``nan`` if a term is ``nan``, as in ``rmse``, where fsum raises
-    OverflowError.
+    Made for non-negative terms, such as squared errors, whose sum does
+    not depend on their order. The pairs are read lazily and always to
+    the end, and only fsum's partial sums are kept, so a sum over a
+    stream costs constant memory. A sum past the largest float is
+    ``inf``, where fsum raises OverflowError.
     """
-    nan = False
-
-    def runs():
-        nonlocal nan
-        for term, count in pairs:
-            nan = nan or (count > 0 and term != term)
-            yield repeat(term, count)
-
-    terms = chain.from_iterable(runs())
+    terms = chain.from_iterable(repeat(term, count) for term, count in pairs)
     try:
         return math.fsum(terms)
     except OverflowError:
         for _ in terms:
             pass
-        return math.nan if nan else math.inf
+        return math.inf

@@ -24,8 +24,8 @@ scalar amplifier and ADC stages clip and round as numpy's
 ``minimum``/``maximum``/``floor`` do, down to signed zeros and NaN.
 ``rmse`` must give the same float on an array, on its ``tolist()`` and
 as the numpy-scalar arithmetic it replaced, overflow included, and
-``fsum_counted`` the ``math.fsum`` of its terms written out, read to the
-end, with ``rmse``'s result where the sum overflows. Model
+``fsum_counted`` the ``math.fsum`` of its non-negative terms written
+out, read to the end, with ``inf`` where the sum overflows. Model
 inversion must find the first crossing of the force on random models of
 orders 2-5, and every file format must read back what it wrote.
 """
@@ -507,33 +507,26 @@ def test_rmse_of_arrays_matches_lists(pairs):
 
 
 def fsum_outcome(terms):
-    """``math.fsum`` of ``terms``, with ``rmse``'s result where it overflows."""
+    """``math.fsum`` of ``terms``, or ``inf`` where it overflows."""
     try:
         return repr(math.fsum(terms))
     except OverflowError:
-        return "nan" if any(t != t for t in terms) else "inf"
-    except ValueError:  # inf and -inf
-        return ValueError
+        return "inf"
 
 
-#: Signed zeros, subnormals, the largest floats, whose sum overflows, and the non-finite values.
-sum_edges = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e200,
-                             1.7976931348623157e308, -1.7976931348623157e308,
-                             math.inf, -math.inf, math.nan))
+#: Non-negative terms: signed zeros, subnormals, the largest floats (their sum overflows), inf.
+sum_edges = st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e200,
+                             1.7976931348623157e308, math.inf))
 
 
 @settings(max_examples=500, deadline=None)
-@given(pairs=st.lists(st.tuples(sum_edges | st.floats(), st.integers(0, 4)), max_size=12))
+@given(pairs=st.lists(st.tuples(sum_edges | st.floats(min_value=0.0, allow_nan=False),
+                                st.integers(0, 4)), max_size=12))
 def test_counted_sum_matches_fsum_of_the_list(pairs):
     terms = [term for term, count in pairs for _ in range(count)]
     remaining = iter(pairs)
-    try:
-        result = repr(fsum_counted(remaining))
-    except ValueError:
-        result = ValueError
-    assert result == fsum_outcome(terms)
-    if result is not ValueError:
-        assert next(remaining, None) is None  # read to the end, overflow or not
+    assert repr(fsum_counted(remaining)) == fsum_outcome(terms)
+    assert next(remaining, None) is None  # read to the end, overflow or not
 
 
 @settings(max_examples=300, deadline=None)
