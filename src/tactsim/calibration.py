@@ -103,11 +103,18 @@ def build_design_matrix(signals, order: int) -> np.ndarray:
         raise ValueError("order must be at least 1")
     with np.errstate(over="ignore"):
         design = np.vander(signals, order + 1, increasing=True)
-    if not np.isfinite(design).all():  # a signal that is not finite, or a power that overflows
-        if not np.isfinite(signals).all():
-            raise ValueError("signals must be finite")
-        raise SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
+    if not np.isfinite(design).all():
+        raise _design_error(signals, order)
     return design
+
+
+def _design_error(signals, order: int) -> Exception:
+    """Why the order-``order`` design matrix of ``signals`` is not finite:
+    a signal that is not finite, or a power that overflows."""
+    import numpy as np
+    if not np.isfinite(signals).all():
+        return ValueError("signals must be finite")
+    return SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
 
 
 def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
@@ -140,14 +147,20 @@ def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
     return solution
 
 
+def _model_coefficients(design: np.ndarray, forces) -> np.ndarray:
+    """``least_squares_fit``'s solution, which a model must hold as finite floats."""
+    solution = least_squares_fit(design, forces)
+    if not all(map(math.isfinite, solution.tolist())):
+        raise FitError(
+            f"order-{design.shape[1] - 1} fit overflows: model coefficients must be finite"
+        )
+    return solution
+
+
 def fit_polynomial(signals, forces, order: int, signal_units: str = "volts") -> PolynomialModel:
     """Convenience wrapper: design matrix + least squares -> model."""
     design = build_design_matrix(signals, order)
-    coeffs = least_squares_fit(design, forces)
-    try:
-        return PolynomialModel(tuple(coeffs), signal_units)
-    except ValueError as exc:  # coefficients past the float range
-        raise FitError(f"order-{order} fit overflows: {exc}") from exc
+    return PolynomialModel(tuple(_model_coefficients(design, forces)), signal_units)
 
 
 @dataclass
@@ -234,38 +247,69 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
     restricts each repeat to testing on fold 0 only, matching the
     original bench procedure instead of averaging all rotations.
 
-    Fitting failures on any fold abort the whole run.
+    The design matrix of the highest order is built once per run: an
+    order's training design is its training rows and leading columns,
+    the values ``build_design_matrix`` gives. Fits run fold by fold and
+    order by order, and the first that fails aborts the whole run. Each
+    repeat's models are then evaluated together by Horner's rule, with
+    the values ``evaluate_model`` gives, and scored by ``rmse``.
     """
     import numpy as np
     orders = tuple(orders)
     if not orders:
         raise UsageError("cross_validate needs at least one order")
+    if min(orders) < 1:
+        raise UsageError(f"cross_validate orders must be at least 1, got {list(orders)}")
+    if len(set(orders)) < len(orders):
+        raise UsageError(f"cross_validate orders must be distinct, got {list(orders)}")
     if repeats < 1:
         raise UsageError("cross_validate needs at least one repeat")
     signals = dataset.signals
     forces = dataset.forces
-    train_sums = {order: 0.0 for order in orders}
-    test_sums = {order: 0.0 for order in orders}
+    top = max(orders)
+    if not np.isfinite(signals).all():
+        raise _design_error(signals, top)
+    with np.errstate(over="ignore"):
+        powers = np.vander(signals, top + 1, increasing=True)
+    finite = np.isfinite(powers)
     test_folds = (0,) if strict_paper else range(k)
-    evaluations = repeats * len(test_folds)
+    train_sums = [0.0] * len(orders)
+    test_sums = [0.0] * len(orders)
     for repeat in range(repeats):
         folds = kfold_split(dataset, k=k, seed=[seed, repeat])
-        for fold in test_folds:
-            test_mask = folds == fold
-            v_train, f_train = signals[~test_mask], forces[~test_mask]
-            v_test, f_test = signals[test_mask], forces[test_mask]
-            # rmse on Python floats: the same result as on numpy scalars, faster.
-            truth_train, truth_test = f_train.tolist(), f_test.tolist()
-            for order in orders:
+        # One zero-padded coefficient row per (fold, order) model of this repeat.
+        coefficients = np.zeros((len(test_folds), len(orders), top + 1))
+        splits = []
+        for fold, models in zip(test_folds, coefficients):
+            test = folds == fold
+            train = ~test
+            design, f_train = powers[train], forces[train]
+            finite_columns = finite[train].all(axis=0).tolist()
+            for order, row in zip(orders, models):
                 try:
-                    model = fit_polynomial(v_train, f_train, order)
+                    if not all(finite_columns[:order + 1]):
+                        raise _design_error(signals[train], order)
+                    row[:order + 1] = _model_coefficients(design[:, :order + 1], f_train)
                 except FitError as exc:
                     raise type(exc)(f"repeat {repeat}, test fold {fold}: {exc}") from exc
-                with np.errstate(over="ignore", invalid="ignore"):  # overflows score inf or nan
-                    train_sums[order] += rmse(evaluate_model(model, v_train).tolist(), truth_train)
-                    test_sums[order] += rmse(evaluate_model(model, v_test).tolist(), truth_test)
-    train_means = tuple(train_sums[o] / evaluations for o in orders)
-    test_means = tuple(test_sums[o] / evaluations for o in orders)
+            # rmse on Python floats: the same result as on numpy scalars, faster.
+            splits.append((train, test, f_train.tolist(), forces[test].tolist()))
+        # Horner's rule over every signal, as evaluate_model runs it: the
+        # leading zeros of a lower order keep the start value 0.0.
+        values = np.zeros(coefficients.shape[:2] + signals.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows score inf or nan
+            for power in range(top, -1, -1):
+                values *= signals
+                values += coefficients[..., power, None]
+        for (train, test, truth_train, truth_test), fold_values in zip(splits, values):
+            scored = zip(fold_values.compress(train, axis=1).tolist(),
+                         fold_values.compress(test, axis=1).tolist())
+            for i, (p_train, p_test) in enumerate(scored):
+                train_sums[i] += rmse(p_train, truth_train)
+                test_sums[i] += rmse(p_test, truth_test)
+    evaluations = repeats * len(test_folds)
+    train_means = tuple(total / evaluations for total in train_sums)
+    test_means = tuple(total / evaluations for total in test_sums)
     selected = orders[int(np.argmin(test_means))]
     return FitReport(
         orders=orders,
@@ -378,8 +422,16 @@ def save_dataset(path, dataset: CalibrationDataset) -> None:
 MODEL_FORMAT = "tactsim-model-v1"
 
 
+def _json_number(value: float):
+    """``value``, or None (JSON ``null``) where it is not finite: JSON has no inf or nan."""
+    return value if math.isfinite(value) else None
+
+
 def save_model(path, model: PolynomialModel, report: FitReport = None) -> None:
-    """Persist a model as JSON with full-precision coefficients."""
+    """Persist a model as standard JSON with full-precision coefficients.
+
+    A cross-validation RMSE that is not finite is written as ``null``.
+    """
     payload = {
         "format": MODEL_FORMAT,
         "order": model.order,
@@ -393,12 +445,12 @@ def save_model(path, model: PolynomialModel, report: FitReport = None) -> None:
             "k": report.k,
             "strict_paper": report.strict_paper,
             "orders": list(report.orders),
-            "train_rmse": list(report.train_rmse),
-            "test_rmse": list(report.test_rmse),
+            "train_rmse": [_json_number(value) for value in report.train_rmse],
+            "test_rmse": [_json_number(value) for value in report.test_rmse],
             "selected_order": report.selected_order,
         }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 

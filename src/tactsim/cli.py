@@ -97,6 +97,8 @@ def _orders_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not orders or any(o < 1 for o in orders):
         raise argparse.ArgumentTypeError("orders must be positive integers")
+    if len(set(orders)) < len(orders):
+        raise argparse.ArgumentTypeError("orders must not repeat")
     return orders
 
 

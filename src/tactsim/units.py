@@ -16,6 +16,7 @@ they state and otherwise trust their callers.
 
 import math
 from itertools import chain, repeat
+from operator import sub
 
 from .errors import UsageError
 
@@ -48,11 +49,14 @@ def rmse(predicted, truth) -> float:
     if not predicted:
         raise UsageError("rmse of empty sequences is undefined")
     try:
-        total = math.fsum((p - t) ** 2 for p, t in zip(predicted, truth))
+        # math.pow(p - t, 2.0) is (p - t) ** 2: the same C pow, with the same
+        # OverflowError, run by map instead of a generator. (x * x can round
+        # differently.)
+        total = math.fsum(map(math.pow, map(sub, predicted, truth), repeat(2.0)))
     except OverflowError:
         # A square or fsum's running sum passed the largest float. The sum
         # is inf then, or nan if a difference is nan, as it is without one.
-        nan = any(math.isnan(p - t) for p, t in zip(predicted, truth))
+        nan = any(map(math.isnan, map(sub, predicted, truth)))
         total = math.nan if nan else math.inf
     return math.sqrt(total / len(predicted))
 

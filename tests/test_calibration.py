@@ -224,6 +224,16 @@ class TestCrossValidate:
         report = cross_validate(dataset, repeats=5, seed=1)
         assert report.selected_test_rmse() == min(report.test_rmse)
 
+    @pytest.mark.parametrize("orders, message", (
+        ((2, 2), "orders must be distinct, got [2, 2]"),
+        ((1, 3, 1), "orders must be distinct, got [1, 3, 1]"),
+        ((0, 2), "orders must be at least 1, got [0, 2]"),
+    ))
+    def test_repeated_or_nonpositive_orders_rejected(self, orders, message):
+        dataset = synthetic_protocol_dataset(PRESET_MODELS[1], noise_sigma=0.09, seed=3)
+        with pytest.raises(UsageError, match=re.escape(message)):
+            cross_validate(dataset, orders=orders, repeats=1)
+
     def test_zero_repeats_rejected(self):
         dataset = synthetic_protocol_dataset(PRESET_MODELS[1], noise_sigma=0.09, seed=3)
         with pytest.raises(UsageError):

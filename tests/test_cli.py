@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tactsim import (
     PRESET_MODELS,
     PolynomialModel,
+    load_model,
     save_dataset,
     save_model,
     save_scenario,
@@ -98,6 +99,26 @@ class TestCalibrate:
         )
         assert code == 0, err
         assert out.startswith("order,")
+
+    @pytest.mark.parametrize("orders", ("2,2", "1,3,1"))
+    def test_repeated_orders_are_a_usage_error(self, orders, workdir, capsys):
+        code, out, err = run(capsys, "calibrate", workdir / "calibration.csv", "--orders", orders)
+        message = "argument --orders: orders must not repeat"
+        assert (code, out, err) == (1, "", f"tactsim: error: {message}\n")
+
+    def test_rmse_past_the_float_range_is_null_in_the_model_file(self, capsys, tmp_path):
+        dataset = overflow_dataset(tmp_path, lambda i: i / 10, lambda i: 1.7e308 * (1 - i % 2))
+        model_path = tmp_path / "model.json"
+        code, out, err = run(capsys, "calibrate", dataset, "--orders", "1", "-o", model_path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "1,inf,inf"
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        fit = json.loads(model_path.read_text(), parse_constant=reject)["fit"]
+        assert (fit["train_rmse"], fit["test_rmse"]) == ([None], [None])
+        assert load_model(model_path).order == 1
 
     def test_refuses_to_persist_on_fold_failure(self, tmp_path, capsys):
         # single distinct signal: every fold is rank deficient

@@ -16,14 +16,19 @@ the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
 of ``estimate_frames`` over ``read_samples``, and fails on the same line
 with the same message after writing the same frames. ``summarize_lines``
 gives the summary that ``reference_summary`` counts frame by frame from
-the parsed lines, or the same error.
+the parsed lines, or the same error. ``cross_validate``, which slices one
+design matrix per run and scores each repeat's models in one pass, must
+give the ``FitReport`` of ``reference_cross_validate``, one
+``fit_polynomial`` and two ``evaluate_model`` calls per fold and order,
+or fail with the same error.
 
 The stage properties check the balanced null, the monotone bridge and
 the half-LSB quantization bound on random configurations, and that the
 scalar amplifier and ADC stages clip and round as numpy's
 ``minimum``/``maximum``/``floor`` do, down to signed zeros and NaN.
-``rmse`` must give the same float on an array, on its ``tolist()`` and
-as the numpy-scalar arithmetic it replaced, overflow included, and
+``rmse`` must give the same float on an array, on its ``tolist()``, as
+the numpy-scalar arithmetic it replaced and as a generator of
+``(p - t) ** 2``, overflow and its messages included, and
 ``fsum_counted`` the ``math.fsum`` of its non-negative terms written
 out, read to the end, with ``inf`` where the sum overflows. Model
 inversion must find the first crossing of the force on random models of
@@ -48,6 +53,8 @@ from tactsim import (
     EstimateFrame,
     EstimatorConfig,
     FabricModel,
+    FitError,
+    FitReport,
     LoadScenario,
     LoadStep,
     ParseError,
@@ -59,14 +66,17 @@ from tactsim import (
     adc_sample,
     amplify,
     bridge_output,
+    cross_validate,
     default_config,
     dequantize,
     element_resistance,
     evaluate_model,
     fabric_delta_r,
+    fit_polynomial,
     format_frame,
     format_sample_line,
     invert_model,
+    kfold_split,
     load_dataset,
     load_model,
     load_scenario,
@@ -406,6 +416,80 @@ def test_block_summary_matches_per_frame_reference(case, data, block):
     assert outcome(blocks) == outcome(reference)
 
 
+def reference_cross_validate(dataset, orders, k, repeats, seed, strict_paper) -> FitReport:
+    """Cross-validation fold by fold: one ``fit_polynomial`` and two
+    ``evaluate_model`` calls per fold and order."""
+    signals, forces = dataset.signals, dataset.forces
+    train_sums = {order: 0.0 for order in orders}
+    test_sums = {order: 0.0 for order in orders}
+    test_folds = (0,) if strict_paper else range(k)
+    for repeat in range(repeats):
+        folds = kfold_split(dataset, k=k, seed=[seed, repeat])
+        for fold in test_folds:
+            test_mask = folds == fold
+            v_train, f_train = signals[~test_mask], forces[~test_mask]
+            v_test, f_test = signals[test_mask], forces[test_mask]
+            for order in orders:
+                try:
+                    model = fit_polynomial(v_train, f_train, order)
+                except FitError as exc:
+                    raise type(exc)(f"repeat {repeat}, test fold {fold}: {exc}") from exc
+                with np.errstate(over="ignore", invalid="ignore"):
+                    train_sums[order] += rmse(evaluate_model(model, v_train).tolist(),
+                                              f_train.tolist())
+                    test_sums[order] += rmse(evaluate_model(model, v_test).tolist(),
+                                             f_test.tolist())
+    evaluations = repeats * len(test_folds)
+    test_means = tuple(test_sums[o] / evaluations for o in orders)
+    return FitReport(orders=orders, train_rmse=tuple(train_sums[o] / evaluations for o in orders),
+                     test_rmse=test_means, selected_order=orders[int(np.argmin(test_means))],
+                     repeats=repeats, k=k, seed=seed, strict_paper=strict_paper)
+
+
+@st.composite
+def cv_cases(draw):
+    """A dataset of k to 40 rows, and cross-validation arguments.
+
+    Signals repeat, or are all one value, and some are scaled so that
+    their powers overflow from order 2, 4 or 6. Some forces are near the
+    largest float, so that coefficients or RMSEs overflow.
+    """
+    k = draw(st.integers(2, 7))
+    n = draw(st.integers(k, 40))
+    scale = (1.0, 1e60, 1e100, 1e154)[max(draw(st.integers(-4, 3)), 0)]
+    # n distinct values, a third as many each used about three times, or one value.
+    values = (1, max(n // 3, 1), n)[min(draw(st.integers(0, 5)), 2)]
+    hundredths = st.lists(st.integers(-500, 500), min_size=values, max_size=values, unique=True)
+    distinct = [i / 100 for i in draw(hundredths)]
+    signals = [distinct[i % values] for i in range(n)]
+    force_value = st.floats(-2.0, 2.0)
+    if draw(st.integers(0, 3)) == 0:
+        force_value = st.sampled_from((1.7e308, -1.7e308, 1e308, 0.0))
+    forces = draw(st.lists(force_value, min_size=n, max_size=n))
+    dataset = CalibrationDataset(scale * np.array(signals), np.array(forces))
+    arguments = dict(
+        orders=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True))),
+        k=k, repeats=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32)),
+        strict_paper=draw(st.booleans()))
+    return dataset, arguments
+
+
+def call_outcome(function, *args, **kwargs):
+    """``repr`` of what ``function`` returns, or its error's type and message."""
+    try:
+        return repr(function(*args, **kwargs))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cv_cases())
+def test_cross_validate_matches_per_fold_reference(case):
+    dataset, arguments = case
+    expected = call_outcome(reference_cross_validate, dataset, **arguments)
+    assert call_outcome(cross_validate, dataset, **arguments) == expected
+
+
 @st.composite
 def balanced_bridges(draw):
     r1, r2, rx = (draw(st.floats(1e3, 1e6)) for _ in range(3))
@@ -504,6 +588,28 @@ def test_rmse_of_arrays_matches_lists(pairs):
         assert expected == ("nan" if nan else "inf")
     else:
         assert repr(before) == expected
+
+
+def generator_rmse(a, b):
+    """``rmse`` on Python floats by a generator of squared differences."""
+    if len(a) != len(b):
+        raise UsageError(f"rmse needs equal-length sequences, got {len(a)} and {len(b)}")
+    if not a:
+        raise UsageError("rmse of empty sequences is undefined")
+    try:
+        total = math.fsum((p - t) ** 2 for p, t in zip(a, b))
+    except OverflowError:
+        total = math.nan if any(math.isnan(p - t) for p, t in zip(a, b)) else math.inf
+    return math.sqrt(total / len(a))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(rmse_edges | st.floats(), rmse_edges | st.floats()), max_size=12),
+       extra=st.lists(rmse_edges, max_size=2), longer=st.sampled_from("ab"))
+def test_rmse_is_the_fsum_of_squared_differences(pairs, extra, longer):
+    a = [p for p, _ in pairs] + (extra if longer == "a" else [])
+    b = [t for _, t in pairs] + (extra if longer == "b" else [])
+    assert call_outcome(rmse, a, b) == call_outcome(generator_rmse, a, b)
 
 
 def fsum_outcome(terms):
