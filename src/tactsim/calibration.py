@@ -11,7 +11,6 @@ scale cannot silently be applied to another.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from .errors import (
     DataError, FitError, ParseError, SingularFitError, UnderdeterminedFitError, UsageError,
 )
-from .streams import open_input, read_table
+from .streams import open_input, read_table, write_table
 from .units import gw_to_newtons, rmse
 
 
@@ -33,7 +32,11 @@ class PolynomialModel:
     def __post_init__(self):
         if len(self.coefficients) < 2:
             raise ValueError("model needs at least order 1 (two coefficients)")
-        if not all(math.isfinite(c) for c in self.coefficients):
+        try:
+            finite = all(map(math.isfinite, self.coefficients))
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
             raise ValueError("model coefficients must be finite")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
@@ -82,11 +85,17 @@ def protocol_weights():
     return [(w, counts.get(w, 8)) for w in weights]
 
 
+def expand_protocol(weights=None) -> list:
+    """One float gram weight per measurement of ``(gram_weight, repetitions)``
+    pairs, in order; by default those of ``protocol_weights()``."""
+    if weights is None:
+        weights = protocol_weights()
+    return [float(weight) for weight, count in weights for _ in range(count)]
+
+
 def protocol_forces():
     """The 100 protocol forces in newtons, expanded and in weight order."""
-    return [
-        gw_to_newtons(w) for w, count in protocol_weights() for _ in range(count)
-    ]
+    return [gw_to_newtons(weight) for weight in expand_protocol()]
 
 
 def build_design_matrix(signals, order: int) -> np.ndarray:
@@ -101,20 +110,26 @@ def build_design_matrix(signals, order: int) -> np.ndarray:
         raise ValueError("signals must be one-dimensional")
     if order < 1:
         raise ValueError("order must be at least 1")
-    with np.errstate(over="ignore"):
-        design = np.vander(signals, order + 1, increasing=True)
-    if not np.isfinite(design).all():
-        raise _design_error(signals, order)
+    design, finite = _vandermonde(signals, order)
+    _check_powers(finite.all(axis=0).tolist(), order)
     return design
 
 
-def _design_error(signals, order: int) -> Exception:
-    """Why the order-``order`` design matrix of ``signals`` is not finite:
-    a signal that is not finite, or a power that overflows."""
+def _vandermonde(signals: np.ndarray, order: int):
+    """Rows [1, v, ..., v^order] of finite ``signals``, and where they are
+    finite: ``_check_powers`` reports a power that overflows."""
     import numpy as np
     if not np.isfinite(signals).all():
-        return ValueError("signals must be finite")
-    return SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
+        raise ValueError("signals must be finite")
+    with np.errstate(over="ignore"):
+        powers = np.vander(signals, order + 1, increasing=True)
+    return powers, np.isfinite(powers)
+
+
+def _check_powers(finite_columns: list, order: int) -> None:
+    """Raise unless the first order+1 of ``finite_columns`` are all true."""
+    if not all(finite_columns[:order + 1]):
+        raise SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
 
 
 def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
@@ -249,10 +264,10 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
 
     The design matrix of the highest order is built once per run: an
     order's training design is its training rows and leading columns,
-    the values ``build_design_matrix`` gives. Fits run fold by fold and
-    order by order, and the first that fails aborts the whole run. Each
-    repeat's models are then evaluated together by Horner's rule, with
-    the values ``evaluate_model`` gives, and scored by ``rmse``.
+    checked and valued as ``build_design_matrix`` gives it. Fits run fold
+    by fold and order by order, and the first that fails aborts the whole
+    run. Each repeat's models are then evaluated together by Horner's
+    rule, with the values ``evaluate_model`` gives, and scored by ``rmse``.
     """
     import numpy as np
     orders = tuple(orders)
@@ -267,11 +282,7 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
     signals = dataset.signals
     forces = dataset.forces
     top = max(orders)
-    if not np.isfinite(signals).all():
-        raise _design_error(signals, top)
-    with np.errstate(over="ignore"):
-        powers = np.vander(signals, top + 1, increasing=True)
-    finite = np.isfinite(powers)
+    powers, finite = _vandermonde(signals, top)
     test_folds = (0,) if strict_paper else range(k)
     train_sums = [0.0] * len(orders)
     test_sums = [0.0] * len(orders)
@@ -287,8 +298,7 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
             finite_columns = finite[train].all(axis=0).tolist()
             for order, row in zip(orders, models):
                 try:
-                    if not all(finite_columns[:order + 1]):
-                        raise _design_error(signals[train], order)
+                    _check_powers(finite_columns, order)
                     row[:order + 1] = _model_coefficients(design[:, :order + 1], f_train)
                 except FitError as exc:
                     raise type(exc)(f"repeat {repeat}, test fold {fold}: {exc}") from exc
@@ -380,9 +390,7 @@ def synthetic_protocol_dataset(model: PolynomialModel, noise_sigma: float = 0.0,
     signals = np.array([invert_model(model, f) for f in forces_true])
     rng = np.random.default_rng(seed)
     observed = forces_true + noise_sigma * rng.standard_normal(forces_true.size)
-    weights, counts = zip(*protocol_weights())
-    weights_gw = np.repeat(np.array(weights, float), counts)
-    return CalibrationDataset(signals, observed, weights_gw=weights_gw)
+    return CalibrationDataset(signals, observed, weights_gw=expand_protocol())
 
 
 DATASET_HEADERS = (("v", "force_n"), ("v", "force_n", "weight_gw"))
@@ -406,17 +414,9 @@ def load_dataset(path) -> CalibrationDataset:
 
 
 def save_dataset(path, dataset: CalibrationDataset) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        if dataset.weights_gw is not None:
-            writer.writerow(DATASET_HEADERS[1])
-            rows = zip(dataset.signals, dataset.forces, dataset.weights_gw)
-            for v, f, w in rows:
-                writer.writerow([repr(float(v)), repr(float(f)), repr(float(w))])
-        else:
-            writer.writerow(DATASET_HEADERS[0])
-            for v, f in zip(dataset.signals, dataset.forces):
-                writer.writerow([repr(float(v)), repr(float(f))])
+    columns = (dataset.signals, dataset.forces, dataset.weights_gw)
+    columns = [column.tolist() for column in columns if column is not None]
+    write_table(path, DATASET_HEADERS[len(columns) - 2], (map(repr, row) for row in zip(*columns)))
 
 
 MODEL_FORMAT = "tactsim-model-v1"
@@ -455,20 +455,25 @@ def save_model(path, model: PolynomialModel, report: FitReport = None) -> None:
 
 
 def load_model(path) -> PolynomialModel:
+    """Read a model file: a JSON object with ``order``, a JSON integer, and
+    ``coefficients``, a list of JSON numbers (booleans are not numbers)."""
     with open_input(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"model file {path}: {exc}") from exc
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep
+        raise ParseError(f"model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"model file {path}: not a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ParseError(f"model file {path}: unknown format {payload.get('format')!r}")
+    coefficients = payload.get("coefficients")
+    if not (isinstance(coefficients, list)
+            and all(type(c) in (int, float) for c in coefficients)):
+        raise ParseError(f"model file {path}: coefficients must be a list of JSON numbers")
     try:
-        model = PolynomialModel(
-            tuple(payload["coefficients"]), payload.get("signal_units", "volts")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        model = PolynomialModel(tuple(coefficients), payload.get("signal_units", "volts"))
+    except ValueError as exc:
         raise ParseError(f"model file {path}: {exc}") from exc
     order = payload.get("order")
     if type(order) is not int:  # a JSON integer; true and 1.0 are not

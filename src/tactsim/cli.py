@@ -37,16 +37,16 @@ def _output(path):
     return nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w")
 
 
-def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None, seed=None) -> None:
+def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None) -> None:
     """Run a scenario through the sensor chain and write the sample stream."""
-    blocks = simulate_blocks(cfg, load_scenario(scenario_path), seed=seed)
+    blocks = simulate_blocks(cfg, load_scenario(scenario_path))
     with _output(output_path) as out:
         for times, codes in blocks:
             out.write(format_sample_block(times, codes))
 
 
 def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,
-                  orders=(1, 2, 3, 4, 5), repeats=None, strict_paper=False) -> None:
+                  orders=(1, 2, 3, 4, 5), strict_paper=False) -> None:
     """Cross-validate polynomial orders, persist the winner, print the table.
 
     The persisted model is refit on the full dataset at the selected
@@ -54,8 +54,7 @@ def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,
     """
     dataset = load_dataset(dataset_path)
     report = cross_validate(dataset, orders=orders, k=cfg.kfold, seed=cfg.seed,
-                            repeats=cfg.repeats if repeats is None else repeats,
-                            strict_paper=strict_paper)
+                            repeats=cfg.repeats, strict_paper=strict_paper)
     model = fit_polynomial(
         dataset.signals, dataset.forces, report.selected_order,
         signal_units=cfg.signal_units,
@@ -152,10 +151,12 @@ def _load_cfg(args) -> ToolkitConfig:
         if args.gain <= 0:
             raise UsageError("--gain must be positive")
         cfg = replace(cfg, bridge=replace(cfg.bridge, amplifier_gain=args.gain))
-    if getattr(args, "window", None) is not None:
-        if args.window < 1:
-            raise UsageError("--window must be at least 1")
-        cfg = replace(cfg, filter_window=args.window)
+    for flag, name in (("window", "filter_window"), ("repeats", "repeats")):
+        value = getattr(args, flag, None)  # each flag belongs to one command
+        if value is not None:
+            if value < 1:
+                raise UsageError(f"--{flag} must be at least 1")
+            cfg = replace(cfg, **{name: value})
     return cfg
 
 
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
             cmd_simulate(cfg, args.scenario, args.output)
         elif args.command == "calibrate":
             cmd_calibrate(cfg, args.dataset, args.output, orders=args.orders,
-                          repeats=args.repeats, strict_paper=args.strict_paper_cv)
+                          strict_paper=args.strict_paper_cv)
         elif args.command == "estimate":
             cmd_estimate(cfg, args.model, args.stream, args.output)
         elif args.command == "report":

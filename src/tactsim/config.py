@@ -17,7 +17,7 @@ from .bridge import AdcConfig, BridgeConfig, Chain, amplify, bridge_output, dequ
 from .calibration import PolynomialModel
 from .errors import ConfigError
 from .estimator import EstimatorConfig, range_for_gain
-from .sensor import ElementModel, FabricModel, default_elements
+from .sensor import FabricModel, default_elements
 from .streams import open_input
 
 SIGNAL_UNITS = ("volts", "counts")

@@ -18,7 +18,7 @@ from operator import le
 
 from .bridge import Chain
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
-from .calibration import CalibrationDataset, protocol_weights
+from .calibration import CalibrationDataset, expand_protocol
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, ParseError, StreamError, UsageError
 from .estimator import (
@@ -35,10 +35,17 @@ from .units import rmse  # noqa: F401  imported only for bench/spans.py to trace
 BLOCK_TICKS = 1024
 
 
-def sample_times(adc_rate: float, end_time: float):
-    """Tick times k/rate from zero through the end of a scenario."""
-    last = int(math.floor(end_time * adc_rate + 1e-9))
-    return (k / adc_rate for k in range(last + 1))
+def tick_count(adc_rate: float, end_time: float) -> int:
+    """Number of ticks k/rate, k = 0, 1, ..., from zero through ``end_time``.
+
+    A DataError if that is 2**53 or more, past which tick numbers are not
+    all exact floats, or if the last tick's number overflows.
+    """
+    last = end_time * adc_rate + 1e-9  # the last tick's number, before rounding down
+    if not (math.isfinite(last) and last < 2**53 - 1):
+        raise DataError(f"a scenario ending at {end_time!r} s at {adc_rate!r} Hz "
+                        "is out of the sample clock's range of 2**53 ticks")
+    return max(math.floor(last) + 1, 0)
 
 
 def _step_deltas(cfg: ToolkitConfig, scenario: LoadScenario) -> np.ndarray:
@@ -61,8 +68,8 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     A lazy iterator of ``(times, codes)`` pairs of lists: up to
     ``BLOCK_TICKS`` float tick times and, for each, its five int ADC
     codes. The sample clock starts at t = 0, so scenarios must start
-    there. The scenario and the bridges are checked when this is called,
-    before any sample is produced.
+    there. The scenario, its tick count and the bridges are checked when
+    this is called, before any sample is produced.
     """
     import numpy as np
     if scenario.start_time > 0:
@@ -75,12 +82,14 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
         chain.codes(deltas, np.ones(deltas.shape))
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
+    rate = cfg.adc.sample_rate
+    ticks = tick_count(rate, scenario.end_time)
     step_times = np.array(scenario.step_times)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    clock = sample_times(cfg.adc.sample_rate, scenario.end_time)
 
     def blocks():
-        while (times := np.fromiter(islice(clock, BLOCK_TICKS), dtype=float)).size:
+        for start in range(0, ticks, BLOCK_TICKS):
+            times = np.arange(start, min(start + BLOCK_TICKS, ticks)) / rate
             rows = np.searchsorted(step_times, times, side="right") - 1
             noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
             yield times.tolist(), chain.codes(deltas[rows], noise).tolist()
@@ -108,9 +117,7 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     """
     import numpy as np
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    if weights is None:
-        weights = protocol_weights()
-    weights_gw = [float(weight) for weight, count in weights for _ in range(count)]
+    weights_gw = expand_protocol(weights)
     forces = [gw_to_newtons(weight) for weight in weights_gw]
     deltas = [[fabric_delta_r(cfg.fabric, force)] for force in forces]
     noise = rng.uniform(-1.0, 1.0, size=(len(forces), 1))

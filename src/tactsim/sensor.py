@@ -12,13 +12,12 @@ Everything here is pure and the model dataclasses are frozen, so they
 can be shared freely between threads.
 """
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .streams import read_table
+from .streams import read_table, write_table
 
 #: Multiple of the rest resistance used for the near-open regime of an
 #: overloaded rubber element (stands in for "almost open circuit").
@@ -251,10 +250,5 @@ def load_scenario(path) -> LoadScenario:
 
 
 def save_scenario(path, scenario: LoadScenario) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SCENARIO_HEADER)
-        for step in scenario.steps:
-            writer.writerow(
-                [repr(step.time), repr(step.force), format_quadrants(step.quadrants)]
-            )
+    rows = ([repr(s.time), repr(s.force), format_quadrants(s.quadrants)] for s in scenario.steps)
+    write_table(path, SCENARIO_HEADER, rows)

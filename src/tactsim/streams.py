@@ -6,8 +6,9 @@ firmware. The canonical form prints times as shortest round-trip floats
 and integral channel values (ADC codes) as integers. Blank lines and
 ``#`` comments are skipped on input.
 
-``open_input`` opens every input file, and ``read_table`` is the one
-reader of the headed CSV files (scenarios and calibration datasets).
+``open_input`` opens every input file. ``read_table`` is the one reader
+of the headed CSV files (scenarios and calibration datasets), and
+``write_table`` their one writer.
 """
 
 import csv
@@ -147,3 +148,11 @@ def read_table(path, headers):
                 yield line_number, row
         except csv.Error as exc:  # such as a field over the csv module's size limit
             raise ParseError(str(exc), reader.line_num) from exc
+
+
+def write_table(path, header, rows) -> None:
+    """Write a headed CSV file, as ``read_table`` reads it: ``header``, then ``rows``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -106,6 +106,12 @@ class TestCalibrate:
         message = "argument --orders: orders must not repeat"
         assert (code, out, err) == (1, "", f"tactsim: error: {message}\n")
 
+    @pytest.mark.parametrize("repeats", ("0", "-3"))
+    def test_repeats_below_one_is_a_usage_error(self, repeats, workdir, capsys):
+        code, out, err = run(capsys, "calibrate", workdir / "calibration.csv",
+                             f"--repeats={repeats}")
+        assert (code, out, err) == (1, "", "tactsim: error: --repeats must be at least 1\n")
+
     def test_rmse_past_the_float_range_is_null_in_the_model_file(self, capsys, tmp_path):
         dataset = overflow_dataset(tmp_path, lambda i: i / 10, lambda i: 1.7e308 * (1 - i % 2))
         model_path = tmp_path / "model.json"
@@ -392,6 +398,33 @@ NON_INTEGER_ORDERS = {
     "null": "null",
 }
 
+#: A model file that parses as JSON but breaks its type rules, or that
+#: the JSON reader rejects -> the error message after the file's path.
+BAD_MODEL_FILES = {
+    "integer_past_float_range": ('{"format": "tactsim-model-v1", "order": 1, '
+                                 '"coefficients": [%d, 0.3]}' % 10**400,
+                                 "model coefficients must be finite"),
+    "integer_too_long_to_read": ('{"format": "tactsim-model-v1", "order": 1, '
+                                 '"coefficients": [%s, 0.3]}' % ("1" * 5000),
+                                 "Exceeds the limit (4300 digits) for integer string conversion: "
+                                 "value has 5000 digits; use sys.set_int_max_str_digits() "
+                                 "to increase the limit"),
+    "boolean_coefficient": ('{"format": "tactsim-model-v1", "order": 1, '
+                            '"coefficients": [true, 0.3]}',
+                            "coefficients must be a list of JSON numbers"),
+    "string_coefficient": ('{"format": "tactsim-model-v1", "order": 1, '
+                           '"coefficients": ["0.1", 0.3]}',
+                           "coefficients must be a list of JSON numbers"),
+    "no_coefficients": ('{"format": "tactsim-model-v1", "order": 1}',
+                        "coefficients must be a list of JSON numbers"),
+    "nested_arrays": ("[" * 100_000,
+                      "maximum recursion depth exceeded while decoding a JSON array "
+                      "from a unicode string"),
+    "nested_objects": ('{"a": ' * 100_000,
+                       "maximum recursion depth exceeded while decoding a JSON object "
+                       "from a unicode string"),
+}
+
 STREAM_LINE = "0.0,1,2,3,4,5\n"
 FRAME_LINE = "0.0,0.0,0.0,0,0,0,0,none\n"
 
@@ -453,6 +486,15 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "estimate", stream, "-m", model)
         expected = f"tactsim: error: model file {model}: order must be an integer, got {order}\n"
         assert (code, out, err) == (2, "", expected)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_MODEL_FILES))
+    def test_model_file_that_breaks_the_type_rules(self, kind, capsys, tmp_path):
+        model, stream = tmp_path / "model.json", tmp_path / "stream.csv"
+        text, message = BAD_MODEL_FILES[kind]
+        model.write_text(text + "\n")
+        stream.write_text(STREAM_LINE)
+        code, out, err = run(capsys, "estimate", stream, "-m", model)
+        assert (code, out, err) == (2, "", f"tactsim: error: model file {model}: {message}\n")
 
     @pytest.mark.parametrize("force", ("1e200", "1.2e154"))
     def test_report_rmse_that_overflows_is_inf(self, force, capsys, tmp_path, workdir):
@@ -827,6 +869,23 @@ class TestExitCodeRule:
         assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
         assert not output.exists()
 
+    @pytest.mark.parametrize("config_text, scenario_text, end, rate", (
+        ("sample_rate = 1e308\n", "0,0.5,1\n1,0,\n", "1.0", "1e+308"),
+        ("", "0,0.5,1\n1e308,0,\n", "1e+308", "9.6"),
+        ("", "-1e308,0.5,1\n", "-1e+308", "9.6"),
+        ("", "0,0.5,1\n1e16,0,\n", "1e+16", "9.6"),
+    ))
+    def test_span_past_the_sample_clock_is_a_data_error(self, config_text, scenario_text, end,
+                                                        rate, capsys, tmp_path):
+        config, scenario, output = tmp_path / "x.cfg", tmp_path / "s.csv", tmp_path / "out.csv"
+        config.write_text(config_text)
+        scenario.write_text("t,force_n,quadrants\n" + scenario_text)
+        code, out, err = run(capsys, "simulate", scenario, "--config", config, "-o", output)
+        message = (f"a scenario ending at {end} s at {rate} Hz "
+                   "is out of the sample clock's range of 2**53 ticks")
+        assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
+        assert not output.exists()
+
     def test_signal_that_overflows_names_its_line(self, capsys, tmp_path, model_path):
         config, stream = tmp_path / "x.cfg", tmp_path / "st.csv"
         config.write_text("adc_full_scale = 1.7e308\n")
@@ -913,3 +972,121 @@ def test_config_fuzz_exits_with_one_error_line(fuzz_inputs, text, units):
                 top = load_config(config).adc.max_code
                 codes = output.read_text().strip().split(",")[1:]
                 assert all(0 <= int(c) <= top for c in codes)
+
+
+#: Scenario CSV pieces for the input fuzz: headers good, respelled and
+#: bad, then time, force and quadrant fields, with huge and negative
+#: times, quoted multi-line fields and a field past the csv size limit
+#: (drawn as ``OVERSIZED``, so that a failing example prints short).
+OVERSIZED = "<field past the csv size limit>"
+FUZZ_HEADERS = ("t,force_n,quadrants\n", " T ,Force_N,QUADRANTS\n", "t,force,quadrants\n",
+                "t,force_n\n", "\n", "")
+FUZZ_TIMES = ("0", "0", "0.5", "1", "2.5", "-1", "-0.0", "1e308", "-1e308", "nan", "inf",
+              "abc", '"0\n"')
+FUZZ_FORCES = ("0", "0.2", "0.5", "1.5", "-1", "1e308", "nan", "x", "")
+FUZZ_QUADRANTS = ("", "1", "1+2", "1+2+3+4", "5", '"1\n+2"', '"', OVERSIZED)
+
+#: Model file members for the input fuzz, by name: (JSON text, obeys the
+#: model file's type rules), for the order and for the coefficients.
+FUZZ_ORDERS = {"one": ("1", True), "true": ("true", False), "float": ("1.0", False),
+               "string": ('"1"', False), "null": ("null", False),
+               "past_float_range": (str(10**400), False)}
+FUZZ_COEFFICIENTS = {
+    "linear": ("[-0.05, 0.3]", True), "integers": ("[0, 1]", True),
+    "boolean": ("[true, 0.3]", False), "past_float_range": (f"[{10**400}, 0.3]", False),
+    "too_long_to_read": (f"[{'1' * 5000}, 0.3]", False), "string": ('["0.1", 0.3]', False),
+    "null": ("[null, 0.3]", False), "one": ("[0.3]", False),
+    "float_past_range": ("[1e400, 0.3]", False), "not_a_list": ('"ab"', False),
+    "number": ("7", False), "nested": ("[" * 3000 + "]" * 3000, False),
+}
+#: Whole model files that break the rules: not an object, nested past
+#: the JSON reader's depth, or not JSON at all.
+FUZZ_BAD_MODELS = {"array": "[1, 2]", "nested_arrays": "[" * 100_000,
+                   "nested_objects": '{"a": ' * 100_000, "truncated": "{", "empty": ""}
+
+#: Sample stream and frame lines for the input fuzz, good and bad, mixed.
+FUZZ_STREAM_LINES = ("0.0,0,1,1,1,1", "0.1,1,0,0,0,0", "0.2, 2 ,0,0,0,0", "0.3,1,2", "abc",
+                     "0.4,300,0,0,0,0", "0.05,1,0,0,0,0", "", "# note", "nan,0,0,0,0,0",
+                     "0.5,1.5,0,0,0,0", "-1,0,0,0,0,0", "1e308,0,0,0,0,0", "0.6,1e308,0,0,0,0")
+FUZZ_FRAME_LINES = ("0.0,0.1,0.1,1,0,0,0,point", "0.5,0.2,0.15,0,0,0,0,none",
+                    "1.0,0.3,0.3,1,1,0,0,line", "0.2,abc,0,0,0,0,0,none", "0.3,0.1,0.1,1,0,0",
+                    "nan,0,0,0,0,0,0,none", "-1.0,0,0,0,0,0,0,none",
+                    "1e308,1e308,1e308,0,0,0,0,none", "0.1,0.1,0.1,1,1,0,0,bogus",
+                    "0.7,0.1,0.1,2,0,0,0,point", "", "# note")
+
+
+@st.composite
+def scenario_texts(draw):
+    """A scenario file: half of them well formed, with steps in time order
+    that may end far out or start far back."""
+    if draw(st.booleans()):
+        times = sorted(set(draw(st.lists(st.sampled_from((0.0, 0.5, 2.5, -1.0, 1e308, -1e308)),
+                                         min_size=1, max_size=4))))
+        return FUZZ_HEADERS[0] + "".join(f"{t!r},0.5,1+2\n" for t in times)
+    rows = draw(st.lists(st.tuples(st.sampled_from(FUZZ_TIMES), st.sampled_from(FUZZ_FORCES),
+                                   st.sampled_from(FUZZ_QUADRANTS)), max_size=4))
+    return draw(st.sampled_from(FUZZ_HEADERS)) + "".join(f"{t},{f},{q}\n" for t, f, q in rows)
+
+
+@st.composite
+def model_kinds(draw):
+    """The names of a model file's order and coefficients, or one in ten
+    times the name of a whole bad model file."""
+    if draw(st.integers(0, 9)) == 0:
+        return (draw(st.sampled_from(sorted(FUZZ_BAD_MODELS))),)
+    return (draw(st.sampled_from(sorted(FUZZ_ORDERS))),
+            draw(st.sampled_from(sorted(FUZZ_COEFFICIENTS))))
+
+
+def model_file(kind) -> tuple:
+    """The text of a model file of ``kind``, and whether it obeys the type rules."""
+    if len(kind) == 1:
+        return FUZZ_BAD_MODELS[kind[0]], False
+    (order, order_ok), (coefficients, coefficients_ok) = (FUZZ_ORDERS[kind[0]],
+                                                          FUZZ_COEFFICIENTS[kind[1]])
+    text = ('{"format": "tactsim-model-v1", "order": %s, "coefficients": %s, '
+            '"signal_units": "volts"}\n' % (order, coefficients))
+    return text, order_ok and coefficients_ok
+
+
+def lines_texts(lines):
+    return st.lists(st.sampled_from(lines), max_size=6).map(
+        lambda drawn: "".join(line + "\n" for line in drawn))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenario=scenario_texts(), model=model_kinds(), stream=lines_texts(FUZZ_STREAM_LINES),
+       frames=lines_texts(FUZZ_FRAME_LINES))
+def test_input_fuzz_exits_with_one_error_line(fuzz_inputs, scenario, model, stream, frames):
+    """``simulate``, ``estimate`` and ``report --truth`` on drawn input files
+    exit 0-3 with at most one error line and no warning; a failed
+    ``simulate`` leaves no output file, and a model file that breaks the
+    type rules is a data error that names it."""
+    model_text, model_ok = model_file(model)
+    paths = {name: fuzz_inputs / f"input_{name}" for name in ("scenario", "model", "stream",
+                                                              "frames", "out")}
+    for name, text in (("scenario", scenario.replace(OVERSIZED, "1" * (CSV_FIELD_LIMIT + 1))),
+                       ("model", model_text), ("stream", stream), ("frames", frames)):
+        paths[name].write_text(text)
+    commands = {
+        "simulate": ("simulate", paths["scenario"], "-o", paths["out"]),
+        "estimate": ("estimate", paths["stream"], "-m", paths["model"], "-o", paths["out"]),
+        "report": ("report", paths["frames"], "--truth", paths["scenario"]),
+    }
+    for command, args in commands.items():
+        paths["out"].unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("always")
+            code = main([str(a) for a in args])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert [str(w.message) for w in caught] == []
+        if code:
+            assert err.startswith("tactsim: error: ") and err.count("\n") == 1, err
+            assert command != "simulate" or not paths["out"].exists()
+        else:
+            assert err == ""
+        if command == "estimate" and not model_ok:
+            assert code == 2 and err.startswith(f"tactsim: error: model file {paths['model']}: ")

@@ -27,7 +27,7 @@ from tactsim import (
     summarize_frames,
 )
 from tactsim.config import channel_signal
-from tactsim.pipeline import estimate_lines, sample_times
+from tactsim.pipeline import estimate_lines, simulate_blocks, tick_count
 from tactsim.streams import SampleLine
 
 from conftest import accuracy_scenario
@@ -47,21 +47,39 @@ def press_scenario(force, quadrant, duration=2.0):
     ))
 
 
+def simulated_times(duration: float) -> list:
+    """Tick times of a quiet scenario simulated at the default 9.6 Hz."""
+    blocks = simulate_blocks(default_config(), quiet_scenario(duration), seed=0)
+    return [t for times, _ in blocks for t in times]
+
+
 class TestSampleClock:
     def test_one_second_yields_ten_ticks(self):
-        times = list(sample_times(9.6, 1.0))
-        assert len(times) == 10
+        times = simulated_times(1.0)
+        assert tick_count(9.6, 1.0) == len(times) == 10
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.9375, abs=0)
 
     def test_ticks_are_exact_multiples(self):
-        for k, t in enumerate(sample_times(9.6, 5.0)):
-            assert t == k / 9.6
+        times = simulated_times(250.0)  # 2,401 ticks: three blocks
+        assert times == [k / 9.6 for k in range(2401)]
 
     def test_exact_endpoint_included(self):
         # 2.5 s at 9.6 Hz lands exactly on tick 24
-        times = list(sample_times(9.6, 2.5))
-        assert len(times) == 25
+        assert tick_count(9.6, 2.5) == len(simulated_times(2.5)) == 25
+
+    def test_span_ending_before_zero_has_no_ticks(self):
+        assert tick_count(9.6, -1.0) == 0
+
+    def test_ticks_stop_below_two_to_the_53(self):
+        assert tick_count(1.0, 2.0**53 - 2) == 2**53 - 1
+        with pytest.raises(DataError, match="range of 2\\*\\*53 ticks"):
+            tick_count(1.0, 2.0**53 - 1)
+
+    @pytest.mark.parametrize("rate, end", ((1e308, 1.0), (9.6, 1e308), (9.6, -1e308)))
+    def test_tick_number_that_overflows(self, rate, end):
+        with pytest.raises(DataError, match="out of the sample clock's range"):
+            tick_count(rate, end)
 
 
 class TestSimulate:

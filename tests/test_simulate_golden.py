@@ -92,7 +92,7 @@ def stream_text(name: str, tmp_path) -> str:
     cfg, seed, ticks, steps = CASES[name]
     scenario_path, stream_path = tmp_path / "scenario.csv", tmp_path / "stream.csv"
     save_scenario(scenario_path, random_scenario(seed, ticks, steps))
-    cmd_simulate(cfg, scenario_path, stream_path, seed=seed)
+    cmd_simulate(replace(cfg, seed=seed), scenario_path, stream_path)
     return stream_path.read_text()
 
 
