@@ -454,13 +454,21 @@ def save_model(path, model: PolynomialModel, report: FitReport = None) -> None:
         handle.write("\n")
 
 
+def _read_int(digits: str) -> int:
+    """A JSON integer, or a ValueError for one past ``int``'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"integer of {len(digits.lstrip('-'))} digits is too long to read")
+
+
 def load_model(path) -> PolynomialModel:
     """Read a model file: a JSON object with ``order``, a JSON integer, and
     ``coefficients``, a list of JSON numbers (booleans are not numbers)."""
     with open_input(path) as handle:
         text = handle.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_read_int)
     except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep
         raise ParseError(f"model file {path}: {exc}") from exc
     if not isinstance(payload, dict):

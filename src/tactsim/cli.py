@@ -68,7 +68,6 @@ def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) 
     """Replay a sample stream through a calibrated model, frame by frame."""
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
-    stream_path = None if stream_path == "-" else stream_path
     with open_input(stream_path) as stream, _output(output_path) as out:
         estimate_lines(cfg, est_cfg, stream, out)
 
@@ -94,7 +93,7 @@ def _orders_arg(text: str):
         orders = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not orders or any(o < 1 for o in orders):
+    if any(o < 1 for o in orders):
         raise argparse.ArgumentTypeError("orders must be positive integers")
     if len(set(orders)) < len(orders):
         raise argparse.ArgumentTypeError("orders must not repeat")
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="summarize a frame stream")
-    p.add_argument("frames", help="frame record file from estimate")
+    p.add_argument("frames", help="frame record file from estimate, or - for stdin")
     p.add_argument("--truth", help="ground-truth scenario CSV")
     p.add_argument("--rmse", action="store_true",
                    help="require an RMSE section (needs --truth)")

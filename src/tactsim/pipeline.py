@@ -14,7 +14,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import islice, product, repeat
-from operator import le
 
 from .bridge import Chain
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
@@ -150,12 +149,13 @@ class CodeTables:
         self.est_cfg = est_cfg
         self.text = ({}, {}, {}, {}, {})
 
-    def learn(self, channels, where: str) -> list:
+    def learn(self, channels, where: str):
         """Check the channel values of one sample as ADC codes, then add them.
 
-        Returns the sample's five table keys, in channel order.
+        Returns the sample's entries: channel 0's ``(force, repr)`` and
+        the tuple of the four element on states.
         """
-        max_code, codes, keys = self.cfg.adc.max_code, [], []
+        max_code, codes = self.cfg.adc.max_code, []
         for value in channels:
             code = int(round(value))
             if code != value:
@@ -163,6 +163,7 @@ class CodeTables:
             if not 0 <= code <= max_code:
                 raise DataError(f"{where}: code {code} outside [0, {max_code}]")
             codes.append(code)
+        entries = []
         for channel, code in enumerate(codes):
             key, table = str(code), self.text[channel]
             if key not in table:
@@ -175,8 +176,8 @@ class CodeTables:
                     except ValueError as exc:  # a signal that overflows at this ADC scale
                         raise DataError(f"{where}: {exc}") from exc
                     table[key] = (force, repr(force))
-            keys.append(key)
-        return keys
+            entries.append(table[key])
+        return entries[0], tuple(entries[1:])
 
 
 #: Frame-record tail of each element on-state tuple.
@@ -191,12 +192,10 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     each line. An error names the sample's line, or else its ordinal.
     """
     tables = CodeTables(cfg, est_cfg)
-    t0, *elements = tables.text
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
         where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
-        c0, *keys = tables.learn(sample.channels, where)
-        raw, on = t0[c0][0], tuple(table[key] for table, key in zip(elements, keys))
+        (raw, _), on = tables.learn(sample.channels, where)
         try:
             filtered = advance(state, sample.time, raw)
         except StreamError as exc:
@@ -238,9 +237,8 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
                     if not text or text.startswith("#"):
                         continue
                     sample = parse_sample_line(text, number)
-                    c0, c1, c2, c3, c4 = tables.learn(sample.channels, f"line {number}")
+                    (raw, raw_text), on = tables.learn(sample.channels, f"line {number}")
                     time = sample.time
-                    (raw, raw_text), on = t0[c0], (t1[c1], t2[c2], t3[c3], t4[c4])
                 try:
                     filtered = advance(state, time, raw)
                 except StreamError as exc:
@@ -327,13 +325,14 @@ class _FrameCounts:
 
         Yields ``(squared error, frames)`` pairs against the scenario, if
         there is one. A block goes through ``_block``, or, if that
-        declines it, through ``_lines``.
+        declines it, through ``_canonical`` and then ``_block``.
         """
         lines, number = iter(lines), 0
         while block := list(islice(lines, BLOCK_TICKS)):
             pairs = self._block(block)
             if pairs is None:
-                pairs = self._lines(block, number)
+                frame_lines = self._canonical(block, number)
+                pairs = self._block(frame_lines) if frame_lines else ()
             yield from pairs
             number += len(block)
 
@@ -342,11 +341,11 @@ class _FrameCounts:
 
         Each line is split once, and each distinct raw, filtered and tail
         spelling checked once, as ``parse_frame`` checks it. With a
-        scenario, times that do not decrease are paired with its steps
-        by bisection, and filtered spellings counted per step. Returns
-        the block's squared-error pairs, or None, with nothing counted,
-        for a block with any other line, or whose times go back or start
-        before the scenario.
+        scenario, the times in sorted order (squared errors are summed
+        exactly, in any order) are paired with its steps by bisection,
+        and filtered spellings counted per step. Returns the block's
+        squared-error pairs, or None, with nothing counted, for a block
+        with any other line or with a time before the scenario.
         """
         columns = list(zip(*map(str.split, block, repeat(","), repeat(3))))
         if len(columns) != 4:  # a line of fewer than four fields
@@ -367,16 +366,18 @@ class _FrameCounts:
         pairs = []
         if self.truth is not None:
             steps, step_times = self.truth.steps, self.truth.step_times
-            if not (times[0] >= self.truth.start_time
-                    and all(map(le, times, islice(times, 1, None)))):
+            if min(times) < self.truth.start_time:
                 return None
+            in_order, texts = sorted(times), filtered_texts
+            if in_order != times:  # times that go back: sort the spellings with them
+                in_order, texts = zip(*sorted(zip(times, filtered_texts)))
             lo = 0
-            while lo < len(times):  # one pass per scenario step the block reaches
-                k = bisect_right(step_times, times[lo])
-                hi = bisect_left(times, step_times[k], lo) if k < len(steps) else len(times)
+            while lo < len(in_order):  # one pass per scenario step the block reaches
+                k = bisect_right(step_times, in_order[lo])
+                hi = bisect_left(in_order, step_times[k], lo) if k < len(steps) else len(in_order)
                 force = steps[k - 1].force
                 pairs += [(_squared_error(filtered[text], force), n)
-                          for text, n in Counter(filtered_texts[lo:hi]).items()]
+                          for text, n in Counter(texts[lo:hi]).items()]
                 lo = hi
         if not self.count:
             self.t_first = times[0]
@@ -387,27 +388,23 @@ class _FrameCounts:
         self.tails.update(tails)
         return pairs
 
-    def _lines(self, block, number: int):
-        """Count a block line by line, after the ``number`` lines before it.
+    def _canonical(self, block, number: int) -> list:
+        """The frames of a block that follows ``number`` lines, as ``format_frame`` spells them.
 
         Each line that is not blank or a ``#`` comment goes through
-        ``parse_frame``, which names the line in any error.
+        ``parse_frame`` and, with a scenario, its start check, in file
+        order, so an error names the line.
         """
-        pairs = Counter()  # (filtered force, scenario force) -> frames
+        frame_lines = []
         for number, line in enumerate(block, start=number + 1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             frame = parse_frame(text, number)
-            if not self.count:
-                self.t_first = frame.time
-            self.t_last = frame.time
-            self.count += 1
-            self.saturated += frame.raw_force >= self.sensing_range
-            self.tails[frame_tail(frame.element_state, frame.pattern)] += 1
             if self.truth is not None:
                 try:
-                    pairs[frame.filtered_force, self.truth.at(frame.time)[0]] += 1
+                    self.truth.at(frame.time)
                 except ValueError as exc:  # a frame before the scenario start
                     raise ParseError(str(exc), number) from exc
-        return [(_squared_error(*pair), n) for pair, n in pairs.items()]
+            frame_lines.append(format_frame(frame))
+        return frame_lines

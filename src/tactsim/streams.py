@@ -103,13 +103,13 @@ def write_samples(handle, samples) -> None:
 
 @contextmanager
 def open_input(path):
-    """The file at ``path``, or stdin if ``path`` is None, to read as UTF-8 text.
+    """The file at ``path``, or stdin for ``-``, to read as UTF-8 text.
 
     Line ends are kept as read, as the csv module needs. A decode error
-    raised in the block becomes a DataError naming the file, ``-`` for stdin.
+    raised in the block becomes a DataError naming the file.
     """
     try:
-        if path is None:
+        if path == "-":
             if hasattr(sys.stdin, "reconfigure"):  # a text file, not an in-memory one
                 sys.stdin.reconfigure(encoding="utf-8")
             yield sys.stdin
@@ -117,7 +117,7 @@ def open_input(path):
             with open(path, encoding="utf-8", newline="") as handle:
                 yield handle
     except UnicodeDecodeError as exc:
-        raise DataError(f"{'-' if path is None else path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def read_table(path, headers):

@@ -24,6 +24,16 @@ from tactsim.config import _KEYS, _four_floats, load_config
 from conftest import accuracy_scenario
 
 
+#: ``--orders`` values the parser rejects -> the error message after the flag.
+BAD_ORDERS = {
+    "2,2": "orders must not repeat",
+    "1,3,1": "orders must not repeat",
+    "x": "invalid literal for int() with base 10: 'x'",
+    "": "invalid literal for int() with base 10: ''",
+    "0": "orders must be positive integers",
+}
+
+
 @pytest.fixture()
 def workdir(tmp_path, cfg, chain_dataset):
     """Scenario, dataset, and config files shared by CLI runs."""
@@ -100,10 +110,10 @@ class TestCalibrate:
         assert code == 0, err
         assert out.startswith("order,")
 
-    @pytest.mark.parametrize("orders", ("2,2", "1,3,1"))
-    def test_repeated_orders_are_a_usage_error(self, orders, workdir, capsys):
+    @pytest.mark.parametrize("orders", sorted(BAD_ORDERS), ids=lambda orders: orders or "empty")
+    def test_bad_orders_are_a_usage_error(self, orders, workdir, capsys):
         code, out, err = run(capsys, "calibrate", workdir / "calibration.csv", "--orders", orders)
-        message = "argument --orders: orders must not repeat"
+        message = f"argument --orders: {BAD_ORDERS[orders]}"
         assert (code, out, err) == (1, "", f"tactsim: error: {message}\n")
 
     @pytest.mark.parametrize("repeats", ("0", "-3"))
@@ -187,6 +197,16 @@ class TestSimulateEstimateReport:
         code, out, err = run(capsys, "estimate", "-", "-m", model_path)
         assert code == 0, err
         assert out.splitlines() == frames_path.read_text().splitlines()
+
+    def test_report_from_stdin(self, workdir, artifacts, capsys, monkeypatch):
+        import io
+
+        _, _, frames_path = artifacts
+        args = ("--truth", workdir / "scenario.csv", "--rmse")
+        code, expected, err = run(capsys, "report", frames_path, *args)
+        assert code == 0, err
+        monkeypatch.setattr("sys.stdin", io.StringIO(frames_path.read_text()))
+        assert run(capsys, "report", "-", *args) == (0, expected, "")
 
     def test_units_mismatch_is_config_error(self, workdir, artifacts, capsys):
         _, stream_path, _ = artifacts
@@ -406,9 +426,7 @@ BAD_MODEL_FILES = {
                                  "model coefficients must be finite"),
     "integer_too_long_to_read": ('{"format": "tactsim-model-v1", "order": 1, '
                                  '"coefficients": [%s, 0.3]}' % ("1" * 5000),
-                                 "Exceeds the limit (4300 digits) for integer string conversion: "
-                                 "value has 5000 digits; use sys.set_int_max_str_digits() "
-                                 "to increase the limit"),
+                                 "integer of 5000 digits is too long to read"),
     "boolean_coefficient": ('{"format": "tactsim-model-v1", "order": 1, '
                             '"coefficients": [true, 0.3]}',
                             "coefficients must be a list of JSON numbers"),
@@ -1004,6 +1022,16 @@ FUZZ_COEFFICIENTS = {
 FUZZ_BAD_MODELS = {"array": "[1, 2]", "nested_arrays": "[" * 100_000,
                    "nested_objects": '{"a": ' * 100_000, "truncated": "{", "empty": ""}
 
+#: Dataset CSV pieces for the input fuzz: headers good, respelled and
+#: bad, then fields of any column, with values near 1e300 and the largest
+#: float, quoted multi-line fields, a field past the csv size limit and a
+#: byte that is not UTF-8 (drawn as ``NOT_UTF8``).
+NOT_UTF8 = "<byte 0xff>"
+FUZZ_DATASET_HEADERS = ("v,force_n\n", " V ,Force_N\n", "v,force_n,weight_gw\n", "v,force\n",
+                        "v\n", "\n", "")
+FUZZ_DATASET_FIELDS = ("0", "0.2", "1", "2.5", "1e300", "-1e300", "1.7e308", "-1.7e308", "nan",
+                       "inf", "x", "", '"0.3\n"', OVERSIZED, NOT_UTF8)
+
 #: Sample stream and frame lines for the input fuzz, good and bad, mixed.
 FUZZ_STREAM_LINES = ("0.0,0,1,1,1,1", "0.1,1,0,0,0,0", "0.2, 2 ,0,0,0,0", "0.3,1,2", "abc",
                      "0.4,300,0,0,0,0", "0.05,1,0,0,0,0", "", "# note", "nan,0,0,0,0,0",
@@ -1026,6 +1054,23 @@ def scenario_texts(draw):
     rows = draw(st.lists(st.tuples(st.sampled_from(FUZZ_TIMES), st.sampled_from(FUZZ_FORCES),
                                    st.sampled_from(FUZZ_QUADRANTS)), max_size=4))
     return draw(st.sampled_from(FUZZ_HEADERS)) + "".join(f"{t},{f},{q}\n" for t, f, q in rows)
+
+
+@st.composite
+def dataset_texts(draw):
+    """A dataset file: half of them well formed, with 1 to 12 rows (fewer
+    than the 5 folds or not), signals constant, or distinct and up to
+    1e300, and maybe one force near the largest float."""
+    if draw(st.booleans()):
+        rows, step = draw(st.integers(1, 12)), draw(st.sampled_from((1.0, 1e300, 0.0)))
+        signals = [1.0 + step * k for k in range(rows)]
+        forces = [0.1 * k for k in range(rows)]
+        if draw(st.booleans()):
+            forces[draw(st.integers(0, rows - 1))] = draw(st.sampled_from((1.7e308, -1.7e308)))
+        return FUZZ_DATASET_HEADERS[0] + "".join(f"{v!r},{f!r}\n" for v, f in zip(signals, forces))
+    rows = draw(st.lists(st.lists(st.sampled_from(FUZZ_DATASET_FIELDS), min_size=1, max_size=3),
+                         max_size=6))
+    return draw(st.sampled_from(FUZZ_DATASET_HEADERS)) + "".join(",".join(r) + "\n" for r in rows)
 
 
 @st.composite
@@ -1056,20 +1101,25 @@ def lines_texts(lines):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(scenario=scenario_texts(), model=model_kinds(), stream=lines_texts(FUZZ_STREAM_LINES),
-       frames=lines_texts(FUZZ_FRAME_LINES))
-def test_input_fuzz_exits_with_one_error_line(fuzz_inputs, scenario, model, stream, frames):
-    """``simulate``, ``estimate`` and ``report --truth`` on drawn input files
-    exit 0-3 with at most one error line and no warning; a failed
-    ``simulate`` leaves no output file, and a model file that breaks the
-    type rules is a data error that names it."""
+       frames=lines_texts(FUZZ_FRAME_LINES), dataset=dataset_texts())
+def test_input_fuzz_exits_with_one_error_line(fuzz_inputs, scenario, model, stream, frames,
+                                              dataset):
+    """``simulate``, ``calibrate``, ``estimate`` and ``report --truth`` on
+    drawn input files exit 0-3 with at most one error line and no
+    warning; a failed ``simulate`` or ``calibrate`` leaves no output
+    file, and a model file that breaks the type rules is a data error
+    that names it."""
     model_text, model_ok = model_file(model)
-    paths = {name: fuzz_inputs / f"input_{name}" for name in ("scenario", "model", "stream",
-                                                              "frames", "out")}
-    for name, text in (("scenario", scenario.replace(OVERSIZED, "1" * (CSV_FIELD_LIMIT + 1))),
-                       ("model", model_text), ("stream", stream), ("frames", frames)):
-        paths[name].write_text(text)
+    paths = {name: fuzz_inputs / f"input_{name}" for name in ("scenario", "dataset", "model",
+                                                              "stream", "frames", "out")}
+    for name, text in (("scenario", scenario), ("dataset", dataset), ("model", model_text),
+                       ("stream", stream), ("frames", frames)):
+        text = text.replace(OVERSIZED, "1" * (CSV_FIELD_LIMIT + 1)).encode()
+        paths[name].write_bytes(text.replace(NOT_UTF8.encode(), b"\xff"))
     commands = {
         "simulate": ("simulate", paths["scenario"], "-o", paths["out"]),
+        # One repeat: the drawn files test the reader and the fit, not the repeats.
+        "calibrate": ("calibrate", paths["dataset"], "-o", paths["out"], "--repeats", "1"),
         "estimate": ("estimate", paths["stream"], "-m", paths["model"], "-o", paths["out"]),
         "report": ("report", paths["frames"], "--truth", paths["scenario"]),
     }
@@ -1085,7 +1135,7 @@ def test_input_fuzz_exits_with_one_error_line(fuzz_inputs, scenario, model, stre
         assert [str(w.message) for w in caught] == []
         if code:
             assert err.startswith("tactsim: error: ") and err.count("\n") == 1, err
-            assert command != "simulate" or not paths["out"].exists()
+            assert command not in ("simulate", "calibrate") or not paths["out"].exists()
         else:
             assert err == ""
         if command == "estimate" and not model_ok:

@@ -30,16 +30,23 @@ def _force(rnd: random.Random, sensing_range: float) -> float:
                        rnd.uniform(0.0, sensing_range), rnd.uniform(0.0, sensing_range)))
 
 
-def frames_text(seed: int, frames: int, gain: float, messy: bool) -> str:
+def frames_text(seed: int, frames: int, gain: float, style: str) -> str:
+    """Frame lines of one case; ``style`` is ``plain``, ``messy`` or ``backward_crlf``."""
     rnd = random.Random(seed)
     sensing_range, _ = range_for_gain(gain)
+    messy, backward = style == "messy", style == "backward_crlf"
     lines = ["# t,raw_n,filtered_n,e1,e2,e3,e4,pattern"] if messy else []
+    tick = 0
     for k in range(frames):
         states = [rnd.random() < 0.4 for _ in range(4)]
         pattern = PATTERNS[sum(states)]
         if rnd.random() < 0.05:
             pattern = rnd.choice(PATTERNS)
-        fields = [repr(k / RATE), repr(_force(rnd, sensing_range)),
+        if not backward:
+            tick = k
+        elif rnd.random() >= 0.05:  # else the time of the line before, again
+            tick = k - k % 8 + 7 - k % 8  # runs of eight ticks, each run backwards
+        fields = [repr(tick / RATE), repr(_force(rnd, sensing_range)),
                   repr(_force(rnd, sensing_range)),
                   *("1" if s else "0" for s in states), pattern]
         if messy:
@@ -53,7 +60,8 @@ def frames_text(seed: int, frames: int, gain: float, messy: bool) -> str:
             if rnd.random() < 0.02:
                 lines.append(f"# block {k}")
         lines.append(",".join(fields))
-    return "".join(line + "\n" for line in lines)
+    end = "\r\n" if backward else "\n"
+    return "".join(line + end for line in lines)
 
 
 def truth_scenario(seed: int, frames: int) -> LoadScenario:
@@ -65,18 +73,19 @@ def truth_scenario(seed: int, frames: int) -> LoadScenario:
         for t in times))
 
 
-# name -> (gain, seed, frames, messy, truth, --rmse)
+# name -> (gain, seed, frames, style, truth, --rmse)
 CASES = {
-    "gain41_plain_600": (41.36, 1, 600, False, False, False),
-    "gain41_truth_rmse_700": (41.36, 2, 700, False, True, True),
-    "gain22_truth_500": (22.0, 3, 500, False, True, False),
-    "gain120_plain_2049": (120.0, 4, 2049, False, False, False),
-    "gain22_messy_truth_rmse_1100": (22.0, 5, 1100, True, True, True),
-    "gain41_messy_plain_900": (41.36, 6, 900, True, False, False),
-    "one_frame_truth": (41.36, 7, 1, False, True, True),
-    "one_frame_plain": (22.0, 8, 1, True, False, False),
-    "empty": (41.36, 9, 0, False, False, False),
-    "comments_only": (41.36, 10, 0, True, False, False),
+    "gain41_plain_600": (41.36, 1, 600, "plain", False, False),
+    "gain41_truth_rmse_700": (41.36, 2, 700, "plain", True, True),
+    "gain22_truth_500": (22.0, 3, 500, "plain", True, False),
+    "gain120_plain_2049": (120.0, 4, 2049, "plain", False, False),
+    "gain22_messy_truth_rmse_1100": (22.0, 5, 1100, "messy", True, True),
+    "gain41_messy_plain_900": (41.36, 6, 900, "messy", False, False),
+    "one_frame_truth": (41.36, 7, 1, "plain", True, True),
+    "one_frame_plain": (22.0, 8, 1, "messy", False, False),
+    "empty": (41.36, 9, 0, "plain", False, False),
+    "comments_only": (41.36, 10, 0, "messy", False, False),
+    "gain22_backward_crlf_truth_rmse_1500": (22.0, 11, 1500, "backward_crlf", True, True),
 }
 
 DIGESTS = {
@@ -91,14 +100,17 @@ DIGESTS = {
     "gain41_truth_rmse_700": "f0a27c80fb6b4534273740773a83f2d0ab578d8045629b56c42f4b60ca24d229",
     "one_frame_plain": "fe1959f0284d2a2e99b0e1827d905bee99593e14fdc9a4f69bc805e6b97fc6b0",
     "one_frame_truth": "8c47c79db65ecaad1ef870a705a5442a9eaa4281f92b898ea98104ec16feffc0",
+    # Recorded from the line-by-line count, before blocks whose times go back were counted whole.
+    "gain22_backward_crlf_truth_rmse_1500":
+        "1ce355b382fcdca2659681e7195b79bd29f6f57851e4fb1522da2ca7149fc16a",
 }
 
 
 def report_text(name: str, tmp_path, capsys) -> str:
     """What ``tactsim report`` prints for one case."""
-    gain, seed, frames, messy, truth, want_rmse = CASES[name]
+    gain, seed, frames, style, truth, want_rmse = CASES[name]
     frames_path = tmp_path / "frames.csv"
-    frames_path.write_text(frames_text(seed, frames, gain, messy))
+    frames_path.write_bytes(frames_text(seed, frames, gain, style).encode())
     args = ["report", str(frames_path), "--gain", repr(gain)]
     if truth:
         scenario_path = tmp_path / "scenario.csv"
