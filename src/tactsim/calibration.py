@@ -68,8 +68,14 @@ def evaluate_model(model: PolynomialModel, v):
         finite = np.all(np.isfinite(v))
     if not finite:
         raise ValueError("signal value must be finite")
+    return _horner(model.coefficients, v)
+
+
+def _horner(coefficients, v):
+    """a0 + a1 v + ... + an v^n for ``coefficients`` a0..an, from 0.0 by
+    Horner's rule: the one evaluator of every model value."""
     result = 0.0
-    for c in reversed(model.coefficients):
+    for c in reversed(coefficients):
         result = result * v + c
     return result
 
@@ -139,6 +145,11 @@ def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
     equations, which keeps high-order Vandermonde systems stable. The
     returned solution satisfies the normal equations: the residual is
     orthogonal to every column of the design matrix.
+
+    ``design`` has the columns [1, v, ..., v^order]. The fit fails with
+    UnderdeterminedFitError for fewer rows than columns, SingularFitError
+    for a short rank (too few distinct signals, or ones too close together
+    or too many magnitudes apart), and FitError for a non-finite solution.
     """
     import numpy as np
     design = np.asarray(design, dtype=float)
@@ -155,27 +166,20 @@ def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
         )
     solution, _, rank, _ = np.linalg.lstsq(design, forces, rcond=None)
     if rank < cols:
-        raise SingularFitError(
-            f"design matrix rank {rank} < {cols}: too few distinct signals "
-            f"for an order-{order} fit"
-        )
-    return solution
-
-
-def _model_coefficients(design: np.ndarray, forces) -> np.ndarray:
-    """``least_squares_fit``'s solution, which a model must hold as finite floats."""
-    solution = least_squares_fit(design, forces)
+        distinct = np.unique(design, axis=0).shape[0]  # rows, one per distinct signal
+        cause = ("signals too close together or too many magnitudes apart" if distinct >= cols
+                 else "too few distinct signals")
+        raise SingularFitError(f"design matrix rank {rank} < {cols}: {cause} "
+                               f"for an order-{order} fit")
     if not all(map(math.isfinite, solution.tolist())):
-        raise FitError(
-            f"order-{design.shape[1] - 1} fit overflows: model coefficients must be finite"
-        )
+        raise FitError(f"order-{order} fit overflows: model coefficients must be finite")
     return solution
 
 
 def fit_polynomial(signals, forces, order: int, signal_units: str = "volts") -> PolynomialModel:
     """Convenience wrapper: design matrix + least squares -> model."""
     design = build_design_matrix(signals, order)
-    return PolynomialModel(tuple(_model_coefficients(design, forces)), signal_units)
+    return PolynomialModel(tuple(least_squares_fit(design, forces)), signal_units)
 
 
 @dataclass
@@ -264,10 +268,10 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
 
     The design matrix of the highest order is built once per run: an
     order's training design is its training rows and leading columns,
-    checked and valued as ``build_design_matrix`` gives it. Fits run fold
-    by fold and order by order, and the first that fails aborts the whole
-    run. Each repeat's models are then evaluated together by Horner's
-    rule, with the values ``evaluate_model`` gives, and scored by ``rmse``.
+    checked and valued as ``build_design_matrix`` gives it. Each fold takes
+    one pass: its orders are fitted in turn, and the first fit that fails
+    aborts the whole run; then all its models are evaluated together by
+    ``evaluate_model``'s Horner rule and scored by ``rmse``.
     """
     import numpy as np
     orders = tuple(orders)
@@ -281,39 +285,33 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
         raise UsageError("cross_validate needs at least one repeat")
     signals = dataset.signals
     forces = dataset.forces
-    top = max(orders)
-    powers, finite = _vandermonde(signals, top)
+    powers, finite = _vandermonde(signals, max(orders))
     test_folds = (0,) if strict_paper else range(k)
     train_sums = [0.0] * len(orders)
     test_sums = [0.0] * len(orders)
     for repeat in range(repeats):
         folds = kfold_split(dataset, k=k, seed=[seed, repeat])
-        # One zero-padded coefficient row per (fold, order) model of this repeat.
-        coefficients = np.zeros((len(test_folds), len(orders), top + 1))
-        splits = []
-        for fold, models in zip(test_folds, coefficients):
+        for fold in test_folds:
             test = folds == fold
             train = ~test
             design, f_train = powers[train], forces[train]
             finite_columns = finite[train].all(axis=0).tolist()
-            for order, row in zip(orders, models):
+            # One coefficient column per order, zero-padded to the top power:
+            # leading zeros keep Horner's start value 0.0.
+            coefficients = np.zeros((powers.shape[1], len(orders), 1))
+            for i, order in enumerate(orders):
                 try:
                     _check_powers(finite_columns, order)
-                    row[:order + 1] = _model_coefficients(design[:, :order + 1], f_train)
+                    coefficients[:order + 1, i, 0] = least_squares_fit(
+                        design[:, :order + 1], f_train)
                 except FitError as exc:
                     raise type(exc)(f"repeat {repeat}, test fold {fold}: {exc}") from exc
+            with np.errstate(over="ignore", invalid="ignore"):  # overflows score inf or nan
+                values = _horner(coefficients, signals)
             # rmse on Python floats: the same result as on numpy scalars, faster.
-            splits.append((train, test, f_train.tolist(), forces[test].tolist()))
-        # Horner's rule over every signal, as evaluate_model runs it: the
-        # leading zeros of a lower order keep the start value 0.0.
-        values = np.zeros(coefficients.shape[:2] + signals.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflows score inf or nan
-            for power in range(top, -1, -1):
-                values *= signals
-                values += coefficients[..., power, None]
-        for (train, test, truth_train, truth_test), fold_values in zip(splits, values):
-            scored = zip(fold_values.compress(train, axis=1).tolist(),
-                         fold_values.compress(test, axis=1).tolist())
+            truth_train, truth_test = f_train.tolist(), forces[test].tolist()
+            scored = zip(values.compress(train, axis=1).tolist(),
+                         values.compress(test, axis=1).tolist())
             for i, (p_train, p_test) in enumerate(scored):
                 train_sums[i] += rmse(p_train, truth_train)
                 test_sums[i] += rmse(p_test, truth_test)
@@ -356,8 +354,7 @@ def invert_model(model: PolynomialModel, force: float, v_max: float = 50.0) -> f
     sizes = [abs(c) * v_max ** k for k, c in enumerate(terms)]
     while len(terms) > 1 and sizes[len(terms) - 1] <= np.finfo(float).eps * sum(sizes):
         terms.pop()
-    poly = np.array(terms[::-1])
-    roots = np.roots(poly)
+    roots = np.roots(terms[::-1])
     # A root at an end of the range may round to just outside it.
     slack = 1e-9 * v_max
     reached = [v for v in roots[np.isreal(roots)].real.tolist() if -slack <= v <= v_max + slack]
@@ -366,9 +363,9 @@ def invert_model(model: PolynomialModel, force: float, v_max: float = 50.0) -> f
             f"force {force} N is not reached by the model on signal range [0, {v_max}]"
         )
     # Eigenvalue roots lose digits when the terms span many magnitudes.
-    v, slope = min(reached), np.polyder(poly)
+    v, slope = min(reached), [k * c for k, c in enumerate(terms)][1:]
     for _ in range(3):
-        d = float(np.polyval(slope, v))
+        d = _horner(slope, v)
         if d == 0:
             break
         v -= (evaluate_model(model, v) - force) / d

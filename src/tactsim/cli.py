@@ -20,7 +20,7 @@ from .calibration import (
     save_model,
 )
 from .config import ToolkitConfig, default_config, load_config, make_estimator_config
-from .errors import ToolkitError, UsageError
+from .errors import ConfigError, ToolkitError, UsageError
 from .estimator import range_for_gain
 from .pipeline import estimate_lines, simulate_blocks, summarize_lines
 from .sensor import load_scenario
@@ -142,20 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args) -> ToolkitConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.gain is not None:
         if not math.isfinite(args.gain):
             raise UsageError(f"--gain must be finite, got {args.gain}")
         if args.gain <= 0:
             raise UsageError("--gain must be positive")
         cfg = replace(cfg, bridge=replace(cfg.bridge, amplifier_gain=args.gain))
-    for flag, name in (("window", "filter_window"), ("repeats", "repeats")):
-        value = getattr(args, flag, None)  # each flag belongs to one command
+    for flag, name in (("seed", "seed"), ("window", "filter_window"), ("repeats", "repeats")):
+        value = getattr(args, flag, None)  # --window and --repeats belong to one command
         if value is not None:
-            if value < 1:
-                raise UsageError(f"--{flag} must be at least 1")
-            cfg = replace(cfg, **{name: value})
+            try:
+                cfg = replace(cfg, **{name: value})
+            except ConfigError as exc:  # the config's rule for the field, said of the flag
+                raise UsageError(str(exc).replace(name, f"--{flag}", 1)) from exc
     return cfg
 
 

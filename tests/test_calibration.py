@@ -8,6 +8,7 @@ import pytest
 from tactsim import (
     CalibrationDataset,
     DataError,
+    FitError,
     ParseError,
     PolynomialModel,
     PRESET_MODELS,
@@ -124,6 +125,22 @@ class TestLeastSquares:
         f = np.linspace(0.0, 1.0, 10)
         with pytest.raises(SingularFitError, match="order-2"):
             least_squares_fit(build_design_matrix(v, 2), f)
+        with pytest.raises(SingularFitError, match="too few distinct signals for an order-2"):
+            least_squares_fit(build_design_matrix(np.repeat([1.0, 2.0], 5), 2), f)
+        # 12 distinct signals, but 300 magnitudes apart: the rank is short all the same.
+        v = np.array([1.0] + [i * 1e300 for i in range(1, 12)])
+        message = ("^design matrix rank 1 < 2: signals too close together or too many "
+                   "magnitudes apart for an order-1 fit$")
+        with pytest.raises(SingularFitError, match=message):
+            least_squares_fit(build_design_matrix(v, 1), np.arange(12) / 10)
+
+    def test_overflowing_solution_is_a_fit_failure(self):
+        v = np.arange(1, 21) / 10
+        f = 1.7e308 * (-1.0) ** np.arange(1, 21)
+        message = "^order-3 fit overflows: model coefficients must be finite$"
+        with pytest.raises(FitError, match=message) as caught:
+            least_squares_fit(build_design_matrix(v, 3), f)
+        assert type(caught.value) is FitError
 
     def test_underdetermined_names_counts(self):
         with pytest.raises(UnderdeterminedFitError, match="4 samples"):

@@ -146,6 +146,16 @@ class TestCalibrate:
         )
         assert code == 3
         assert not model_path.exists()
+        # distinct signals 300 magnitudes apart: rank deficient in every fold too
+        dataset_path.write_text("v,force_n\n1.0,0.0\n"
+                                + "".join(f"{i}e300,{i / 10}\n" for i in range(1, 12)))
+        code, out, err = run(
+            capsys, "calibrate", dataset_path, "-o", model_path, "--orders", "1",
+        )
+        message = ("repeat 0, test fold 0: design matrix rank 1 < 2: signals too close "
+                   "together or too many magnitudes apart for an order-1 fit")
+        assert (code, out, err) == (3, "", f"tactsim: error: {message}\n")
+        assert not model_path.exists()
 
 
 class TestSimulateEstimateReport:
@@ -400,6 +410,15 @@ BAD_GAINS = {
     "-1": "--gain must be positive",
 }
 
+#: An integer flag's command and value -> the error message. (``--repeats``
+#: below one has its own test; ``BAD_GAINS`` covers ``--gain``.)
+BAD_INTEGER_FLAGS = {
+    ("simulate", "--seed=-1"): "--seed must be non-negative",
+    ("calibrate", "--seed=-1"): "--seed must be non-negative",
+    ("estimate", "--window=0"): "--window must be at least 1",
+    ("estimate", f"--window={10**30}"): "--window must be at most 9223372036854775807",
+}
+
 #: JSON kind -> a model file of that kind that is not an object.
 NON_OBJECT_MODELS = {
     "array": "[1, 2]",
@@ -485,6 +504,20 @@ class TestMalformedInputs:
         }
         code, out, err = run(capsys, command, *inputs[command], f"--gain={gain}")
         assert (code, out, err) == (1, "", f"tactsim: error: {BAD_GAINS[gain]}\n")
+
+    @pytest.mark.parametrize("command, flag", sorted(BAD_INTEGER_FLAGS))
+    def test_bad_integer_flag_is_usage_error(self, command, flag, capsys, tmp_path, workdir,
+                                             model_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text(STREAM_LINE)
+        inputs = {
+            "simulate": (workdir / "scenario.csv",),
+            "calibrate": (workdir / "calibration.csv",),
+            "estimate": (stream, "-m", model_path),
+        }
+        code, out, err = run(capsys, command, *inputs[command], flag)
+        message = BAD_INTEGER_FLAGS[command, flag]
+        assert (code, out, err) == (1, "", f"tactsim: error: {message}\n")
 
     @pytest.mark.parametrize("kind", sorted(NON_OBJECT_MODELS))
     def test_model_file_that_is_not_an_object(self, kind, capsys, tmp_path):
@@ -875,6 +908,8 @@ class TestExitCodeRule:
 
     @pytest.mark.parametrize("text, message", (
         ("fabric_rest = 1e308\n", "bridge arm resistances overflow"),
+        # Arm sums stay finite; the loaded divider overflows in Chain.codes.
+        ("fabric_rest = 8.9e307\n", "bridge arm resistances overflow"),
         ("supply_voltage = 1e308\nrail_high = 1e308\nadc_full_scale = 1e308\n",
          "ADC input times the largest code overflows"),
     ))
@@ -885,6 +920,16 @@ class TestExitCodeRule:
         code, out, err = run(capsys, "simulate", workdir / "scenario.csv", "--config", config,
                              "-o", output)
         assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
+        assert not output.exists()
+
+    def test_element_without_signal_is_a_data_error(self, capsys, tmp_path, model_path):
+        # Rails at -1 and 0 V clip every element's triggered level to zero.
+        config, stream, output = tmp_path / "x.cfg", tmp_path / "st.csv", tmp_path / "out.csv"
+        config.write_text("rail_low = -1\nrail_high = 0\n")
+        stream.write_text(STREAM_LINE)
+        code, out, err = run(capsys, "estimate", stream, "-m", model_path, "--config", config,
+                             "-o", output)
+        assert (code, out, err) == (2, "", "tactsim: error: element 1 produces no usable signal\n")
         assert not output.exists()
 
     @pytest.mark.parametrize("config_text, scenario_text, end, rate", (

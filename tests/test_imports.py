@@ -3,10 +3,13 @@
 A name imported only so that a tracer can patch it where it is called
 is marked ``# noqa: F401`` on its import; any other name that a module
 imports and never uses is a leftover. Only ``__init__.py``, which
-imports to re-export, is exempt.
+imports to re-export, is exempt. Every name the benchmark tracer patches
+must still be there, when ``bench/`` is.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,20 @@ def test_an_unused_import_is_found(tmp_path):
     module.write_text("import csv\nimport json  # noqa: F401\nfrom math import (\n"
                       "    floor, isfinite,\n)\n\nprint(floor(isfinite(1.0)))\n")
     assert unused_imports(module) == ["module.py:1: csv"]
+
+
+def test_every_traced_call_site_exists():
+    """The benchmark tracer patches each of its call sites by name; a
+    source change that drops or moves one must show here, not only when
+    the benchmark runs."""
+    spans_path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    if not spans_path.exists():
+        pytest.skip("no bench/ directory")
+    importlib.import_module("tactsim.cli")  # the tracer reaches every module through it
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{name}: {getattr(owner, '__name__', owner)}.{attribute}"
+               for name, owner, attribute, _ in spans._patch_points(tactsim)
+               if attribute not in vars(owner)]
+    assert missing == []

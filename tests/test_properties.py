@@ -17,7 +17,7 @@ of ``estimate_frames`` over ``read_samples``, and fails on the same line
 with the same message after writing the same frames. ``summarize_lines``
 gives the summary that ``reference_summary`` counts frame by frame from
 the parsed lines, or the same error. ``cross_validate``, which slices one
-design matrix per run and scores each repeat's models in one pass, must
+design matrix per run and scores each fold's models in one pass, must
 give the ``FitReport`` of ``reference_cross_validate``, one
 ``fit_polynomial`` and two ``evaluate_model`` calls per fold and order,
 or fail with the same error.
@@ -32,7 +32,8 @@ the numpy-scalar arithmetic it replaced and as a generator of
 ``fsum_counted`` the ``math.fsum`` of its non-negative terms written
 out, read to the end, with ``inf`` where the sum overflows. Model
 inversion must find the first crossing of the force on random models of
-orders 2-5, and every file format must read back what it wrote.
+orders 2-5, bit for bit as a Newton polish by ``np.polyval`` finds it,
+and every file format must read back what it wrote.
 """
 
 import io
@@ -653,6 +654,50 @@ def test_inverse_is_the_first_crossing(unit, u0, v_max):
     assert abs(evaluate_model(model, v) - force) <= tol
     below = evaluate_model(model, np.linspace(0.0, v, 256, endpoint=False)) - force
     assert not ((below > tol).any() and (below < -tol).any())
+
+
+def reference_invert_model(model, force, v_max=50.0):
+    """``invert_model`` with its Newton slope from ``np.polyder`` and
+    ``np.polyval``, as it was before every model value went through one
+    Horner evaluator."""
+    if model.order == 1:
+        a0, a1 = model.coefficients
+        if a1 == 0:
+            raise ValueError("cannot invert a flat linear model")
+        return (force - a0) / a1
+    if evaluate_model(model, 0.0) == force:
+        return 0.0
+    a0, *rest = model.coefficients
+    terms = [a0 - force, *rest]
+    sizes = [abs(c) * v_max ** k for k, c in enumerate(terms)]
+    while len(terms) > 1 and sizes[len(terms) - 1] <= np.finfo(float).eps * sum(sizes):
+        terms.pop()
+    poly = np.array(terms[::-1])
+    roots = np.roots(poly)
+    slack = 1e-9 * v_max
+    reached = [v for v in roots[np.isreal(roots)].real.tolist() if -slack <= v <= v_max + slack]
+    if not reached:
+        raise ValueError(
+            f"force {force} N is not reached by the model on signal range [0, {v_max}]"
+        )
+    v, slope = min(reached), np.polyder(poly)
+    for _ in range(3):
+        d = float(np.polyval(slope, v))
+        if d == 0:
+            break
+        v -= (evaluate_model(model, v) - force) / d
+    return min(max(v, 0.0), v_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients=st.lists(coefficient, min_size=3, max_size=6), u0=st.floats(0.0, 1.0),
+       v_max=st.just(50.0) | st.floats(1.0, 100.0))
+def test_inverse_matches_the_polyval_newton_polish(coefficients, u0, v_max):
+    model = PolynomialModel(tuple(coefficients))
+    force = evaluate_model(model, u0 * v_max)
+    with np.errstate(all="ignore"):  # the reference's polyval may overflow
+        expected = call_outcome(reference_invert_model, model, force, v_max)
+    assert call_outcome(invert_model, model, force, v_max) == expected
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
