@@ -8,6 +8,7 @@ seed; re-runs are byte-identical.
 import argparse
 import math
 import os
+import signal
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -184,10 +185,14 @@ def run() -> int:
     Runs ``main`` with OpenBLAS on one thread unless the environment
     already sets ``OPENBLAS_NUM_THREADS``. No tactsim array is large
     enough to use a BLAS thread pool, and starting one is about 40% of
-    numpy's import. Set here, not on import, so that a program importing
-    tactsim keeps its own BLAS settings.
+    numpy's import. A closed stdout ends the command by the default
+    ``SIGPIPE`` action, as it ends other filters, not as a data error.
+    Both are set here, not on import, so that a program importing
+    tactsim keeps its own BLAS settings and signal handlers.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return main()
 
 

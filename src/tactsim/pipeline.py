@@ -130,18 +130,20 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
 class CodeTables:
     """Estimator inputs per ADC code, computed once for each code seen.
 
-    A replay feeds the estimator ADC codes, and an N-bit ADC has only
-    2^N of them, so the model, the clamp and the element thresholds are
-    evaluated once per distinct code, with the values ``process_frame``
-    gives for that code's signal, and then looked up.
+    A replay feeds the estimator few distinct ADC codes, so the model,
+    the clamp and the element thresholds are evaluated once per code,
+    with the values ``process_frame`` gives for that code's signal, and
+    then looked up.
 
     ``text`` holds one table per channel, keyed by the canonical
     spelling of each code seen (``str(code)``), so a stream line can be
     looked up without converting its fields: channel 0 maps to the
     clamped force and its ``repr``, channels 1-4 to the element's on
-    state. Other spellings of a code are never added, so the tables
-    stay as small as the set of codes a stream uses, whatever the ADC
-    width.
+    state. Other spellings of a code are never added. A table that
+    holds ``BLOCK_TICKS`` entries is emptied before it takes a new
+    code, so each stays at most that size whatever the ADC width.
+    Keys stay per channel: a key joining the four element codes would
+    multiply the codes each element spreads over.
     """
 
     def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig):
@@ -167,6 +169,8 @@ class CodeTables:
         for channel, code in enumerate(codes):
             key, table = str(code), self.text[channel]
             if key not in table:
+                if len(table) >= BLOCK_TICKS:
+                    table.clear()  # in place, so estimate_lines' names for it stay valid
                 signal = channel_signal(self.cfg, code)
                 if channel:
                     table[key] = signal >= self.est_cfg.element_thresholds[channel - 1]

@@ -19,6 +19,7 @@ from tactsim import (
     thevenin_resistance,
     thevenin_slope,
 )
+from tactsim.bridge import Chain
 
 
 class TestIsBalanced:
@@ -68,6 +69,12 @@ class TestThevenin:
         with pytest.raises(ValueError):
             thevenin_resistance(100e3, -1.0)
 
+    def test_slope_domain(self):
+        with pytest.raises(ValueError, match="^rx must be positive$"):
+            thevenin_slope(0.0, 1.0)
+        with pytest.raises(ValueError, match="^delta_rx must be non-negative$"):
+            thevenin_slope(100e3, -1.0)
+
 
 class TestBridgeOutput:
     def test_balanced_null(self):
@@ -93,6 +100,10 @@ class TestBridgeOutput:
             r1, r2, rx = 10.0 ** rng.uniform(3, 6, size=3)
             cfg = BridgeConfig(r1=r1, r2=r2, r3=r1 * rx / r2, rx_rest=rx)
             assert abs(bridge_output(cfg, 0.0)) < 1e-12 * cfg.supply_voltage
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(ValueError, match="^delta_rx must be non-negative$"):
+            bridge_output(BridgeConfig(), -1.0)
 
     def test_unbalanced_rejected(self):
         cfg = BridgeConfig(r1=100e3, r2=100e3, r3=200e3, rx_rest=100e3)
@@ -263,3 +274,12 @@ class TestSampleChain:
         delta = 4.9e3
         expected = adc_sample(adc, amplify(cfg, bridge_output(cfg, delta)))
         assert sample_chain(cfg, adc, delta) == expected
+
+    def test_negative_delta_rejected(self):
+        chain = Chain((BridgeConfig(),), AdcConfig())
+        with pytest.raises(ValueError, match="^delta_rx must be non-negative$"):
+            chain.codes([[-1.0]], [[0.0]])
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ValueError, match="^ADC input must be finite$"):
+            sample_chain(BridgeConfig(), AdcConfig(), 1000.0, math.nan)

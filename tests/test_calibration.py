@@ -73,8 +73,21 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             build_design_matrix([1.0, math.nan], 1)
 
+    def test_two_dimensional_signals_rejected(self):
+        with pytest.raises(ValueError, match="^signals must be one-dimensional$"):
+            build_design_matrix(np.ones((2, 2)), 1)
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            build_design_matrix([1.0, 2.0], 0)
+
 
 class TestLeastSquares:
+    def test_force_count_must_match_rows(self):
+        message = "force vector length (2,) does not match 3 design rows"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            least_squares_fit(np.ones((3, 2)), [1.0, 2.0])
+
     def test_exact_line_interpolation(self):
         v = np.array([0.0, 1.0, 2.0, 5.0])
         f = 1.0 + 2.0 * v
@@ -256,6 +269,11 @@ class TestCrossValidate:
         with pytest.raises(UsageError):
             cross_validate(dataset, repeats=0)
 
+    def test_no_orders_rejected(self):
+        dataset = CalibrationDataset(np.arange(10.0), np.arange(10.0))
+        with pytest.raises(UsageError, match="^cross_validate needs at least one order$"):
+            cross_validate(dataset, orders=())
+
 
 class TestInvertModel:
     def test_linear_inverse_is_exact(self):
@@ -273,6 +291,24 @@ class TestInvertModel:
         # the order-3 preset tops out near 0.96 N before turning back down
         with pytest.raises(ValueError):
             invert_model(PRESET_MODELS[3], 2.0)
+
+    def test_flat_line_rejected(self):
+        with pytest.raises(ValueError, match="^cannot invert a flat linear model$"):
+            invert_model(PolynomialModel((1.0, 0.0)), 0.5)
+
+    def test_polish_stops_at_a_flat_root(self):
+        # (v - 1)^2: the root is exact and the Newton slope there is zero
+        assert invert_model(PolynomialModel((1.0, -2.0, 1.0)), 0.0) == 1.0
+
+
+class TestDataset:
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^signals and forces must be equal-length vectors$"):
+            CalibrationDataset([1.0, 2.0], [1.0])
+
+    def test_short_weights_rejected(self):
+        with pytest.raises(ValueError, match="^weights_gw must match the sample count$"):
+            CalibrationDataset([1.0, 2.0], [1.0, 2.0], weights_gw=[5.0])
 
 
 class TestSyntheticDataset:

@@ -642,8 +642,8 @@ class TestEstimateMemory:
     """``estimate`` replays a stream from stdin in the memory of one block."""
 
     @staticmethod
-    def replay_peak(lines, model_path, capsys, monkeypatch):
-        """Peak traced memory of ``tactsim estimate -`` on a line iterator."""
+    def replay_peak(lines, model_path, capsys, monkeypatch, *args):
+        """Peak traced memory of ``tactsim estimate - [args]`` on a line iterator."""
         import tracemalloc
 
         class Sink:
@@ -657,7 +657,7 @@ class TestEstimateMemory:
         monkeypatch.setattr("sys.stdout", sink)
         tracemalloc.start()
         try:
-            code = main(["estimate", "-", "-m", str(model_path)])
+            code = main(["estimate", "-", "-m", str(model_path), *map(str, args)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -696,6 +696,22 @@ class TestEstimateMemory:
         (recorded,) = tables
         assert [len(t) for t in recorded.text] == [1, 1, 1, 1, 1]
         assert list(recorded.text[0]) == ["5"]
+
+    def test_new_codes_do_not_grow_the_peak(self, model_path, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "adc20.cfg"
+        path.write_text("adc_bits = 20\n")
+
+        def stream(ticks):  # each channel's code new on every line
+            steps = (87, 89, 97, 101, 103)
+            return (f"{n}," + ",".join(str(n * p % 2**20) for p in steps) + "\n"
+                    for n in range(ticks))
+
+        peaks = [self.replay_peak(stream(ticks), model_path, capsys, monkeypatch, "--config", path)
+                 for ticks in (4_000, 12_000)]
+        assert [frames for _, frames in peaks] == [4_000, 12_000]
+        (short, _), (long, _) = peaks
+        assert short < 3_000_000 and long < 3_000_000
+        assert abs(long - short) < 1024 * 200
 
 
 class TestReportMemory:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -150,6 +151,10 @@ class TestDetectContacts:
             for was_on, is_on in zip(before, after):
                 assert is_on or not was_on
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^one signal per threshold required$"):
+            detect_contacts([1.0], (1.0, 1.0))
+
 
 class TestClassifyPattern:
     def test_labels(self):
@@ -165,6 +170,10 @@ class TestClassifyPattern:
             label = classify_pattern(states)
             count = sum(states)
             assert by_count.setdefault(count, label) == label
+
+    def test_three_states_rejected(self):
+        with pytest.raises(ValueError, match="^pattern classification needs 4 element states$"):
+            classify_pattern((True, False, True))
 
 
 class TestProcessFrame:
@@ -297,3 +306,11 @@ class TestConfigValidation:
     def test_range_positive(self):
         with pytest.raises(ValueError):
             make_cfg(sensing_range=0.0)
+
+    def test_window_at_most_maxsize(self):
+        with pytest.raises(ValueError, match=f"^filter window must be at most {sys.maxsize}$"):
+            make_cfg(filter_window=sys.maxsize + 1)
+
+    def test_thresholds_positive(self):
+        with pytest.raises(ValueError, match="^element thresholds must be positive$"):
+            make_cfg(element_thresholds=(1.0, 0.0, 1.0, 1.0))

@@ -254,11 +254,13 @@ def estimator_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=estimator_cases())
-def test_code_tables_match_per_tick_reference(case):
+@given(case=estimator_cases(), block=st.integers(1, 8))
+def test_code_tables_match_per_tick_reference(case, block):
     cfg, est_cfg, samples = case
     out = io.StringIO()
-    pipeline.estimate_lines(cfg, est_cfg, [format_sample_line(s) + "\n" for s in samples], out)
+    with mock.patch.object(pipeline, "BLOCK_TICKS", block):  # tables emptied every few codes
+        pipeline.estimate_lines(cfg, est_cfg, [format_sample_line(s) + "\n" for s in samples],
+                                out)
     expected = reference_frames(cfg, est_cfg, samples)
     assert out.getvalue() == "".join(format_frame(f) + "\n" for f in expected)
 

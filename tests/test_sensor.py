@@ -34,6 +34,10 @@ class TestStretchedResistance:
         with pytest.raises(ValueError):
             stretched_resistance(100e3, 0.99)
 
+    def test_zero_rest_rejected(self):
+        with pytest.raises(ValueError, match="^rest resistance must be positive$"):
+            stretched_resistance(0.0, 1.5)
+
     def test_quadratic_and_monotone(self):
         rest = 80e3
         ratios = [1.0 + 0.01 * i for i in range(60)]
@@ -89,6 +93,10 @@ class TestElementResistance:
 
     def test_at_rest(self):
         assert element_resistance(self.model, 0.0) == 1e6
+
+    def test_negative_force_rejected(self):
+        with pytest.raises(ValueError, match="^force must be non-negative$"):
+            element_resistance(ElementModel(), -0.1)
 
     def test_triggered(self):
         assert element_resistance(self.model, 0.15) == pytest.approx(1.2e6, rel=1e-12)

@@ -9,6 +9,7 @@ lists the modules it imported.
 """
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import tactsim
-from tactsim import cli, save_dataset, save_scenario
+from tactsim import LoadScenario, LoadStep, cli, save_dataset, save_scenario
 
 from conftest import accuracy_scenario
 
@@ -147,3 +148,18 @@ def test_main_in_process_leaves_the_environment(replay, capsys, monkeypatch):
     assert cli.main(["report", str(replay["frames.csv"])]) == 0
     assert capsys.readouterr().out.startswith("frames,154\n")
     assert dict(os.environ) == before
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_command_quietly(tmp_path):
+    scenario = tmp_path / "scenario.csv"
+    save_scenario(scenario, LoadScenario((LoadStep(0.0, 0.5, frozenset({1})),
+                                          LoadStep(3600.0, 0.0, frozenset()))))
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-m", "tactsim", "simulate", str(scenario)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": path}) as child:
+        assert child.stdout.readline().startswith(b"0.0,")  # of about 1 MB of lines
+        child.stdout.close()
+        assert child.wait(timeout=120) == -signal.SIGPIPE
+        assert child.stderr.read() == b""

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,10 @@ class TestSampleLines:
             parse_sample_line("1.0,2.5,0.1,0")
         with pytest.raises(ArityError):
             parse_sample_line("1.0,1,2,3,4,5,6")
+
+    def test_four_channels_rejected(self):
+        with pytest.raises(ValueError, match="^expected 5 channels$"):
+            SampleLine(0.0, (1, 2, 3, 4))
 
     def test_bad_field(self):
         with pytest.raises(ParseError):
@@ -138,6 +143,11 @@ class TestConfigFile:
     def test_invalid_physics_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("fabric_max_delta = 2.0\n")
+
+    def test_three_elements_rejected(self):
+        elements = default_config().elements[:3]
+        with pytest.raises(ConfigError, match="^exactly four position elements are required$"):
+            replace(default_config(), elements=elements)
 
     def test_readme_block_lists_every_key_at_its_default(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
