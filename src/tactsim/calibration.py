@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import (
     DataError, FitError, ParseError, SingularFitError, UnderdeterminedFitError, UsageError,
 )
-from .streams import open_input, read_table, write_table
+from .streams import open_input, read_float, read_table, write_table
 from .units import gw_to_newtons, rmse
 
 
@@ -107,8 +107,8 @@ def protocol_forces():
 def build_design_matrix(signals, order: int) -> np.ndarray:
     """Vandermonde matrix with rows [1, v, v^2, ..., v^order].
 
-    Valid for any number of rows; whether the system is solvable is the
-    fit's concern, except that a power overflowing a float is a fit failure.
+    Valid for any number of rows; a power past the float range is ``inf``.
+    Whether the system is solvable, that power included, is the fit's concern.
     """
     import numpy as np
     signals = np.asarray(signals, dtype=float)
@@ -116,26 +116,10 @@ def build_design_matrix(signals, order: int) -> np.ndarray:
         raise ValueError("signals must be one-dimensional")
     if order < 1:
         raise ValueError("order must be at least 1")
-    design, finite = _vandermonde(signals, order)
-    _check_powers(finite.all(axis=0).tolist(), order)
-    return design
-
-
-def _vandermonde(signals: np.ndarray, order: int):
-    """Rows [1, v, ..., v^order] of finite ``signals``, and where they are
-    finite: ``_check_powers`` reports a power that overflows."""
-    import numpy as np
     if not np.isfinite(signals).all():
         raise ValueError("signals must be finite")
     with np.errstate(over="ignore"):
-        powers = np.vander(signals, order + 1, increasing=True)
-    return powers, np.isfinite(powers)
-
-
-def _check_powers(finite_columns: list, order: int) -> None:
-    """Raise unless the first order+1 of ``finite_columns`` are all true."""
-    if not all(finite_columns[:order + 1]):
-        raise SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
+        return np.vander(signals, order + 1, increasing=True)
 
 
 def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
@@ -146,16 +130,20 @@ def least_squares_fit(design: np.ndarray, forces) -> np.ndarray:
     returned solution satisfies the normal equations: the residual is
     orthogonal to every column of the design matrix.
 
-    ``design`` has the columns [1, v, ..., v^order]. The fit fails with
-    UnderdeterminedFitError for fewer rows than columns, SingularFitError
-    for a short rank (too few distinct signals, or ones too close together
-    or too many magnitudes apart), and FitError for a non-finite solution.
+    ``design`` has the columns [1, v, ..., v^order]. Every fit failure is
+    decided here, in this order: SingularFitError for a design entry past
+    the float range (an overflowing power), UnderdeterminedFitError for
+    fewer rows than columns, SingularFitError for a short rank (too few
+    distinct signals, or ones too close together or too many magnitudes
+    apart), and FitError for a non-finite solution.
     """
     import numpy as np
     design = np.asarray(design, dtype=float)
     forces = np.asarray(forces, dtype=float)
     m, cols = design.shape
     order = cols - 1
+    if not np.isfinite(design).all():
+        raise SingularFitError(f"signals too large for an order-{order} fit: v^{order} overflows")
     if forces.shape != (m,):
         raise UsageError(
             f"force vector length {forces.shape} does not match {m} design rows"
@@ -221,11 +209,7 @@ def kfold_split(dataset, k: int = 5, seed=0) -> np.ndarray:
     order = rng.permutation(n)
     folds = np.empty(n, dtype=int)
     base, extra = divmod(n, k)
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        folds[order[start:start + size]] = fold
-        start += size
+    folds[order] = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
     return folds
 
 
@@ -266,12 +250,12 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
     restricts each repeat to testing on fold 0 only, matching the
     original bench procedure instead of averaging all rotations.
 
-    The design matrix of the highest order is built once per run: an
-    order's training design is its training rows and leading columns,
-    checked and valued as ``build_design_matrix`` gives it. Each fold takes
-    one pass: its orders are fitted in turn, and the first fit that fails
-    aborts the whole run; then all its models are evaluated together by
-    ``evaluate_model``'s Horner rule and scored by ``rmse``.
+    ``build_design_matrix`` runs once, for the highest order: an order's
+    training design is its training rows and leading columns. Each fold
+    takes one pass: its orders are fitted in turn by ``least_squares_fit``,
+    the one fit rule, and the first fit that fails aborts the whole run;
+    then all its models are evaluated together by ``evaluate_model``'s
+    Horner rule and scored by ``rmse``.
     """
     import numpy as np
     orders = tuple(orders)
@@ -285,7 +269,7 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
         raise UsageError("cross_validate needs at least one repeat")
     signals = dataset.signals
     forces = dataset.forces
-    powers, finite = _vandermonde(signals, max(orders))
+    powers = build_design_matrix(signals, max(orders))
     test_folds = (0,) if strict_paper else range(k)
     train_sums = [0.0] * len(orders)
     test_sums = [0.0] * len(orders)
@@ -295,13 +279,11 @@ def cross_validate(dataset: CalibrationDataset, orders=(1, 2, 3, 4, 5), k: int =
             test = folds == fold
             train = ~test
             design, f_train = powers[train], forces[train]
-            finite_columns = finite[train].all(axis=0).tolist()
             # One coefficient column per order, zero-padded to the top power:
             # leading zeros keep Horner's start value 0.0.
             coefficients = np.zeros((powers.shape[1], len(orders), 1))
             for i, order in enumerate(orders):
                 try:
-                    _check_powers(finite_columns, order)
                     coefficients[:order + 1, i, 0] = least_squares_fit(
                         design[:, :order + 1], f_train)
                 except FitError as exc:
@@ -399,7 +381,7 @@ def load_dataset(path) -> CalibrationDataset:
     rows = []
     for line_number, row in read_table(path, DATASET_HEADERS):
         try:
-            values = [float(f) for f in row]
+            values = [read_float(f) for f in row]
         except ValueError as exc:
             raise ParseError(str(exc), line_number) from exc
         if not all(math.isfinite(v) for v in values):

@@ -18,7 +18,7 @@ from .calibration import PolynomialModel
 from .errors import ConfigError
 from .estimator import EstimatorConfig, range_for_gain
 from .sensor import FabricModel, default_elements
-from .streams import open_input
+from .streams import open_input, read_float, read_int
 
 SIGNAL_UNITS = ("volts", "counts")
 
@@ -126,32 +126,32 @@ def make_estimator_config(cfg: ToolkitConfig, model: PolynomialModel) -> Estimat
 
 def _four_floats(text: str) -> tuple:
     """One comma-separated value per element."""
-    return tuple(float(item.strip()) for item in text.split(","))
+    return tuple(read_float(item.strip()) for item in text.split(","))
 
 
 #: Each key of the flat config file: the part of the config it sets, the
 #: field there, and how to parse its value. A scalar ``elements`` key
 #: sets every element alike.
 _KEYS = {
-    "supply_voltage": ("bridge", "supply_voltage", float),
-    "gain": ("bridge", "amplifier_gain", float),
-    "noise_fraction": ("bridge", "noise_fraction", float),
-    "rail_low": ("bridge", "rail_low", float),
-    "rail_high": ("bridge", "rail_high", float),
-    "adc_bits": ("adc", "bits", int),
-    "adc_full_scale": ("adc", "full_scale", float),
-    "sample_rate": ("adc", "sample_rate", float),
-    "fabric_rest": ("fabric", "rest_resistance", float),
-    "fabric_max_delta": ("fabric", "max_fractional_delta", float),
-    "fabric_full_scale_force": ("fabric", "full_scale_force", float),
+    "supply_voltage": ("bridge", "supply_voltage", read_float),
+    "gain": ("bridge", "amplifier_gain", read_float),
+    "noise_fraction": ("bridge", "noise_fraction", read_float),
+    "rail_low": ("bridge", "rail_low", read_float),
+    "rail_high": ("bridge", "rail_high", read_float),
+    "adc_bits": ("adc", "bits", read_int),
+    "adc_full_scale": ("adc", "full_scale", read_float),
+    "sample_rate": ("adc", "sample_rate", read_float),
+    "fabric_rest": ("fabric", "rest_resistance", read_float),
+    "fabric_max_delta": ("fabric", "max_fractional_delta", read_float),
+    "fabric_full_scale_force": ("fabric", "full_scale_force", read_float),
     "element_rest": ("elements", "rest_resistance", _four_floats),
     "element_threshold_force": ("elements", "trigger_threshold", _four_floats),
-    "element_signal_delta": ("elements", "active_signal_delta", float),
-    "element_saturation_force": ("elements", "saturation_force", float),
-    "filter_window": ("toolkit", "filter_window", int),
-    "kfold": ("toolkit", "kfold", int),
-    "repeats": ("toolkit", "repeats", int),
-    "seed": ("toolkit", "seed", int),
+    "element_signal_delta": ("elements", "active_signal_delta", read_float),
+    "element_saturation_force": ("elements", "saturation_force", read_float),
+    "filter_window": ("toolkit", "filter_window", read_int),
+    "kfold": ("toolkit", "kfold", read_int),
+    "repeats": ("toolkit", "repeats", read_int),
+    "seed": ("toolkit", "seed", read_int),
     "signal_units": ("toolkit", "signal_units", str),
 }
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .calibration import PolynomialModel, evaluate_model
 from .errors import ParseError, StreamError, UsageError
+from .streams import read_float
 
 #: Contact-pattern labels, in report order.
 PATTERNS = ("none", "point", "line", "area")
@@ -180,7 +181,7 @@ def parse_frame(line: str, line_number=None) -> EstimateFrame:
     if len(fields) != 8:
         raise ParseError(f"expected 8 fields, got {len(fields)}", line_number)
     try:
-        time, raw, filtered = (float(fields[i]) for i in range(3))
+        time, raw, filtered = (read_float(fields[i]) for i in range(3))
         states = tuple(_parse_state(f, line_number) for f in fields[3:7])
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from exc

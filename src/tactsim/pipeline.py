@@ -26,7 +26,7 @@ from .estimator import (
 )
 from .estimator import process_frame  # noqa: F401  imported only for bench/spans.py to trace
 from .sensor import LoadScenario, apply_load, fabric_delta_r
-from .streams import SampleLine, parse_sample_line
+from .streams import SampleLine, parse_sample_line, plain_ascii
 from .units import fsum_counted, gw_to_newtons
 from .units import rmse  # noqa: F401  imported only for bench/spans.py to trace
 
@@ -215,17 +215,18 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
     writing ``BLOCK_TICKS`` lines at a time, so memory stays constant
     however long the stream. A line of a time and five canonically
     spelled codes is split once and its fields looked up in
-    ``CodeTables.text``; its time alone is converted. Any other line
-    goes through ``parse_sample_line`` and ``CodeTables.learn``, which
-    name the line in any error. The frames before a bad line are written
-    before the error propagates.
+    ``CodeTables.text``; its time alone is converted. Any other line, and
+    every line of a block whose text is not ``plain_ascii``, goes
+    through ``parse_sample_line`` and ``CodeTables.learn``, which name the
+    line in any error. The frames before a bad line are written before
+    the error propagates.
     """
     tables = CodeTables(cfg, est_cfg)
     t0, t1, t2, t3, t4 = tables.text
     state = StreamState(est_cfg.filter_window)
     lines, number, inf = iter(lines), 0, math.inf
     while block := list(islice(lines, BLOCK_TICKS)):
-        frames = []
+        frames, plain = [], plain_ascii("".join(block))
         try:
             for line in block:
                 number += 1
@@ -233,7 +234,7 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
                     t, c0, c1, c2, c3, c4 = line.strip().split(",")
                     (raw, raw_text), on = t0[c0], (t1[c1], t2[c2], t3[c3], t4[c4])
                     time = float(t)
-                    fast = 0.0 <= time < inf
+                    fast = plain and 0.0 <= time < inf
                 except (ValueError, KeyError):
                     fast = False
                 if not fast:
@@ -344,13 +345,16 @@ class _FrameCounts:
         """Count a block of canonically spelled frame lines in C-level passes.
 
         Each line is split once, and each distinct raw, filtered and tail
-        spelling checked once, as ``parse_frame`` checks it. With a
+        spelling checked once, as ``parse_frame`` checks it (its
+        ``plain_ascii`` rule once for the whole block). With a
         scenario, the times in sorted order (squared errors are summed
         exactly, in any order) are paired with its steps by bisection,
         and filtered spellings counted per step. Returns the block's
         squared-error pairs, or None, with nothing counted, for a block
         with any other line or with a time before the scenario.
         """
+        if not plain_ascii("".join(block)):
+            return None
         columns = list(zip(*map(str.split, block, repeat(","), repeat(3))))
         if len(columns) != 4:  # a line of fewer than four fields
             return None

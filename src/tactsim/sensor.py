@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .streams import read_table, write_table
+from .streams import read_float, read_table, write_table
 
 #: Multiple of the rest resistance used for the near-open regime of an
 #: overloaded rubber element (stands in for "almost open circuit").
@@ -239,7 +239,8 @@ def load_scenario(path) -> LoadScenario:
     steps = []
     for line_number, (time, force, quadrants) in read_table(path, (SCENARIO_HEADER,)):
         try:
-            step = LoadStep(float(time), float(force), parse_quadrants(quadrants, line_number))
+            step = LoadStep(read_float(time), read_float(force),
+                            parse_quadrants(quadrants, line_number))
         except ValueError as exc:
             raise ParseError(str(exc), line_number) from exc
         steps.append(step)

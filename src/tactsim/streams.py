@@ -6,9 +6,11 @@ firmware. The canonical form prints times as shortest round-trip floats
 and integral channel values (ADC codes) as integers. Blank lines and
 ``#`` comments are skipped on input.
 
-``open_input`` opens every input file. ``read_table`` is the one reader
-of the headed CSV files (scenarios and calibration datasets), and
-``write_table`` their one writer.
+``read_float`` and ``read_int`` read every number of the stream, frame,
+CSV and config files, in ``plain_ascii`` spellings only. ``open_input``
+opens every input file. ``read_table`` is the one reader of the headed
+CSV files (scenarios and calibration datasets), and ``write_table``
+their one writer.
 """
 
 import csv
@@ -41,6 +43,26 @@ class SampleLine:
             raise ValueError("sample time must be non-negative")
 
 
+def plain_ascii(text: str) -> bool:
+    """Whether ``text`` has no digit-group ``_`` and no non-ASCII character
+    (another script's digits, say), which ``float`` and ``int`` would read."""
+    return "_" not in text and text.isascii()
+
+
+def read_float(text: str) -> float:
+    """``float(text)`` of ``plain_ascii`` text, else the ValueError ``float`` gives for garbage."""
+    if not plain_ascii(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def read_int(text: str) -> int:
+    """``int(text)`` of ``plain_ascii`` text, else the ValueError ``int`` gives for garbage."""
+    if not plain_ascii(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _format_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
@@ -56,7 +78,7 @@ def parse_sample_line(text: str, line_number=None) -> SampleLine:
             line_number,
         )
     try:
-        values = [float(f) for f in fields]
+        values = [read_float(f) for f in fields]
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from exc
     if not all(math.isfinite(v) for v in values):

@@ -65,6 +65,8 @@ class TestDesignMatrix:
             [1.0, 1.0, 1.0],
             [1.0, 3.0, 9.0],
         ]
+        # A power past the float range is inf: overflow is the fit's failure, not the build's.
+        assert build_design_matrix([1e200], 2).tolist() == [[1.0, 1e200, math.inf]]
 
     def test_zero_signal(self):
         assert build_design_matrix([0.0], 3).tolist() == [[1.0, 0.0, 0.0, 0.0]]
@@ -146,6 +148,12 @@ class TestLeastSquares:
                    "magnitudes apart for an order-1 fit$")
         with pytest.raises(SingularFitError, match=message):
             least_squares_fit(build_design_matrix(v, 1), np.arange(12) / 10)
+        # A design entry past the float range fails first, before the force and sample counts.
+        message = "^signals too large for an order-2 fit: v\\^2 overflows$"
+        with pytest.raises(SingularFitError, match=message):
+            least_squares_fit(np.array([[1.0, 2.0, math.inf]] * 3), [0.1, 0.2, 0.3])
+        with pytest.raises(SingularFitError, match=message):
+            fit_polynomial([1e200], [0.1], 2)
 
     def test_overflowing_solution_is_a_fit_failure(self):
         v = np.arange(1, 21) / 10

@@ -398,6 +398,8 @@ BAD_CONFIG_LINES = {
     "repeats = 0": ": repeats must be at least 1",
     "filter_window = 0": ": filter_window must be at least 1",
     "signal_units = amps": ": signal_units must be one of ('volts', 'counts')",
+    "adc_bits = 1_0": " line 2: invalid literal for int() with base 10: '1_0'",
+    "gain = \u0662\u0662": " line 2: could not convert string to float: '\u0662\u0662'",
 }
 
 
@@ -572,6 +574,10 @@ BAD_STREAM_LINES = {
                           "line 51: code 256 outside [0, 255]"),
     "time_not_advancing": (9, "0.5,1,2,3,4,5",
                            "line 9: timestamp 0.5 s does not advance past 0.7291666666666667 s"),
+    "underscore_time": (49, "5.0_0,48,80,0,255,12",
+                        "line 49: could not convert string to float: '5.0_0'"),
+    "non_ascii_code": (49, "5.0,48,80,0,255,\u0661\u0662",
+                       "line 49: could not convert string to float: '\u0661\u0662'"),
 }
 
 
@@ -761,6 +767,7 @@ BAD_FRAME_LINES = {
     "inf_force": ("{t!r},0.5,inf,1,0,0,0,point", "frame fields must be finite"),
     "inf_time": ("inf,0.5,0.5,1,0,0,0,point", "frame fields must be finite"),
     "negative_time": ("-1.0,0.5,0.5,1,0,0,0,point", "frame time must be non-negative"),
+    "underscore_time": ("1_0,0.5,0.5,1,0,0,0,point", "could not convert string to float: '1_0'"),
 }
 
 
@@ -830,6 +837,10 @@ CSV_TABLE_ERRORS = {
                                  f"line 3: field larger than field limit ({CSV_FIELD_LIMIT})"),
     "oversized_dataset_field": ("calibrate", "v,force_n\n0.1," + "0" * (CSV_FIELD_LIMIT + 1) + "\n",
                                 f"line 2: field larger than field limit ({CSV_FIELD_LIMIT})"),
+    "underscore_scenario_time": ("simulate", "t,force_n,quadrants\n0,0,\n1_0,0.5,1\n",
+                                 "line 3: could not convert string to float: '1_0'"),
+    "non_ascii_dataset_signal": ("calibrate", "v,force_n\n0.1,0.2\n\u0660.2,0.3\n",
+                                 "line 3: could not convert string to float: '\u0660.2'"),
 }
 
 

@@ -20,7 +20,8 @@ the parsed lines, or the same error. ``cross_validate``, which slices one
 design matrix per run and scores each fold's models in one pass, must
 give the ``FitReport`` of ``reference_cross_validate``, one
 ``fit_polynomial`` and two ``evaluate_model`` calls per fold and order,
-or fail with the same error.
+or fail with the same error. ``kfold_split`` must give the fold ids of
+``reference_kfold_split``, the chunk loop it replaced.
 
 The stage properties check the balanced null, the monotone bridge and
 the half-LSB quantization bound on random configurations, and that the
@@ -304,7 +305,7 @@ def text_lines(data, lines, bad_lines):
 
 
 BAD_SAMPLE_LINES = ("0.0,0,0,0,0,0", "x", "1e9,0,0,0,0,4096", "1e9,0,0,0,0,0.5",
-                    "-1,0,0,0,0,0", "1e9,nan,0,0,0,0", "1e9,0,0,0,0")
+                    "-1,0,0,0,0,0", "1e9,nan,0,0,0,0", "1e9,0,0,0,0", "1_0,0,0,0,0,0")
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,7 +328,7 @@ def test_block_replay_matches_per_frame_reference(case, data, block):
 BAD_FRAME_LINES = ("0.5,0.1,0.1,0,0,0,none", "0.5,x,0.1,0,0,0,0,none",
                    "0.5,0.1,0.1,0,2,0,0,point", "0.5,0.1,0.1,0,0,0,0,blob",
                    "0.5,nan,0.1,0,0,0,0,none", "inf,0.1,0.1,0,0,0,0,none",
-                   "-1.0,0.1,0.1,0,0,0,0,none")
+                   "-1.0,0.1,0.1,0,0,0,0,none", "1_0,0.1,0.1,0,0,0,0,none")
 
 def reference_summary(frames, sensing_range: float, truth: LoadScenario = None) -> str:
     """Summary text counted frame by frame, one scenario lookup per frame.
@@ -417,6 +418,31 @@ def test_block_summary_matches_per_frame_reference(case, data, block):
             out.write(pipeline.summarize_lines(lines, sensing_range, truth=truth))
 
     assert outcome(blocks) == outcome(reference)
+
+
+def reference_kfold_split(n: int, k: int, seed) -> np.ndarray:
+    """Fold ids by the chunk loop ``kfold_split`` replaced: the shuffled
+    indices taken in order, ``n // k`` to a fold and one more to each of
+    the first ``n % k`` folds."""
+    order = np.random.default_rng(seed).permutation(n)
+    folds = np.empty(n, dtype=int)
+    base, extra = divmod(n, k)
+    start = 0
+    for fold in range(k):
+        size = base + (1 if fold < extra else 0)
+        folds[order[start:start + size]] = fold
+        start += size
+    return folds
+
+
+def test_kfold_split_matches_chunk_loop_reference():
+    for n in range(2, 121):
+        for k in range(2, min(n, 10) + 1):
+            for seed in (0, 2**40 + 3, [7, 2]):
+                folds = kfold_split(range(n), k=k, seed=seed)
+                expected = reference_kfold_split(n, k, seed)
+                assert folds.dtype == expected.dtype
+                assert folds.tolist() == expected.tolist(), (n, k, seed)
 
 
 def reference_cross_validate(dataset, orders, k, repeats, seed, strict_paper) -> FitReport:
