@@ -25,7 +25,7 @@ from .errors import ConfigError, ToolkitError, UsageError
 from .estimator import range_for_gain
 from .pipeline import estimate_lines, simulate_blocks, summarize_lines
 from .sensor import load_scenario
-from .streams import format_sample_block, open_input
+from .streams import format_sample_block, open_input, read_float, read_int
 
 # The per-item paths each block path reproduces; bench/spans.py traces them here.
 from .estimator import format_frame, parse_frame  # noqa: F401
@@ -89,9 +89,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number_arg(read, kind: str):
+    """Argparse type of a number flag: ``read`` of its text, or argparse's
+    own ``invalid <kind> value`` message for text ``read`` refuses."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+    return parse
+
+
+_int_arg, _float_arg = _number_arg(read_int, "int"), _number_arg(read_float, "float")
+
+
 def _orders_arg(text: str):
     try:
-        orders = tuple(int(part) for part in text.split(","))
+        orders = tuple(read_int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if any(o < 1 for o in orders):
@@ -105,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tactsim", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--config", help="toolkit config file (key = value lines)")
-    common.add_argument("--seed", type=int, help="override the configured seed")
-    common.add_argument("--gain", type=float, help="override the amplifier gain")
+    common.add_argument("--seed", type=_int_arg, help="override the configured seed")
+    common.add_argument("--gain", type=_float_arg, help="override the amplifier gain")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -121,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="model file to write")
     p.add_argument("--orders", type=_orders_arg, default=(1, 2, 3, 4, 5),
                    help="comma-separated polynomial orders (default 1,2,3,4,5)")
-    p.add_argument("--repeats", type=int, help="cross-validation repeats")
+    p.add_argument("--repeats", type=_int_arg, help="cross-validation repeats")
     p.add_argument("--strict-paper-cv", action="store_true",
                    help="test only on fold 0 per repeat instead of rotating")
 
@@ -130,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", help="sample stream file, or - for stdin")
     p.add_argument("-m", "--model", required=True, help="model file from calibrate")
     p.add_argument("-o", "--output", help="frame record output (default stdout)")
-    p.add_argument("--window", type=int, help="override the filter window")
+    p.add_argument("--window", type=_int_arg, help="override the filter window")
 
     p = sub.add_parser("report", parents=[common],
                        help="summarize a frame stream")

@@ -64,11 +64,12 @@ def _step_deltas(cfg: ToolkitConfig, scenario: LoadScenario) -> np.ndarray:
 def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     """ADC sample stream for a load scenario, one block of ticks at a time.
 
-    A lazy iterator of ``(times, codes)`` pairs of lists: up to
-    ``BLOCK_TICKS`` float tick times and, for each, its five int ADC
-    codes. The sample clock starts at t = 0, so scenarios must start
-    there. The scenario, its tick count and the bridges are checked when
-    this is called, before any sample is produced.
+    A lazy iterator of ``(times, codes)`` pairs of arrays: up to
+    ``BLOCK_TICKS`` float tick times and a (ticks x 5) int64 array of
+    their ADC codes, one row per tick. The sample clock starts at t = 0,
+    so scenarios must start there. The scenario, its tick count and the
+    bridges are checked when this is called, before any sample is
+    produced.
     """
     import numpy as np
     if scenario.start_time > 0:
@@ -91,7 +92,7 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
             times = np.arange(start, min(start + BLOCK_TICKS, ticks)) / rate
             rows = np.searchsorted(step_times, times, side="right") - 1
             noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
-            yield times.tolist(), chain.codes(deltas[rows], noise).tolist()
+            yield times, chain.codes(deltas[rows], noise)
 
     return blocks()
 
@@ -99,12 +100,12 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
 def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     """ADC sample stream for a load scenario: a lazy iterator of SampleLine.
 
-    The ticks of ``simulate_blocks``, checked the same way when this is
-    called.
+    The ticks of ``simulate_blocks``, as float times and int codes,
+    checked the same way when this is called.
     """
     blocks = simulate_blocks(cfg, scenario, seed=seed)
     return (SampleLine(t, tuple(codes)) for times, rows in blocks
-            for t, codes in zip(times, rows))
+            for t, codes in zip(times.tolist(), rows.tolist()))
 
 
 def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> CalibrationDataset:

@@ -111,11 +111,22 @@ def read_samples(lines):
 def format_sample_block(times, codes) -> str:
     """Canonical lines, newline-terminated, for a block of simulated ticks.
 
-    ``times`` are float tick times and ``codes`` the five int ADC codes
-    of each tick; each line is what ``format_sample_line`` gives for
-    that tick.
+    ``times`` is the array of float tick times and ``codes`` the
+    C-ordered (ticks x 5) int64 array of their ADC codes, as
+    ``simulate_blocks`` yields them; each line is what
+    ``format_sample_line`` gives for that tick. Rows repeat within a
+    block while the load is held, so each row is keyed by its 40 bytes
+    and each distinct row's ``,c0,c1,c2,c3,c4`` tail spelled once.
     """
-    return "".join([f"{t!r},{a},{b},{c},{d},{e}\n" for t, (a, b, c, d, e) in zip(times, codes)])
+    import numpy as np
+    keys = codes.view("V40").ravel().tolist()
+    tails = dict.fromkeys(keys)  # the distinct rows, in order of first appearance
+    rows = np.frombuffer(b"".join(tails), codes.dtype).reshape(-1, CHANNEL_COUNT).tolist()
+    spelled = dict(zip(tails, [f",{a},{b},{c},{d},{e}\n" for a, b, c, d, e in rows]))
+    lines = [None] * (2 * len(keys))  # each tick's time spelling, then its tail
+    lines[::2] = map(repr, times.tolist())
+    lines[1::2] = map(spelled.__getitem__, keys)
+    return "".join(lines)
 
 
 def write_samples(handle, samples) -> None:

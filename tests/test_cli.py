@@ -31,6 +31,8 @@ BAD_ORDERS = {
     "x": "invalid literal for int() with base 10: 'x'",
     "": "invalid literal for int() with base 10: ''",
     "0": "orders must be positive integers",
+    "1_0": "invalid literal for int() with base 10: '1_0'",
+    "1,\u0662": "invalid literal for int() with base 10: '\u0662'",
 }
 
 
@@ -410,6 +412,9 @@ BAD_GAINS = {
     "-inf": "--gain must be finite, got -inf",
     "0": "--gain must be positive",
     "-1": "--gain must be positive",
+    "x": "argument --gain: invalid float value: 'x'",
+    "2_2": "argument --gain: invalid float value: '2_2'",
+    "\u0662\u0662": "argument --gain: invalid float value: '\u0662\u0662'",
 }
 
 #: An integer flag's command and value -> the error message. (``--repeats``
@@ -419,6 +424,11 @@ BAD_INTEGER_FLAGS = {
     ("calibrate", "--seed=-1"): "--seed must be non-negative",
     ("estimate", "--window=0"): "--window must be at least 1",
     ("estimate", f"--window={10**30}"): "--window must be at most 9223372036854775807",
+    ("simulate", "--seed=x"): "argument --seed: invalid int value: 'x'",
+    ("simulate", "--seed=1_0"): "argument --seed: invalid int value: '1_0'",
+    ("calibrate", "--seed=\u0667"): "argument --seed: invalid int value: '\u0667'",
+    ("calibrate", "--repeats=1_0"): "argument --repeats: invalid int value: '1_0'",
+    ("estimate", "--window=\u0661"): "argument --window: invalid int value: '\u0661'",
 }
 
 #: JSON kind -> a model file of that kind that is not an object.

@@ -14,6 +14,7 @@ from tactsim import (
     StreamError,
     adc_sample,
     amplify,
+    apply_load,
     bridge_output,
     capture_protocol_dataset,
     default_config,
@@ -27,7 +28,7 @@ from tactsim import (
     summarize_frames,
 )
 from tactsim.config import channel_signal
-from tactsim.pipeline import estimate_lines, simulate_blocks, tick_count
+from tactsim.pipeline import _step_deltas, estimate_lines, simulate_blocks, tick_count
 from tactsim.streams import SampleLine
 
 from conftest import accuracy_scenario
@@ -165,6 +166,25 @@ class TestSimulate:
             tracemalloc.stop()
         assert [s.time for s in first] == [0.0, 1 / 9.6, 2 / 9.6]
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("quadrants", ({1, 2, 3, 4}, {1, 3}, {4}, set()))
+    def test_step_table_matches_apply_load_at_the_boundaries(self, quadrants):
+        # Forces exactly on each piecewise edge, which continuous draws
+        # almost never hit; hex spellings also tell -0.0 from 0.0.
+        cfg = default_config()
+        forces = [-0.0, 0.0]
+        if quadrants:  # a non-zero force needs a quadrant
+            forces.append(cfg.fabric.full_scale_force)
+            for element in cfg.elements:
+                forces += [element.trigger_threshold, element.saturation_force]
+        scenario = LoadScenario(tuple(LoadStep(float(k), force, frozenset(quadrants))
+                                      for k, force in enumerate(forces)))
+        rows = _step_deltas(cfg, scenario).tolist()
+        assert len(rows) == len(scenario.steps)
+        for step, row in zip(scenario.steps, rows):
+            fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
+            expected = [fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))]
+            assert [x.hex() for x in row] == [x.hex() for x in expected], step
 
 
 class TestCaptureProtocolDataset:

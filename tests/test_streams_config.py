@@ -2,6 +2,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tactsim import (
@@ -20,6 +21,7 @@ from tactsim import (
 )
 from tactsim.bridge import amplify, bridge_output
 from tactsim.config import _KEYS, channel_signal, parse_config_text
+from tactsim.streams import format_sample_block
 
 
 class TestSampleLines:
@@ -90,6 +92,24 @@ class TestSampleLines:
         a = SampleLine(0.0, (0.0,) * 5, line_number=3)
         b = SampleLine(0.0, (0.0,) * 5)
         assert a == b
+
+
+#: Rows of ADC codes that ``format_sample_block`` keys by their bytes: codes
+#: up to the widest 53-bit ADC, and rows that differ only in high bytes.
+WIDE_ROWS = {
+    "wide": [[2**53 - 1 - i, i, 2**52 + i, 2**32 + 7 * i, 2**53 - 1] for i in range(40)],
+    "high_bytes": [[5 + (i << 48), 5, 5 + (i % 3 << 40), 5, 5] for i in range(40)],
+}
+
+
+@pytest.mark.parametrize("distinct", (True, False), ids=("distinct", "repeated"))
+@pytest.mark.parametrize("case", sorted(WIDE_ROWS))
+def test_block_spells_wide_rows_as_format_sample_line(case, distinct):
+    rows = WIDE_ROWS[case] if distinct else [WIDE_ROWS[case][i % 3] for i in range(40)]
+    times = np.arange(len(rows)) / 9.6
+    expected = "".join(format_sample_line(SampleLine(t, tuple(codes))) + "\n"
+                       for t, codes in zip(times.tolist(), rows))
+    assert format_sample_block(times, np.array(rows, dtype=np.int64)) == expected
 
 
 class TestConfigFile:
