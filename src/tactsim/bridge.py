@@ -215,9 +215,10 @@ class Chain:
     """Bridge -> amplifier -> ADC for several channels, compiled once.
 
     ``bridges`` holds one bridge per channel. Their balance is checked
-    here, once; ``codes`` then converts whole blocks of samples with the
-    arithmetic of ``bridge_output``, ``amplify`` and ``adc_sample``, so
-    a block gives the same codes as those stages called per sample.
+    here, once; ``inputs`` and ``convert`` then run whole blocks of
+    samples with the arithmetic of ``bridge_output`` and of ``amplify``
+    and ``adc_sample``, so a block gives the same codes as those stages
+    called per sample. ``codes`` is the two in turn.
     """
 
     def __init__(self, bridges, adc: AdcConfig):
@@ -239,6 +240,10 @@ class Chain:
 
         Both arrays have one column per channel and one row per sample.
         """
+        return self.convert(self.inputs(delta_rx), noise)
+
+    def inputs(self, delta_rx) -> np.ndarray:
+        """Amplifier input voltages for an array of sensing-arm rises."""
         import numpy as np
         delta_rx = np.asarray(delta_rx, dtype=float)
         if (delta_rx < 0).any():
@@ -250,6 +255,11 @@ class Chain:
             raise ValueError("bridge arm resistances overflow") from exc
         if not np.isfinite(v_in).all():
             raise ValueError("amplifier input must be finite")
+        return v_in
+
+    def convert(self, v_in, noise) -> np.ndarray:
+        """ADC codes for an array of ``inputs`` voltages and one of noise samples."""
+        import numpy as np
         with np.errstate(over="ignore"):  # an output past the rails clips to them
             v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float), _array_clip)
         if not np.isfinite(v).all():

@@ -5,6 +5,18 @@ the calibration model, clamps it to the configured sensing range,
 smooths it with an equal-weight moving average, and thresholds the four
 element signals into on/off contact states with a count-based pattern
 label. The model runs before the filter, matching the firmware order.
+
+``moving_average`` defines the filter. ``StreamState.step`` computes it
+at constant cost per tick, whatever the window: every finite double is
+an integer multiple of 2**-1074, so the window's sum is kept exactly as
+one Python int in those units, adding each entering force and
+subtracting each leaving one, and the int division
+``total / 2**1074`` is the correctly rounded sum that ``math.fsum``
+gives. The run of equal forces at the window's end tells a settled
+window. ``StreamState.step`` spells each filtered force, once per
+distinct window sum and length. Every replay steps its stream through
+it: ``advance`` one tick at a time, ``pipeline.estimate_lines`` a block
+of ticks at a time.
 """
 
 import math
@@ -68,15 +80,75 @@ class EstimateFrame:
     pattern: str
 
 
-class StreamState:
-    """Mutable context owned by one stream consumer.
+#: Every finite double is an integer multiple of ``1 / _SCALE``.
+_SCALE = 1 << 1074
 
-    Holds the filter window and the sample clock.
+
+def exact_units(force: float) -> int:
+    """``force`` as an exact integer number of units of 2**-1074."""
+    numerator, denominator = force.as_integer_ratio()
+    return numerator * (_SCALE // denominator)
+
+
+#: Filtered spellings a stream keeps: its memo is emptied when it holds this many.
+SPELLINGS_KEPT = 1024
+
+
+class StreamState:
+    """Mutable context owned by one stream consumer: the filter window and
+    the sample clock.
+
+    The window holds an entry ``(force, repr(force), exact_units(force))``
+    per tick. ``total`` is the window's sum in those units and ``run``
+    the length of the run of equal forces at its end. ``spelled``
+    memoises the spelling of each filtered force by the window's total
+    and length (a full window's by its total alone), never by the float,
+    because ``0.0 == -0.0``.
     """
 
     def __init__(self, filter_window: int):
         self.window = deque(maxlen=filter_window)
+        self.total = self.run = 0
+        self.spelled = {}
         self.last_time = None
+
+    def tick(self, time: float) -> None:
+        """Move the clock to ``time``: a StreamError unless that advances it."""
+        last = self.last_time
+        if last is not None and time <= last:
+            raise StreamError(f"timestamp {time} s does not advance past {last} s")
+        self.last_time = time
+
+    def step(self, entries) -> list:
+        """Push the entries of successive ticks through the filter.
+
+        Returns the ``repr`` of each tick's filtered force, ``moving_average``
+        of its window: a settled window's first spelling, else that of
+        the window's exact sum, correctly rounded, over its length.
+        """
+        window, total, run, spelled = self.window, self.total, self.run, self.spelled
+        size, texts = window.maxlen, []
+        last = window[-1][0] if window else None
+        for entry in entries:
+            if len(window) == size:
+                total -= window[0][2]
+            window.append(entry)
+            total += entry[2]
+            run = run + 1 if entry[0] == last else 1
+            last = entry[0]
+            n = len(window)
+            if run >= n:
+                texts.append(window[0][1])
+                continue
+            key = total if n == size else (total, n)
+            text = spelled.get(key)
+            if text is None:
+                if len(spelled) >= SPELLINGS_KEPT:
+                    spelled.clear()
+                text = spelled[key] = repr(total / _SCALE / n)
+            texts.append(text)
+        self.total, self.run = total, run
+        return texts
 
 
 def range_for_gain(gain: float):
@@ -103,7 +175,8 @@ def moving_average(window) -> float:
     """Equal-weight mean of the samples currently in the window.
 
     Exact for a window of identical values, so a settled step reads
-    back bit-for-bit.
+    back bit-for-bit. The plain definition of the filter that
+    ``StreamState.step`` computes.
     """
     if not window:
         raise UsageError("moving average of an empty window")
@@ -147,22 +220,20 @@ def process_frame(cfg: EstimatorConfig, state: StreamState, signals, time: float
         raise ValueError(f"expected 5 channels, got {len(signals)}")
     raw = estimate_force(cfg, signals[0])
     on = detect_contacts(signals[1:], cfg.element_thresholds)
-    return EstimateFrame(time, raw, advance(state, time, raw), on, _PATTERNS_BY_COUNT[sum(on)])
+    filtered = advance(state, time, (raw, repr(raw), exact_units(raw)))
+    return EstimateFrame(time, raw, filtered, on, _PATTERNS_BY_COUNT[sum(on)])
 
 
-def advance(state: StreamState, time: float, raw: float) -> float:
+def advance(state: StreamState, time: float, entry) -> float:
     """One step of the stream: clock check, then the filtered force.
 
-    ``raw`` is the clamped force of the tick. Every replay steps the
-    stream through here: ``process_frame`` and the code-indexed
-    ``pipeline.estimate_frames`` and ``pipeline.estimate_lines``.
+    ``entry`` is the tick's ``StreamState`` entry of its clamped force.
+    ``process_frame`` and the code-indexed ``pipeline.estimate_frames``
+    step through here.
     """
-    last = state.last_time
-    if last is not None and time <= last:
-        raise StreamError(f"timestamp {time} s does not advance past {last} s")
-    state.window.append(raw)
-    state.last_time = time
-    return moving_average(state.window)
+    state.tick(time)
+    (text,) = state.step([entry])
+    return float(text)
 
 
 def frame_tail(states, pattern: str) -> str:

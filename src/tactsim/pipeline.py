@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import islice, product, repeat
+from itertools import compress, count, islice, product, repeat
+from operator import ge
 
 from .bridge import Chain
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
@@ -22,11 +23,11 @@ from .config import ToolkitConfig, channel_signal
 from .errors import DataError, ParseError, StreamError, UsageError
 from .estimator import (
     PATTERNS, EstimateFrame, EstimatorConfig, StreamState, advance, classify_pattern,
-    estimate_force, format_frame, frame_tail, parse_frame,
+    estimate_force, exact_units, format_frame, frame_tail, parse_frame,
 )
 from .estimator import process_frame  # noqa: F401  imported only for bench/spans.py to trace
 from .sensor import LoadScenario, apply_load, fabric_delta_r
-from .streams import SampleLine, parse_sample_line, plain_ascii
+from .streams import SampleLine, format_sample_line, parse_sample_line, plain_ascii
 from .units import fsum_counted, gw_to_newtons
 from .units import rmse  # noqa: F401  imported only for bench/spans.py to trace
 
@@ -79,7 +80,8 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     chain = cfg.sensing_chain()
     deltas = _step_deltas(cfg, scenario)
     try:  # every state the run can visit, at the noise that drives each output highest
-        chain.codes(deltas, np.ones(deltas.shape))
+        v_in = chain.inputs(deltas)  # each step's amplifier inputs, indexed per tick below
+        chain.convert(v_in, np.ones(v_in.shape))
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
     rate = cfg.adc.sample_rate
@@ -92,7 +94,7 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
             times = np.arange(start, min(start + BLOCK_TICKS, ticks)) / rate
             rows = np.searchsorted(step_times, times, side="right") - 1
             noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
-            yield times, chain.codes(deltas[rows], noise)
+            yield times, chain.convert(v_in[rows], noise)
 
     return blocks()
 
@@ -139,29 +141,85 @@ class CodeTables:
     ``text`` holds one table per channel, keyed by the canonical
     spelling of each code seen (``str(code)``), so a stream line can be
     looked up without converting its fields: channel 0 maps to the
-    clamped force and its ``repr``, channels 1-4 to the element's on
-    state. Other spellings of a code are never added. A table that
-    holds ``BLOCK_TICKS`` entries is emptied before it takes a new
-    code, so each stays at most that size whatever the ADC width.
-    Keys stay per channel: a key joining the four element codes would
-    multiply the codes each element spreads over.
+    ``StreamState`` entry of the clamped force, ``(force, repr(force),
+    exact_units(force))``, channels 1-4 to the element's on state.
+    ``tails`` maps the ``c1,c2,c3,c4`` end of a stream line, with its
+    line end, to the ``,e1,e2,e3,e4,pattern`` end of its frame line.
+    Other spellings of a code are never added. A table that holds
+    ``BLOCK_TICKS`` entries is emptied before it takes a new one, so
+    each stays at most that size whatever the ADC width.
     """
 
     def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig):
         self.cfg = cfg
         self.est_cfg = est_cfg
         self.text = ({}, {}, {}, {}, {})
+        self.tails = {}
+
+    def _add(self, channel: int, code: int):
+        """Compute and add the entry of ``code`` on ``channel``.
+
+        A ValueError for a force-layer signal that overflows at this ADC
+        scale.
+        """
+        table = self.text[channel]
+        if len(table) >= BLOCK_TICKS:
+            table.clear()
+        signal = channel_signal(self.cfg, code)
+        if channel:
+            entry = signal >= self.est_cfg.element_thresholds[channel - 1]
+        else:
+            force = estimate_force(self.est_cfg, signal)
+            entry = (force, repr(force), exact_units(force))
+        table[str(code)] = entry
+        return entry
+
+    def entry(self, channel: int, key: str):
+        """The entry of the code spelled ``key`` on ``channel``, added if new.
+
+        None if ``key`` is not the canonical spelling of a code in range,
+        or if the code's force cannot be computed.
+        """
+        table = self.text[channel]
+        if key in table:
+            return table[key]
+        if not (key.isascii() and key.isdigit()) or str(code := int(key)) != key:
+            return None
+        if code > self.cfg.adc.max_code:
+            return None
+        try:
+            return self._add(channel, code)
+        except ValueError:
+            return None
+
+    def tail(self, text: str):
+        """The frame-line end of a stream line's ``c1,c2,c3,c4`` end, added if new.
+
+        None unless ``text`` holds four codes spelled as ``entry`` takes
+        them, then a line feed or nothing.
+        """
+        if text in self.tails:
+            return self.tails[text]
+        keys = text.removesuffix("\n").split(",")
+        if len(keys) != 4:
+            return None
+        on = [self.entry(channel, key) for channel, key in enumerate(keys, start=1)]
+        if None in on:
+            return None
+        if len(self.tails) >= BLOCK_TICKS:
+            self.tails.clear()
+        spelled = self.tails[text] = f",{_TAILS[tuple(on)]}\n"
+        return spelled
 
     def learn(self, channels, where: str):
         """Check the channel values of one sample as ADC codes, then add them.
 
-        Returns the sample's entries: channel 0's ``(force, repr)`` and
+        Returns the sample's entries: channel 0's ``StreamState`` entry and
         the tuple of the four element on states.
         """
         max_code, codes = self.cfg.adc.max_code, []
         for value in channels:
-            code = int(round(value))
-            if code != value:
+            if not math.isfinite(value) or (code := int(round(value))) != value:
                 raise DataError(f"{where}: channel value {value!r} is not an ADC code")
             if not 0 <= code <= max_code:
                 raise DataError(f"{where}: code {code} outside [0, {max_code}]")
@@ -169,19 +227,10 @@ class CodeTables:
         entries = []
         for channel, code in enumerate(codes):
             key, table = str(code), self.text[channel]
-            if key not in table:
-                if len(table) >= BLOCK_TICKS:
-                    table.clear()  # in place, so estimate_lines' names for it stay valid
-                signal = channel_signal(self.cfg, code)
-                if channel:
-                    table[key] = signal >= self.est_cfg.element_thresholds[channel - 1]
-                else:
-                    try:
-                        force = estimate_force(self.est_cfg, signal)
-                    except ValueError as exc:  # a signal that overflows at this ADC scale
-                        raise DataError(f"{where}: {exc}") from exc
-                    table[key] = (force, repr(force))
-            entries.append(table[key])
+            try:
+                entries.append(table[key] if key in table else self._add(channel, code))
+            except ValueError as exc:  # a signal that overflows at this ADC scale
+                raise DataError(f"{where}: {exc}") from exc
         return entries[0], tuple(entries[1:])
 
 
@@ -193,19 +242,19 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     """Yield one EstimateFrame per sample, lazily.
 
     Each sample's codes are checked and looked up in ``CodeTables``, and
-    its force stepped through ``advance``, as ``estimate_lines`` does for
-    each line. An error names the sample's line, or else its ordinal.
+    its force stepped through ``advance``. An error names the sample's
+    line, or else its ordinal.
     """
     tables = CodeTables(cfg, est_cfg)
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
         where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
-        (raw, _), on = tables.learn(sample.channels, where)
+        entry, on = tables.learn(sample.channels, where)
         try:
-            filtered = advance(state, sample.time, raw)
+            filtered = advance(state, sample.time, entry)
         except StreamError as exc:
             raise StreamError(f"{where}: {exc}") from exc
-        yield EstimateFrame(sample.time, raw, filtered, on, classify_pattern(on))
+        yield EstimateFrame(sample.time, entry[0], filtered, on, classify_pattern(on))
 
 
 def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> None:
@@ -214,46 +263,103 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
     Writes what ``format_frame`` gives for each frame of
     ``estimate_frames(cfg, est_cfg, read_samples(lines))``, reading and
     writing ``BLOCK_TICKS`` lines at a time, so memory stays constant
-    however long the stream. A line of a time and five canonically
-    spelled codes is split once and its fields looked up in
-    ``CodeTables.text``; its time alone is converted. Any other line, and
-    every line of a block whose text is not ``plain_ascii``, goes
-    through ``parse_sample_line`` and ``CodeTables.learn``, which name the
-    line in any error. The frames before a bad line are written before
-    the error propagates.
+    however long the stream. Each block goes through ``_Replay.block``
+    in C-level passes, or, if that declines it, through
+    ``_Replay.canonical``, which respells it and sends it back through
+    ``_Replay.block``. An error names its line, and the frames before a
+    bad line are written before the error propagates.
     """
-    tables = CodeTables(cfg, est_cfg)
-    t0, t1, t2, t3, t4 = tables.text
-    state = StreamState(est_cfg.filter_window)
-    lines, number, inf = iter(lines), 0, math.inf
+    replay = _Replay(cfg, est_cfg, out)
+    lines, number = iter(lines), 0
     while block := list(islice(lines, BLOCK_TICKS)):
-        frames, plain = [], plain_ascii("".join(block))
+        if not replay.block(block, range(number + 1, number + len(block) + 1)):
+            replay.canonical(block, number)
+        number += len(block)
+
+
+class _Replay:
+    """What ``estimate_lines`` keeps between blocks: the code tables and
+    the stream state."""
+
+    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig, out):
+        self.tables = CodeTables(cfg, est_cfg)
+        self.state = StreamState(est_cfg.filter_window)
+        self.out = out
+
+    def block(self, lines, numbers) -> bool:
+        """Write the frames of a block of sample lines in C-level passes.
+
+        ``numbers`` holds the file line number of each line. Each line is
+        split once into its time, force code and element codes; every
+        time is converted and spelled, and each distinct force code and
+        element tail looked up once in ``CodeTables``. The filter steps
+        through ``StreamState.step``. Returns False, with nothing written
+        or stepped, for a block with a line that is not a time and five
+        canonically spelled codes (its ``plain_ascii`` rule checked once
+        for the whole block), or with a time that is not finite and
+        non-negative. A time that does not advance the clock raises its
+        StreamError after the frames before it are written.
+        """
+        if not plain_ascii("".join(lines)):
+            return False
+        columns = list(zip(*map(str.split, lines, repeat(","), repeat(2))))
+        if len(columns) != 3:  # a line of fewer than three fields
+            return False
+        time_texts, force_texts, tail_texts = columns
         try:
-            for line in block:
-                number += 1
-                try:
-                    t, c0, c1, c2, c3, c4 = line.strip().split(",")
-                    (raw, raw_text), on = t0[c0], (t1[c1], t2[c2], t3[c3], t4[c4])
-                    time = float(t)
-                    fast = plain and 0.0 <= time < inf
-                except (ValueError, KeyError):
-                    fast = False
-                if not fast:
-                    text = line.strip()
-                    if not text or text.startswith("#"):
-                        continue
-                    sample = parse_sample_line(text, number)
-                    (raw, raw_text), on = tables.learn(sample.channels, f"line {number}")
-                    time = sample.time
-                try:
-                    filtered = advance(state, time, raw)
-                except StreamError as exc:
-                    raise StreamError(f"line {number}: {exc}") from exc
-                # A settled window returns its first force: often this tick's own.
-                filtered_text = raw_text if filtered is raw else repr(filtered)
-                frames.append(f"{time!r},{raw_text},{filtered_text},{_TAILS[on]}\n")
+            times = list(map(float, time_texts))
+        except ValueError:
+            return False
+        if not (all(map(math.isfinite, times)) and min(times) >= 0.0):
+            return False
+        tables, state = self.tables, self.state
+        forces = {text: tables.entry(0, text) for text in set(force_texts)}
+        tails = {text: tables.tail(text) for text in set(tail_texts)}
+        if None in forces.values() or None in tails.values():
+            return False
+        clock = [-math.inf if state.last_time is None else state.last_time, *times]
+        late = next(compress(count(), map(ge, clock, times)), None)
+        if late is not None:  # the frames before the late tick, then its error
+            late_time = times[late]
+            times, force_texts, tail_texts = times[:late], force_texts[:late], tail_texts[:late]
+        raws = {text: f",{entry[1]}," for text, entry in forces.items()}
+        frames = [None] * (4 * len(times))
+        frames[0::4] = map(repr, times)
+        frames[1::4] = map(raws.__getitem__, force_texts)
+        frames[2::4] = state.step(list(map(forces.__getitem__, force_texts)))
+        frames[3::4] = map(tails.__getitem__, tail_texts)
+        self.out.write("".join(frames))
+        if times:
+            state.last_time = times[-1]
+        if late is not None:
+            try:
+                state.tick(late_time)  # raises the clock's own error
+            except StreamError as exc:
+                raise StreamError(f"line {numbers[late]}: {exc}") from exc
+        return True
+
+    def canonical(self, lines, number: int) -> None:
+        """Replay a block that follows ``number`` lines, as ``format_sample_line`` spells it.
+
+        Each line that is not blank or a ``#`` comment goes through
+        ``parse_sample_line`` and ``CodeTables.learn``, in file order, so
+        an error names the line. The lines before an error, respelled,
+        go through ``block``, which takes every canonical line, before
+        the error propagates; a clock error among them comes first.
+        """
+        respelled, numbers = [], []
+        try:
+            for number, line in enumerate(lines, start=number + 1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                sample = parse_sample_line(text, number)
+                self.tables.learn(sample.channels, f"line {number}")
+                respelled.append(format_sample_line(sample) + "\n")
+                numbers.append(number)
         finally:
-            out.write("".join(frames))
+            if respelled:
+                self.block(respelled, numbers)
 
 
 def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -> str:

@@ -39,6 +39,8 @@ class SampleLine:
     def __post_init__(self):
         if len(self.channels) != CHANNEL_COUNT:
             raise ValueError(f"expected {CHANNEL_COUNT} channels")
+        if not math.isfinite(self.time):
+            raise ValueError("sample time must be finite")
         if self.time < 0:
             raise ValueError("sample time must be non-negative")
 

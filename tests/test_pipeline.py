@@ -1,5 +1,10 @@
 import hashlib
 import io
+import math
+import random
+from collections import deque
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from tactsim import (
     EstimatorConfig,
     LoadScenario,
     LoadStep,
+    ParseError,
     StreamError,
     adc_sample,
     amplify,
@@ -22,12 +28,16 @@ from tactsim import (
     estimate_frames,
     fabric_delta_r,
     gw_to_newtons,
+    format_frame,
     make_estimator_config,
+    moving_average,
+    read_samples,
     save_dataset,
     simulate_samples,
     summarize_frames,
 )
 from tactsim.config import channel_signal
+from tactsim import pipeline
 from tactsim.pipeline import _step_deltas, estimate_lines, simulate_blocks, tick_count
 from tactsim.streams import SampleLine
 
@@ -330,6 +340,119 @@ class TestEstimateFrames:
             "1,0,1,0,line"] * 2
         frames = estimate_frames(cfg, est, [SampleLine(0.0, codes)])
         assert next(frames).element_state == (True, False, True, False)
+
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    def test_non_finite_channel_value_rejected(self, cfg, value):
+        est = make_estimator_config(cfg, _linear_volts_model())
+        samples = [SampleLine(0.0, (0,) * 5), SampleLine(0.5, (0, 0, value, 0, 0))]
+        message = f"^sample 2: channel value {value!r} is not an ADC code$"
+        with pytest.raises(DataError, match=message):
+            list(estimate_frames(cfg, est, samples))
+
+    @pytest.mark.parametrize("time", (math.inf, math.nan))
+    def test_non_finite_sample_time_rejected(self, time):
+        with pytest.raises(ValueError, match="^sample time must be finite$"):
+            SampleLine(time, (0,) * 5)
+
+
+def _replay_outcome(replay, lines):
+    """(text written, error type, message, line number) of ``replay(lines, out)``."""
+    out = io.StringIO()
+    try:
+        replay(lines, out)
+    except Exception as exc:  # compared, not swallowed
+        return out.getvalue(), type(exc), str(exc), getattr(exc, "line_number", None)
+    return out.getvalue(), None, None, None
+
+
+class TestBlockHandOffs:
+    """``estimate_lines`` in blocks of a few lines writes what a per-line
+    replay writes: the frames of ``estimate_frames`` over ``read_samples``,
+    with each filtered force from ``moving_average``, and the same error
+    after the same frames."""
+
+    @staticmethod
+    def lines(count, seed=0, max_code=255, first=0):
+        rnd = random.Random(seed)
+        palette = [rnd.randint(0, max_code) for _ in range(6)] + [0, max_code]
+        return [f"{(first + k) / 9.6!r},"
+                + ",".join(str(rnd.choice(palette)) for _ in range(5)) + "\n"
+                for k in range(count)]
+
+    @staticmethod
+    def check(cfg, est, lines, blocks=(1, 2, 3, 4)):
+        def reference(lines, out):
+            window = deque(maxlen=est.filter_window)
+            for frame in estimate_frames(cfg, est, read_samples(lines)):
+                window.append(frame.raw_force)
+                frame = replace(frame, filtered_force=moving_average(window))
+                out.write(format_frame(frame) + "\n")
+
+        expected = _replay_outcome(reference, lines)
+        for block in blocks:
+            with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+                replay = _replay_outcome(lambda lines, out: estimate_lines(cfg, est, lines, out),
+                                         lines)
+            assert replay == expected, f"BLOCK_TICKS = {block}"
+        return expected
+
+    def test_window_wider_than_a_block_straddles_a_declined_block(self, cfg):
+        est = replace(make_estimator_config(cfg, _linear_volts_model()), filter_window=7)
+        lines = self.lines(20)
+        lines[9] = lines[9].replace(",", ", ")  # padded fields: that block is declined
+        lines.insert(10, "# a comment\n")
+        text, error, _, _ = self.check(cfg, est, lines)
+        assert error is None and text.count("\n") == 20
+
+    @pytest.mark.parametrize("late", (0.0, -0.0, 5 / 9.6))
+    def test_time_that_does_not_advance_on_a_blocks_first_line(self, cfg, late):
+        est = make_estimator_config(cfg, _linear_volts_model())
+        lines = self.lines(12)
+        lines[6] = f"{late!r}," + lines[6].split(",", 1)[1]  # line 7 opens a block of 2 or 3
+        text, error, message, _ = self.check(cfg, est, lines, blocks=(2, 3, 6))
+        assert error is StreamError and message.startswith("line 7: timestamp ")
+        assert text.count("\n") == 6
+
+    @pytest.mark.parametrize("bad", ("-1.0", "-5e-324", "nan", "inf", "1e999"))
+    @pytest.mark.parametrize("k", (1, 7))
+    def test_time_that_is_not_finite_and_non_negative(self, cfg, bad, k):
+        est = make_estimator_config(cfg, _linear_volts_model())
+        lines = self.lines(12)
+        lines[k - 1] = f"{bad}," + lines[k - 1].split(",", 1)[1]
+        text, error, _, line_number = self.check(cfg, est, lines, blocks=(2, 3, 6))
+        assert error is ParseError and line_number == k
+        assert text.count("\n") == k - 1
+
+    def test_crlf_line_ends_and_an_unterminated_last_line(self, cfg):
+        est = make_estimator_config(cfg, _linear_volts_model())
+        lines = [line.replace("\n", "\r\n") for line in self.lines(9)]
+        lines[-1] = lines[-1].rstrip()
+        text, error, _, _ = self.check(cfg, est, lines)
+        assert error is None and text.count("\n") == 9
+        lines = self.lines(9)
+        lines[-1] = lines[-1].rstrip()
+        assert self.check(cfg, est, lines)[0] == text
+
+    def test_float_codes_and_integer_and_negative_zero_times(self, cfg):
+        est = make_estimator_config(cfg, _linear_volts_model())
+        lines = self.lines(10, first=1)
+        lines = ["-0.0," + lines[0].split(",", 1)[1]] + lines[1:]
+        time, codes = lines[3].split(",", 1)
+        lines[3] = time + "".join(f",{code}.0" for code in codes.rstrip().split(",")) + "\n"
+        lines[5] = "6," + lines[5].split(",", 1)[1]  # integer times: 6 s, then 7 / 9.6 s on line 7
+        lines[7] = "8," + lines[7].split(",", 1)[1]
+        text, error, message, _ = self.check(cfg, est, lines)
+        assert text.startswith("-0.0,")
+        assert error is StreamError and message.startswith("line 7: ")
+
+    def test_twelve_bit_stream(self):
+        cfg = default_config(adc=AdcConfig(bits=12))
+        est = make_estimator_config(cfg, _linear_volts_model())
+        lines = self.lines(40, seed=12, max_code=4095)
+        lines[17] = lines[17].rsplit(",", 1)[0] + ",4096\n"
+        text, error, message, _ = self.check(cfg, est, lines, blocks=(1, 3, 8, 1024))
+        assert error is DataError and message == "line 18: code 4096 outside [0, 4095]"
+        assert text.count("\n") == 17
 
 
 class TestAlternateConfigurations:

@@ -5,16 +5,22 @@ functions, with one scalar noise draw per channel per tick and a linear
 zero-order-hold lookup. The block simulator must produce exactly the
 same stream for any valid configuration, scenario and block size.
 
-The estimator reference converts every code of every tick to a signal
-and runs ``process_frame`` on it. The code-indexed ``estimate_lines``
-must write the same frames, down to the sign of a zero.
+The estimator reference converts every code of every tick to a signal,
+the force-layer signal to a force with ``estimate_force``, and filters
+the forces with ``moving_average``, the plain definition of the filter.
+The code-indexed ``estimate_lines`` must write the same frames, down to
+the sign of a zero. The running-sum filter of ``StreamState`` must give
+``moving_average`` of each window, bit for bit, for any window length
+and any forces, subnormals, signed zeros and runs of repeats included.
 
 The block text paths of the three replay commands must agree with the
 per-item paths for any block size and any mix of spellings, comments
 and bad lines. ``simulate_blocks`` with ``format_sample_block`` writes
 the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
 of ``estimate_frames`` over ``read_samples``, and fails on the same line
-with the same message after writing the same frames. ``summarize_lines``
+with the same message after writing the same frames; its reference
+takes the errors of ``estimate_frames`` and the filtered forces of
+``moving_average``. ``summarize_lines``
 gives the summary that ``reference_summary`` counts frame by frame from
 the parsed lines, or the same error. ``cross_validate``, which slices one
 design matrix per run and scores each fold's models in one pass, must
@@ -39,6 +45,7 @@ and every file format must read back what it wrote.
 
 import io
 import math
+from collections import deque
 from dataclasses import replace
 from unittest import mock
 
@@ -68,10 +75,13 @@ from tactsim import (
     adc_sample,
     amplify,
     bridge_output,
+    classify_pattern,
     cross_validate,
     default_config,
     dequantize,
+    detect_contacts,
     element_resistance,
+    estimate_force,
     evaluate_model,
     fabric_delta_r,
     fit_polynomial,
@@ -82,9 +92,9 @@ from tactsim import (
     load_dataset,
     load_model,
     load_scenario,
+    moving_average,
     parse_frame,
     parse_sample_line,
-    process_frame,
     read_samples,
     rmse,
     save_dataset,
@@ -93,7 +103,7 @@ from tactsim import (
 )
 from tactsim import pipeline
 from tactsim.config import channel_signal
-from tactsim.estimator import PATTERNS
+from tactsim.estimator import PATTERNS, exact_units
 from tactsim.streams import format_sample_block
 from tactsim.units import fsum_counted
 
@@ -216,13 +226,44 @@ def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
 
 
 def reference_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
-    """Frames from one signal conversion and ``process_frame`` per tick."""
-    state = StreamState(est_cfg.filter_window)
-    return [
-        process_frame(est_cfg, state, tuple(channel_signal(cfg, int(c)) for c in s.channels),
-                      s.time)
-        for s in samples
-    ]
+    """Frames from one signal conversion per channel and ``moving_average`` per tick."""
+    window, frames = deque(maxlen=est_cfg.filter_window), []
+    for s in samples:
+        signals = [channel_signal(cfg, int(c)) for c in s.channels]
+        window.append(estimate_force(est_cfg, signals[0]))
+        on = detect_contacts(signals[1:], est_cfg.element_thresholds)
+        frames.append(EstimateFrame(s.time, window[-1], moving_average(window), on,
+                                    classify_pattern(on)))
+    return frames
+
+
+def filtered_by_definition(frames, filter_window: int):
+    """``frames`` with each filtered force recomputed by ``moving_average``."""
+    window = deque(maxlen=filter_window)
+    for frame in frames:
+        window.append(frame.raw_force)
+        yield replace(frame, filtered_force=moving_average(window))
+
+
+#: Forces the filter must average exactly: signed zeros, the smallest
+#: subnormal and others, values spread over every exponent up to 3 N.
+filter_force = (st.sampled_from((0.0, -0.0, 5e-324, 1.5))
+                | st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324)
+                | st.floats(0.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(st.tuples(filter_force, st.integers(1, 40)), min_size=1, max_size=40),
+       window=st.integers(1, 8) | st.integers(1, 2000), chunk=st.integers(1, 50))
+def test_running_sum_filter_matches_moving_average(runs, window, chunk):
+    forces = [force for force, repeats in runs for _ in range(repeats)]
+    state, reference = StreamState(window), deque(maxlen=window)
+    for start in range(0, len(forces), chunk):  # stepped in chunks, as blocks are
+        part = forces[start:start + chunk]
+        texts = state.step([(force, repr(force), exact_units(force)) for force in part])
+        for force, text in zip(part, texts):
+            reference.append(force)
+            assert text == repr(moving_average(reference))
 
 
 coefficient = st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
@@ -315,7 +356,8 @@ def test_block_replay_matches_per_frame_reference(case, data, block):
     lines = text_lines(data, [format_sample_line(s) for s in samples], BAD_SAMPLE_LINES)
 
     def reference(out):
-        for frame in pipeline.estimate_frames(cfg, est_cfg, read_samples(lines)):
+        frames = pipeline.estimate_frames(cfg, est_cfg, read_samples(lines))
+        for frame in filtered_by_definition(frames, est_cfg.filter_window):
             out.write(format_frame(frame) + "\n")
 
     def blocks(out):
