@@ -207,7 +207,7 @@ def classify_pattern(states) -> str:
     """
     if len(states) != 4:
         raise ValueError("pattern classification needs 4 element states")
-    return _PATTERNS_BY_COUNT[sum(bool(s) for s in states)]
+    return _PATTERNS_BY_COUNT[sum(map(bool, states))]
 
 
 def process_frame(cfg: EstimatorConfig, state: StreamState, signals, time: float) -> EstimateFrame:
@@ -233,7 +233,7 @@ def advance(state: StreamState, time: float, entry) -> float:
     """
     state.tick(time)
     (text,) = state.step([entry])
-    return float(text)
+    return entry[0] if text is entry[1] else float(text)  # this tick's own spelling needs no parse
 
 
 def frame_tail(states, pattern: str) -> str:

@@ -211,26 +211,34 @@ class CodeTables:
         spelled = self.tails[text] = f",{_TAILS[tuple(on)]}\n"
         return spelled
 
-    def learn(self, channels, where: str):
+    def learn(self, channels):
         """Check the channel values of one sample as ADC codes, then add them.
 
         Returns the sample's entries: channel 0's ``StreamState`` entry and
-        the tuple of the four element on states.
+        the tuple of the four element on states. A DataError, which the
+        caller prefixes with where the sample came from, for a value that
+        is not a code in range or a force that cannot be computed.
         """
         max_code, codes = self.cfg.adc.max_code, []
         for value in channels:
-            if not math.isfinite(value) or (code := int(round(value))) != value:
-                raise DataError(f"{where}: channel value {value!r} is not an ADC code")
+            try:
+                code = round(value)
+            except (OverflowError, ValueError):  # inf or nan
+                code = None
+            if code != value:
+                raise DataError(f"channel value {value!r} is not an ADC code")
             if not 0 <= code <= max_code:
-                raise DataError(f"{where}: code {code} outside [0, {max_code}]")
+                raise DataError(f"code {code} outside [0, {max_code}]")
             codes.append(code)
         entries = []
         for channel, code in enumerate(codes):
-            key, table = str(code), self.text[channel]
-            try:
-                entries.append(table[key] if key in table else self._add(channel, code))
-            except ValueError as exc:  # a signal that overflows at this ADC scale
-                raise DataError(f"{where}: {exc}") from exc
+            entry = self.text[channel].get(str(code))
+            if entry is None:
+                try:
+                    entry = self._add(channel, code)
+                except ValueError as exc:  # a signal that overflows at this ADC scale
+                    raise DataError(str(exc)) from exc
+            entries.append(entry)
         return entries[0], tuple(entries[1:])
 
 
@@ -248,12 +256,12 @@ def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     tables = CodeTables(cfg, est_cfg)
     state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
-        where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
-        entry, on = tables.learn(sample.channels, where)
         try:
+            entry, on = tables.learn(sample.channels)
             filtered = advance(state, sample.time, entry)
-        except StreamError as exc:
-            raise StreamError(f"{where}: {exc}") from exc
+        except DataError as exc:  # a DataError or StreamError, said of the sample
+            where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
+            raise type(exc)(f"{where}: {exc}") from exc
         yield EstimateFrame(sample.time, entry[0], filtered, on, classify_pattern(on))
 
 
@@ -261,20 +269,62 @@ def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> 
     """Replay sample stream lines and write their frame record lines to ``out``.
 
     Writes what ``format_frame`` gives for each frame of
-    ``estimate_frames(cfg, est_cfg, read_samples(lines))``, reading and
-    writing ``BLOCK_TICKS`` lines at a time, so memory stays constant
-    however long the stream. Each block goes through ``_Replay.block``
-    in C-level passes, or, if that declines it, through
-    ``_Replay.canonical``, which respells it and sends it back through
-    ``_Replay.block``. An error names its line, and the frames before a
-    bad line are written before the error propagates.
+    ``estimate_frames(cfg, est_cfg, read_samples(lines))``, through
+    ``_replay_blocks`` and ``_Replay``, in constant memory. An error names
+    its line, after the frames before that line are written.
     """
     replay = _Replay(cfg, est_cfg, out)
-    lines, number = iter(lines), 0
-    while block := list(islice(lines, BLOCK_TICKS)):
-        if not replay.block(block, range(number + 1, number + len(block) + 1)):
-            replay.canonical(block, number)
-        number += len(block)
+    for _ in _replay_blocks(lines, replay.block, replay.respell):
+        pass
+
+
+def _replay_blocks(lines, block, respell):
+    """Yield ``block``'s result for each ``BLOCK_TICKS`` lines, lazily.
+
+    ``block(lines, numbers)`` takes lines and each one's file line number,
+    or declines them by returning None, having done nothing. A declined
+    block's lines, but blank and ``#`` ones, go through ``respell(text,
+    number)`` in file order, so an error names its line, and back through
+    ``block``, which takes every respelled line: those before a bad line
+    before the error propagates, so a clock error among them comes first.
+    """
+    lines, read = iter(lines), 0
+    while chunk := list(islice(lines, BLOCK_TICKS)):
+        numbers = range(read + 1, read + len(chunk) + 1)
+        read += len(chunk)
+        result = block(chunk, numbers)
+        if result is None:
+            respelled, kept = [], []
+            try:
+                for number, line in zip(numbers, chunk):
+                    text = line.strip()
+                    if text and not text.startswith("#"):
+                        respelled.append(respell(text, number))
+                        kept.append(number)
+            finally:
+                result = block(respelled, kept) if respelled else ()
+        yield result
+
+
+def _columns(lines, fields: int):
+    """``(times, column, ...)`` of lines split at their first ``fields - 1`` commas.
+
+    The first column is converted with ``float``. None for lines whose
+    text is not ``plain_ascii``, with a line of fewer fields, or with a
+    time that is not finite and non-negative.
+    """
+    if not plain_ascii("".join(lines)):
+        return None
+    columns = list(zip(*map(str.split, lines, repeat(","), repeat(fields - 1))))
+    if len(columns) != fields:
+        return None
+    try:
+        times = list(map(float, columns[0]))
+    except ValueError:
+        return None
+    if not (all(map(math.isfinite, times)) and min(times) >= 0.0):
+        return None
+    return times, *columns[1:]
 
 
 class _Replay:
@@ -286,37 +336,24 @@ class _Replay:
         self.state = StreamState(est_cfg.filter_window)
         self.out = out
 
-    def block(self, lines, numbers) -> bool:
-        """Write the frames of a block of sample lines in C-level passes.
+    def block(self, lines, numbers):
+        """Write the frames of sample lines in C-level passes; True once written.
 
-        ``numbers`` holds the file line number of each line. Each line is
-        split once into its time, force code and element codes; every
-        time is converted and spelled, and each distinct force code and
-        element tail looked up once in ``CodeTables``. The filter steps
-        through ``StreamState.step``. Returns False, with nothing written
-        or stepped, for a block with a line that is not a time and five
-        canonically spelled codes (its ``plain_ascii`` rule checked once
-        for the whole block), or with a time that is not finite and
-        non-negative. A time that does not advance the clock raises its
-        StreamError after the frames before it are written.
+        Every time is spelled, each distinct force code and element tail
+        looked up once in ``CodeTables``, and the filter stepped through
+        ``StreamState.step``. None, with nothing written or stepped, for
+        lines that are not a time and five canonically spelled codes. A
+        time that does not advance the clock raises its StreamError,
+        naming its line from ``numbers``, after the frames before it.
         """
-        if not plain_ascii("".join(lines)):
-            return False
-        columns = list(zip(*map(str.split, lines, repeat(","), repeat(2))))
-        if len(columns) != 3:  # a line of fewer than three fields
-            return False
-        time_texts, force_texts, tail_texts = columns
-        try:
-            times = list(map(float, time_texts))
-        except ValueError:
-            return False
-        if not (all(map(math.isfinite, times)) and min(times) >= 0.0):
-            return False
+        if (columns := _columns(lines, 3)) is None:
+            return None
+        times, force_texts, tail_texts = columns
         tables, state = self.tables, self.state
         forces = {text: tables.entry(0, text) for text in set(force_texts)}
         tails = {text: tables.tail(text) for text in set(tail_texts)}
         if None in forces.values() or None in tails.values():
-            return False
+            return None
         clock = [-math.inf if state.last_time is None else state.last_time, *times]
         late = next(compress(count(), map(ge, clock, times)), None)
         if late is not None:  # the frames before the late tick, then its error
@@ -338,28 +375,14 @@ class _Replay:
                 raise StreamError(f"line {numbers[late]}: {exc}") from exc
         return True
 
-    def canonical(self, lines, number: int) -> None:
-        """Replay a block that follows ``number`` lines, as ``format_sample_line`` spells it.
-
-        Each line that is not blank or a ``#`` comment goes through
-        ``parse_sample_line`` and ``CodeTables.learn``, in file order, so
-        an error names the line. The lines before an error, respelled,
-        go through ``block``, which takes every canonical line, before
-        the error propagates; a clock error among them comes first.
-        """
-        respelled, numbers = [], []
+    def respell(self, text: str, number: int) -> str:
+        """Line ``number``, ``text``, checked and spelled as ``format_sample_line`` spells it."""
+        sample = parse_sample_line(text, number)
         try:
-            for number, line in enumerate(lines, start=number + 1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                sample = parse_sample_line(text, number)
-                self.tables.learn(sample.channels, f"line {number}")
-                respelled.append(format_sample_line(sample) + "\n")
-                numbers.append(number)
-        finally:
-            if respelled:
-                self.block(respelled, numbers)
+            self.tables.learn(sample.channels)
+        except DataError as exc:
+            raise DataError(f"line {number}: {exc}") from exc
+        return format_sample_line(sample) + "\n"
 
 
 def summarize_frames(frames, sensing_range: float, truth: LoadScenario = None) -> str:
@@ -386,7 +409,8 @@ def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> 
     of ``rmse`` over every frame.
     """
     counts = _FrameCounts(sensing_range, truth)
-    total = fsum_counted(counts.squared_errors(lines))
+    blocks = _replay_blocks(lines, counts.block, counts.respell)
+    total = fsum_counted(pair for pairs in blocks for pair in pairs)
     count = counts.count
     summary = [f"frames,{count}"]
     if count:
@@ -432,49 +456,26 @@ class _FrameCounts:
         self.t_first = self.t_last = None
         self.tails = Counter()  # tail spelling -> frames
 
-    def squared_errors(self, lines):
-        """Count every line, one block at a time, lazily.
+    def block(self, lines, numbers):
+        """Count frame lines in C-level passes; their ``(squared error, frames)`` pairs.
 
-        Yields ``(squared error, frames)`` pairs against the scenario, if
-        there is one. A block goes through ``_block``, or, if that
-        declines it, through ``_canonical`` and then ``_block``.
+        Each distinct raw, filtered and tail spelling is checked once, as
+        ``parse_frame`` checks it. With a scenario, the times in sorted
+        order (squared errors are summed exactly, in any order) are paired
+        with its steps by bisection, and filtered spellings counted per
+        step. None, with nothing counted, for lines not all spelled as
+        ``format_frame`` spells them, or with a time before the scenario.
         """
-        lines, number = iter(lines), 0
-        while block := list(islice(lines, BLOCK_TICKS)):
-            pairs = self._block(block)
-            if pairs is None:
-                frame_lines = self._canonical(block, number)
-                pairs = self._block(frame_lines) if frame_lines else ()
-            yield from pairs
-            number += len(block)
-
-    def _block(self, block):
-        """Count a block of canonically spelled frame lines in C-level passes.
-
-        Each line is split once, and each distinct raw, filtered and tail
-        spelling checked once, as ``parse_frame`` checks it (its
-        ``plain_ascii`` rule once for the whole block). With a
-        scenario, the times in sorted order (squared errors are summed
-        exactly, in any order) are paired with its steps by bisection,
-        and filtered spellings counted per step. Returns the block's
-        squared-error pairs, or None, with nothing counted, for a block
-        with any other line or with a time before the scenario.
-        """
-        if not plain_ascii("".join(block)):
+        if (columns := _columns(lines, 4)) is None:
             return None
-        columns = list(zip(*map(str.split, block, repeat(","), repeat(3))))
-        if len(columns) != 4:  # a line of fewer than four fields
-            return None
-        time_texts, raw_texts, filtered_texts, tail_texts = columns
+        times, raw_texts, filtered_texts, tail_texts = columns
         tails, raws, spellings = Counter(tail_texts), Counter(raw_texts), set(filtered_texts)
         try:
-            times = list(map(float, time_texts))
             raw_values = list(map(float, raws))
             filtered = dict(zip(spellings, map(float, spellings)))
         except ValueError:
             return None
-        if not (all(map(math.isfinite, times)) and min(times) >= 0.0
-                and all(map(math.isfinite, raw_values))
+        if not (all(map(math.isfinite, raw_values))
                 and all(map(math.isfinite, filtered.values()))
                 and _FRAME_TAILS.keys() >= tails.keys()):
             return None
@@ -503,23 +504,15 @@ class _FrameCounts:
         self.tails.update(tails)
         return pairs
 
-    def _canonical(self, block, number: int) -> list:
-        """The frames of a block that follows ``number`` lines, as ``format_frame`` spells them.
+    def respell(self, text: str, number: int) -> str:
+        """Line ``number``, ``text``, checked and spelled as ``format_frame`` spells it.
 
-        Each line that is not blank or a ``#`` comment goes through
-        ``parse_frame`` and, with a scenario, its start check, in file
-        order, so an error names the line.
+        With a scenario, a frame before its start is a ParseError.
         """
-        frame_lines = []
-        for number, line in enumerate(block, start=number + 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            frame = parse_frame(text, number)
-            if self.truth is not None:
-                try:
-                    self.truth.at(frame.time)
-                except ValueError as exc:  # a frame before the scenario start
-                    raise ParseError(str(exc), number) from exc
-            frame_lines.append(format_frame(frame))
-        return frame_lines
+        frame = parse_frame(text, number)
+        if self.truth is not None:
+            try:
+                self.truth.at(frame.time)
+            except ValueError as exc:  # a frame before the scenario start
+                raise ParseError(str(exc), number) from exc
+        return format_frame(frame)

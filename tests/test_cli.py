@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import warnings
 from dataclasses import replace
@@ -658,8 +659,13 @@ class TestEstimateMemory:
     """``estimate`` replays a stream from stdin in the memory of one block."""
 
     @staticmethod
-    def replay_peak(lines, model_path, capsys, monkeypatch, *args):
-        """Peak traced memory of ``tactsim estimate - [args]`` on a line iterator."""
+    def replay_peak(make_lines, model_path, capsys, monkeypatch, *args):
+        """Peak traced memory of ``tactsim estimate - [args]`` on ``make_lines()``.
+
+        A warm-up replay of the first lines and a full collection come
+        first, so every measured replay starts from the same free lists.
+        """
+        import gc
         import tracemalloc
 
         class Sink:
@@ -668,23 +674,29 @@ class TestEstimateMemory:
             def write(self, text):
                 self.frames += text.count("\n")
 
-        sink = Sink()
-        monkeypatch.setattr("sys.stdin", lines)
-        monkeypatch.setattr("sys.stdout", sink)
+        def replay(lines):
+            sink = Sink()
+            monkeypatch.setattr("sys.stdin", lines)
+            monkeypatch.setattr("sys.stdout", sink)
+            code = main(["estimate", "-", "-m", str(model_path), *map(str, args)])
+            assert code == 0, capsys.readouterr().err
+            return sink.frames
+
+        replay(itertools.islice(make_lines(), 4 * 1024))
+        gc.collect()
         tracemalloc.start()
         try:
-            code = main(["estimate", "-", "-m", str(model_path), *map(str, args)])
+            frames = replay(make_lines())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == 0, capsys.readouterr().err
-        return peak, sink.frames
+        return peak, frames
 
     def test_peak_does_not_grow_with_stream_length(self, model_path, capsys, monkeypatch):
         rows = [f"{c},{7 * c % 256},0,255,{c % 3}\n" for c in range(256)]
 
         def stream(ticks):
-            return (f"{n},{rows[n % 256]}" for n in range(ticks))
+            return lambda: (f"{n},{rows[n % 256]}" for n in range(ticks))
 
         short, short_frames = self.replay_peak(stream(50_000), model_path, capsys, monkeypatch)
         long, long_frames = self.replay_peak(stream(200_000), model_path, capsys, monkeypatch)
@@ -706,10 +718,13 @@ class TestEstimateMemory:
         # code 5 in 3,000 spellings: 5.0, 5.00, 05.0, 005.000, ...
         spellings = [f"{'0' * a}5.{'0' * b}" for a in range(50) for b in range(1, 61)]
         monkeypatch.setattr(pipeline, "CodeTables", Recorded)
-        lines = (f"{n / 9.6!r},{spelling},5,5,5,5\n" for n, spelling in enumerate(spellings))
+
+        def lines():
+            return (f"{n / 9.6!r},{spelling},5,5,5,5\n" for n, spelling in enumerate(spellings))
+
         _, frames = self.replay_peak(lines, model_path, capsys, monkeypatch)
         assert frames == 3_000
-        (recorded,) = tables
+        _, recorded = tables  # the warm-up replay's, then the measured one's
         assert [len(t) for t in recorded.text] == [1, 1, 1, 1, 1]
         assert list(recorded.text[0]) == ["5"]
 
@@ -719,8 +734,8 @@ class TestEstimateMemory:
 
         def stream(ticks):  # each channel's code new on every line
             steps = (87, 89, 97, 101, 103)
-            return (f"{n}," + ",".join(str(n * p % 2**20) for p in steps) + "\n"
-                    for n in range(ticks))
+            return lambda: (f"{n}," + ",".join(str(n * p % 2**20) for p in steps) + "\n"
+                            for n in range(ticks))
 
         peaks = [self.replay_peak(stream(ticks), model_path, capsys, monkeypatch, "--config", path)
                  for ticks in (4_000, 12_000)]
@@ -731,24 +746,29 @@ class TestEstimateMemory:
 
 
 class TestReportMemory:
-    """``report --truth --rmse`` summarizes a frame file in the memory of one block."""
+    """``report --truth`` summarizes a frame stream in the memory of one block."""
 
     @staticmethod
-    def report_peak(tmp_path, frames, capsys):
-        """Peak traced memory of ``tactsim report --truth --rmse`` on ``frames`` lines."""
+    def scenario(tmp_path):
+        path = tmp_path / "scenario.csv"
+        steps = (f"{600 * k},{0.25 * (k % 5)},{'1+2' if k % 5 else ''}\n" for k in range(40))
+        path.write_text("t,force_n,quadrants\n" + "".join(steps))
+        return path
+
+    @staticmethod
+    def frame_lines(frames):
+        tails = ("0,0,0,0,none", "1,0,0,0,point", "1,1,0,0,line", "1,1,1,1,area")
+        return (f"{n / 9.6!r},{0.25 * (n % 7)!r},{(n % 97) / 64!r},{tails[n % 4]}\n"
+                for n in range(frames))
+
+    @staticmethod
+    def traced_peak(argv, frames, capsys):
+        """Peak traced memory of ``main(argv)``, checking its summary of ``frames`` frames."""
         import tracemalloc
 
-        scenario, path = tmp_path / "scenario.csv", tmp_path / "frames.csv"
-        steps = (f"{600 * k},{0.25 * (k % 5)},{'1+2' if k % 5 else ''}\n" for k in range(40))
-        scenario.write_text("t,force_n,quadrants\n" + "".join(steps))
-        tails = ("0,0,0,0,none", "1,0,0,0,point", "1,1,0,0,line", "1,1,1,1,area")
-        with open(path, "w") as handle:
-            handle.writelines(
-                f"{n / 9.6!r},{0.25 * (n % 7)!r},{(n % 97) / 64!r},{tails[n % 4]}\n"
-                for n in range(frames))
         tracemalloc.start()
         try:
-            code = main(["report", str(path), "--truth", str(scenario), "--rmse"])
+            code = main(argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -759,11 +779,30 @@ class TestReportMemory:
         assert 0.0 < float(summary["rmse_n"]) < 2.0
         return peak
 
+    def report_peak(self, tmp_path, frames, capsys):
+        """Peak traced memory of ``tactsim report --truth --rmse`` on a file of ``frames`` lines."""
+        path = tmp_path / "frames.csv"
+        with open(path, "w") as handle:
+            handle.writelines(self.frame_lines(frames))
+        argv = ["report", str(path), "--truth", str(self.scenario(tmp_path)), "--rmse"]
+        return self.traced_peak(argv, frames, capsys)
+
     def test_peak_does_not_grow_with_frame_count(self, tmp_path, capsys):
         short = self.report_peak(tmp_path, 50_000, capsys)
         long = self.report_peak(tmp_path, 200_000, capsys)
         assert short < 3_000_000 and long < 3_000_000
         # within one block: 1,024 lines and their fields
+        assert abs(long - short) < 1024 * 200
+
+    def test_stdin_peak_does_not_grow_with_frame_count(self, tmp_path, capsys, monkeypatch):
+        """``report -`` reads frames from stdin as they are generated, none held."""
+        argv = ["report", "-", "--truth", str(self.scenario(tmp_path))]
+        peaks = []
+        for frames in (50_000, 200_000):
+            monkeypatch.setattr("sys.stdin", self.frame_lines(frames))
+            peaks.append(self.traced_peak(argv, frames, capsys))
+        short, long = peaks
+        assert short < 3_000_000 and long < 3_000_000
         assert abs(long - short) < 1024 * 200
 
 

@@ -349,6 +349,18 @@ class TestEstimateFrames:
         with pytest.raises(DataError, match=message):
             list(estimate_frames(cfg, est, samples))
 
+    @pytest.mark.parametrize("samples, error, message", [
+        ([SampleLine(0.0, (0,) * 5), SampleLine(0.0, (0,) * 5)], StreamError,
+         "sample 2: timestamp 0.0 s does not advance past 0.0 s"),
+        ([SampleLine(0.0, (999, 0, 0, 0, 0), line_number=4)], DataError,
+         "line 4: code 999 outside [0, 255]"),
+    ])
+    def test_errors_keep_their_class_and_name_the_sample_once(self, cfg, samples, error, message):
+        est = make_estimator_config(cfg, _linear_volts_model())
+        with pytest.raises(DataError) as info:
+            list(estimate_frames(cfg, est, samples))
+        assert type(info.value) is error and str(info.value) == message
+
     @pytest.mark.parametrize("time", (math.inf, math.nan))
     def test_non_finite_sample_time_rejected(self, time):
         with pytest.raises(ValueError, match="^sample time must be finite$"):
@@ -453,6 +465,17 @@ class TestBlockHandOffs:
         text, error, message, _ = self.check(cfg, est, lines, blocks=(1, 3, 8, 1024))
         assert error is DataError and message == "line 18: code 4096 outside [0, 4095]"
         assert text.count("\n") == 17
+
+
+def test_clock_error_after_a_skipped_line_names_its_own_line(cfg):
+    """A declined block's respelled lines keep their numbers past the lines it skips."""
+    est = make_estimator_config(cfg, _linear_volts_model())
+    lines = TestBlockHandOffs.lines(6)
+    lines[4] = lines[2]  # file line 6, after the comment, repeats line 4's time
+    lines.insert(1, "# a comment\n")
+    text, error, message, _ = TestBlockHandOffs.check(cfg, est, lines, blocks=(3, 8))
+    assert error is StreamError and message.startswith("line 6: timestamp ")
+    assert text.count("\n") == 4
 
 
 class TestAlternateConfigurations:
