@@ -6,6 +6,7 @@ seed; re-runs are byte-identical.
 """
 
 import argparse
+import gc
 import math
 import os
 import signal
@@ -201,13 +202,24 @@ def run() -> int:
     enough to use a BLAS thread pool, and starting one is about 40% of
     numpy's import. A closed stdout ends the command by the default
     ``SIGPIPE`` action, as it ends other filters, not as a data error.
-    Both are set here, not on import, so that a program importing
-    tactsim keeps its own BLAS settings and signal handlers.
+    The cyclic garbage collector is off while the command runs, and the
+    heap is frozen when it ends, so that the interpreter's teardown
+    collections skip every object the command and its imports made.
+    Teardown is the larger cost: a full pass over some 14,000 objects,
+    23,000 once numpy is loaded. A command leaves a constant amount of
+    cyclic garbage, its argument parser, whatever the stream's length.
+    All three are set here, not on import, so that a program importing
+    tactsim or calling ``main`` keeps its own BLAS settings, signal
+    handlers and collector.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    return main()
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

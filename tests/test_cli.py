@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -53,6 +54,18 @@ def model_path(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, PolynomialModel((-0.05, 0.3)))
     return path
+
+
+@pytest.fixture(params=("on", "off"))
+def collector(request):
+    """The cyclic garbage collector on, as for ``main`` called in process,
+    or off, as the ``tactsim`` command runs (``cli.run``)."""
+    if request.param == "off":
+        gc.disable()
+    try:
+        yield request.param
+    finally:
+        gc.enable()
 
 
 def run(capsys, *args):
@@ -665,7 +678,6 @@ class TestEstimateMemory:
         A warm-up replay of the first lines and a full collection come
         first, so every measured replay starts from the same free lists.
         """
-        import gc
         import tracemalloc
 
         class Sink:
@@ -692,7 +704,8 @@ class TestEstimateMemory:
             tracemalloc.stop()
         return peak, frames
 
-    def test_peak_does_not_grow_with_stream_length(self, model_path, capsys, monkeypatch):
+    def test_peak_does_not_grow_with_stream_length(self, model_path, capsys, monkeypatch,
+                                                   collector):
         rows = [f"{c},{7 * c % 256},0,255,{c % 3}\n" for c in range(256)]
 
         def stream(ticks):
@@ -794,7 +807,8 @@ class TestReportMemory:
         # within one block: 1,024 lines and their fields
         assert abs(long - short) < 1024 * 200
 
-    def test_stdin_peak_does_not_grow_with_frame_count(self, tmp_path, capsys, monkeypatch):
+    def test_stdin_peak_does_not_grow_with_frame_count(self, tmp_path, capsys, monkeypatch,
+                                                       collector):
         """``report -`` reads frames from stdin as they are generated, none held."""
         argv = ["report", "-", "--truth", str(self.scenario(tmp_path))]
         peaks = []
@@ -804,6 +818,53 @@ class TestReportMemory:
         short, long = peaks
         assert short < 3_000_000 and long < 3_000_000
         assert abs(long - short) < 1024 * 200
+
+
+class TestCyclicGarbage:
+    """Each command leaves the same cyclic garbage, whatever its input's size.
+
+    The ``tactsim`` command runs with the collector off (``cli.run``), so
+    garbage that grew with the stream or the number of repeats would grow
+    the process with it.
+    """
+
+    @staticmethod
+    def garbage(capsys, *args):
+        """Objects a full collection finds after ``main(args)`` ran with the collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            code = main([str(a) for a in args])
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0, capsys.readouterr().err
+        capsys.readouterr()
+        return found
+
+    def replay_garbage(self, tmp_path, model_path, capsys, seconds):
+        """Garbage of simulate, estimate and report --truth on ``seconds`` of presses."""
+        scenario, stream, frames = (tmp_path / f"{name}-{seconds}.csv"
+                                    for name in ("scenario", "stream", "frames"))
+        steps = (f"{20 * k},{0.25 * (k % 5)},{'1+2' if k % 5 else ''}\n"
+                 for k in range(seconds // 20))
+        scenario.write_text("t,force_n,quadrants\n" + "".join(steps) + f"{seconds},0.0,\n")
+        return (self.garbage(capsys, "simulate", scenario, "-o", stream),
+                self.garbage(capsys, "estimate", stream, "-m", model_path, "-o", frames),
+                self.garbage(capsys, "report", frames, "--truth", scenario, "--rmse"))
+
+    def test_replay_commands(self, tmp_path, model_path, capsys):
+        self.replay_garbage(tmp_path, model_path, capsys, 100)  # first imports and caches
+        short = self.replay_garbage(tmp_path, model_path, capsys, 300)  # 2,881 ticks
+        long = self.replay_garbage(tmp_path, model_path, capsys, 1200)  # 11,521 ticks
+        assert short == long
+
+    def test_calibrate(self, workdir, capsys):
+        dataset = workdir / "calibration.csv"
+        found = [self.garbage(capsys, "calibrate", dataset, "--repeats", repeats,
+                              "-o", workdir / "model.json")
+                 for repeats in (1, 1, 4)]  # the first run imports numpy
+        assert found[1] == found[2]
 
 
 #: A bad frame line -> the error message after "line k: ".

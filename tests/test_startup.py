@@ -2,12 +2,14 @@
 
 numpy is imported only inside the array code that ``simulate`` and
 ``calibrate`` reach, so the replay commands skip its import time, and
-the command-line entry point starts OpenBLAS with one thread. The test
-modules import numpy themselves, so every command here runs as
+the command-line entry point starts OpenBLAS with one thread and runs
+the command with the cyclic garbage collector off. The test modules
+import numpy themselves, so every command here runs as
 ``python -m tactsim`` in a fresh interpreter, and ``-X importtime``
 lists the modules it imported.
 """
 
+import gc
 import os
 import signal
 import subprocess
@@ -31,6 +33,7 @@ def python(*args, stdin=None, env=None):
     """Run the interpreter on ``args``; return its result and imported modules.
 
     The child gets this environment without ``THREAD_VARIABLES``, plus ``env``.
+    The result's ``stderr`` is the child's without the ``-X importtime`` lines.
     """
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     child = {name: value for name, value in os.environ.items()
@@ -39,8 +42,10 @@ def python(*args, stdin=None, env=None):
         [sys.executable, "-X", "importtime", *args], input=stdin, capture_output=True,
         text=True, env={**child, "PYTHONPATH": path, **(env or {})}, timeout=120,
     )
-    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+    lines = done.stderr.splitlines(keepends=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
                 if line.startswith("import time:")}
+    done.stderr = "".join(line for line in lines if not line.startswith("import time:"))
     return done, imported
 
 
@@ -141,13 +146,56 @@ def test_import_leaves_the_thread_count_unset():
     assert done.stdout == "None\n"
 
 
+# Runs ``cli.run`` with ``main`` replaced by a probe that prints whether the
+# collector is on; after ``run`` returns, prints whether the heap is frozen.
+GC_PROBE = """
+import gc, sys
+from tactsim import cli
+
+def probe():
+    print(gc.isenabled())
+    return 3
+
+cli.main = probe
+code = cli.run()
+print(gc.get_freeze_count() > 0)
+sys.exit(code)
+"""
+
+
+def test_entry_point_runs_the_command_without_the_collector():
+    done, _ = python("-c", GC_PROBE)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert done.stdout == "False\nTrue\n"
+
+
+def test_import_leaves_the_collector_running():
+    done, _ = python("-c", "import gc, tactsim.cli; print(gc.isenabled(), gc.get_freeze_count())")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "True 0\n"
+
+
 def test_main_in_process_leaves_the_environment(replay, capsys, monkeypatch):
     for name in THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    before = dict(os.environ)
+    before = dict(os.environ), gc.isenabled(), gc.get_freeze_count()
     assert cli.main(["report", str(replay["frames.csv"])]) == 0
     assert capsys.readouterr().out.startswith("frames,154\n")
-    assert dict(os.environ) == before
+    assert (dict(os.environ), gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_entry_point_exits_as_main_does(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("v,force_n\n" + "2.0,0.1\n" * 40)  # one signal: every fold is singular
+    # a usage error, a data error and a singular fit -> the exit code each gives
+    cases = {(): 1, ("report", str(tmp_path / "missing.csv")): 2,
+             ("calibrate", str(flat), "--orders", "2"): 3}
+    for argv, code in cases.items():
+        assert cli.main(list(argv)) == code
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n")) == ("", 1) and err.startswith("tactsim: error: "), err
+        done, _ = python("-m", "tactsim", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
