@@ -11,7 +11,6 @@ scale cannot silently be applied to another.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -411,6 +410,7 @@ def save_model(path, model: PolynomialModel, report: FitReport = None) -> None:
 
     A cross-validation RMSE that is not finite is written as ``null``.
     """
+    import json
     payload = {
         "format": MODEL_FORMAT,
         "order": model.order,
@@ -444,6 +444,7 @@ def _read_int(digits: str) -> int:
 def load_model(path) -> PolynomialModel:
     """Read a model file: a JSON object with ``order``, a JSON integer, and
     ``coefficients``, a list of JSON numbers (booleans are not numbers)."""
+    import json
     with open_input(path) as handle:
         text = handle.read()
     try:

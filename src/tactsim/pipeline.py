@@ -48,18 +48,30 @@ def tick_count(adc_rate: float, end_time: float) -> int:
     return max(math.floor(last) + 1, 0)
 
 
-def _step_deltas(cfg: ToolkitConfig, scenario: LoadScenario) -> np.ndarray:
-    """Sensing-arm rise of each channel, fabric first, for every step.
+def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
+    """Sensing-arm rises of each distinct load, and each step's row of them.
 
-    One row per scenario step: the load is held between steps, so these
-    rows are all the resistance states a simulation can visit.
+    Returns ``(deltas, load_of_step)``. ``deltas`` has one row per
+    distinct signed load ``(force, quadrants)``, in the order the steps
+    first reach it: each channel's rise, fabric first, as ``apply_load``
+    gives it at that load's first step. ``load_of_step`` is an intp array
+    of each step's row. The load is held between steps, so these rows are
+    all the resistance states a simulation can visit. ``-0.0`` keeps a
+    row apart from ``0.0``, since its fabric rise is ``-0.0``.
     """
     import numpy as np
-    rows = []
+    rows, first_times, load_of_step = {}, [], []
     for step in scenario.steps:
-        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
-        rows.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
-    return np.array(rows)
+        load = (step.force, math.copysign(1.0, step.force), step.quadrants)
+        if load not in rows:
+            rows[load] = len(first_times)
+            first_times.append(step.time)
+        load_of_step.append(rows[load])
+    deltas = []
+    for time in first_times:
+        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, time)
+        deltas.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
+    return np.array(deltas), np.array(load_of_step, dtype=np.intp)
 
 
 def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
@@ -71,6 +83,11 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     so scenarios must start there. The scenario, its tick count and the
     bridges are checked when this is called, before any sample is
     produced.
+
+    The chain's inputs are computed once per distinct load of
+    ``_load_table``, and each tick reads its step's row through the
+    step's index, so a scenario costs a few bytes per step on top of
+    its ``LoadStep`` objects.
     """
     import numpy as np
     if scenario.start_time > 0:
@@ -78,9 +95,9 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
             f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
         )
     chain = cfg.sensing_chain()
-    deltas = _step_deltas(cfg, scenario)
+    deltas, load_of_step = _load_table(cfg, scenario)
     try:  # every state the run can visit, at the noise that drives each output highest
-        v_in = chain.inputs(deltas)  # each step's amplifier inputs, indexed per tick below
+        v_in = chain.inputs(deltas)  # each load's amplifier inputs, indexed per tick below
         chain.convert(v_in, np.ones(v_in.shape))
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
@@ -92,9 +109,9 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     def blocks():
         for start in range(0, ticks, BLOCK_TICKS):
             times = np.arange(start, min(start + BLOCK_TICKS, ticks)) / rate
-            rows = np.searchsorted(step_times, times, side="right") - 1
+            steps = np.searchsorted(step_times, times, side="right") - 1
             noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
-            yield times, chain.convert(v_in[rows], noise)
+            yield times, chain.convert(v_in[load_of_step[steps]], noise)
 
     return blocks()
 

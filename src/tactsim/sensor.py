@@ -26,6 +26,9 @@ SATURATION_RESISTANCE_FACTOR = 100.0
 #: Quadrant labels of the four position elements.
 QUADRANTS = (1, 2, 3, 4)
 
+#: The quadrants a step may press, as one set.
+_ALL_QUADRANTS = frozenset(QUADRANTS)
+
 
 @dataclass(frozen=True)
 class FabricModel:
@@ -92,10 +95,14 @@ def default_elements() -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadStep:
     """One timeline point: from ``time`` onward, ``force`` newtons are
-    applied to every quadrant in ``quadrants`` (zero-order hold)."""
+    applied to every quadrant in ``quadrants`` (zero-order hold).
+
+    Slotted, so that a step holds its three fields and no ``__dict__``:
+    a long scenario costs a small constant per step.
+    """
 
     time: float
     force: float
@@ -108,7 +115,7 @@ class LoadStep:
             raise ValueError("applied force must be non-negative")
         if self.force > 0 and not self.quadrants:
             raise ValueError("a non-zero force needs at least one quadrant")
-        if not self.quadrants <= frozenset(QUADRANTS):
+        if not self.quadrants <= _ALL_QUADRANTS:
             raise ValueError(f"quadrants must be a subset of {set(QUADRANTS)}")
 
 
@@ -235,15 +242,22 @@ SCENARIO_HEADER = ("t", "force_n", "quadrants")
 
 
 def load_scenario(path) -> LoadScenario:
-    """Read a scenario CSV with header ``t,force_n,quadrants``."""
-    steps = []
+    """Read a scenario CSV with header ``t,force_n,quadrants``.
+
+    Each distinct ``quadrants`` spelling is parsed once, and its set is
+    shared by every step that spells it, so a step costs its slotted
+    ``LoadStep`` and two floats. A row's time and force are read before
+    its quadrants, so a row with several bad fields names the first.
+    """
+    steps, spelled = [], {}
     for line_number, (time, force, quadrants) in read_table(path, (SCENARIO_HEADER,)):
         try:
-            step = LoadStep(read_float(time), read_float(force),
-                            parse_quadrants(quadrants, line_number))
+            time, force = read_float(time), read_float(force)
+            if (pressed := spelled.get(quadrants)) is None:
+                pressed = spelled[quadrants] = parse_quadrants(quadrants, line_number)
+            steps.append(LoadStep(time, force, pressed))
         except ValueError as exc:
             raise ParseError(str(exc), line_number) from exc
-        steps.append(step)
     try:
         return LoadScenario(tuple(steps))
     except ValueError as exc:

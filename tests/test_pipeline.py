@@ -29,6 +29,7 @@ from tactsim import (
     fabric_delta_r,
     gw_to_newtons,
     format_frame,
+    load_scenario,
     make_estimator_config,
     moving_average,
     read_samples,
@@ -38,7 +39,7 @@ from tactsim import (
 )
 from tactsim.config import channel_signal
 from tactsim import pipeline
-from tactsim.pipeline import _step_deltas, estimate_lines, simulate_blocks, tick_count
+from tactsim.pipeline import _load_table, estimate_lines, simulate_blocks, tick_count
 from tactsim.streams import SampleLine
 
 from conftest import accuracy_scenario
@@ -189,12 +190,47 @@ class TestSimulate:
                 forces += [element.trigger_threshold, element.saturation_force]
         scenario = LoadScenario(tuple(LoadStep(float(k), force, frozenset(quadrants))
                                       for k, force in enumerate(forces)))
-        rows = _step_deltas(cfg, scenario).tolist()
+        deltas, load_of_step = _load_table(cfg, scenario)
+        rows = deltas[load_of_step].tolist()  # each step's row, through its index
         assert len(rows) == len(scenario.steps)
+        assert len(deltas) == len({force.hex() for force in forces})  # one row per load
+        assert load_of_step[0] != load_of_step[1]  # -0.0 and 0.0 each have their own
         for step, row in zip(scenario.steps, rows):
             fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
             expected = [fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))]
             assert [x.hex() for x in row] == [x.hex() for x in expected], step
+
+    def test_scenario_steps_cost_a_small_constant(self, tmp_path):
+        # Traced bytes per step, from N and 4N steps of seven repeating
+        # loads. A loaded step keeps its slotted LoadStep, its two floats
+        # and two tuple slots: 120 B. simulate_blocks' set-up then peaks
+        # 16 B a step above that, for its step times and row indices.
+        # A frozenset, a __dict__ or a table row per step breaks the
+        # bounds (one of each: 376 B kept, 296 B of set-up peak).
+        import tracemalloc
+
+        quadrants = ("", "1", "1+2", "3+4", "1+2+3", "2", "1+2+3+4")
+
+        def cost(steps):
+            """Bytes ``load_scenario`` keeps, and simulate's set-up peak above them."""
+            path = tmp_path / f"{steps}.csv"
+            path.write_text("t,force_n,quadrants\n" + "".join(
+                f"{0.36 * k!r},{0.25 * (k % 7)},{quadrants[k % 7]}\n" for k in range(steps)))
+            tracemalloc.start()
+            try:
+                scenario = load_scenario(path)
+                kept = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                next(simulate_blocks(default_config(), scenario, seed=0))
+                return kept, tracemalloc.get_traced_memory()[1] - kept
+            finally:
+                tracemalloc.stop()
+
+        cost(7)  # numpy's import, outside the counts
+        steps = 2000
+        (kept, setup), (kept_4n, setup_4n) = cost(steps), cost(4 * steps)
+        assert (kept_4n - kept) / (3 * steps) < 160
+        assert (setup_4n - setup) / (3 * steps) < 64
 
 
 class TestCaptureProtocolDataset:

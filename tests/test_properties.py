@@ -3,7 +3,10 @@
 The simulator reference is written tick by tick from the single-stage
 functions, with one scalar noise draw per channel per tick and a linear
 zero-order-hold lookup. The block simulator must produce exactly the
-same stream for any valid configuration, scenario and block size.
+same stream for any valid configuration, scenario and block size. On
+scenarios whose loads repeat, signed zeros and piecewise edges among
+them, its table of one row per distinct load must give the codes of
+``apply_load`` at every tick through ``Chain.codes``.
 
 The estimator reference converts every code of every tick to a signal,
 the force-layer signal to a force with ``estimate_force``, and filters
@@ -74,6 +77,7 @@ from tactsim import (
     UsageError,
     adc_sample,
     amplify,
+    apply_load,
     bridge_output,
     classify_pattern,
     cross_validate,
@@ -209,6 +213,53 @@ def test_block_stream_matches_per_tick_reference(cfg, scenario, seed, block):
     for sample in stream:
         assert type(sample.time) is float
         assert all(type(code) is int for code in sample.channels)
+
+
+@st.composite
+def repeating_scenarios(draw, cfg: ToolkitConfig):
+    """Scenarios of up to 31 steps drawn from a small pool of loads, so
+    that loads repeat: -0.0, 0.0, every piecewise edge of ``cfg`` and two
+    random forces, pressed on up to three random quadrant sets."""
+    forces = [-0.0, 0.0, cfg.fabric.full_scale_force,
+              *draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2))]
+    for element in cfg.elements:
+        forces += [element.trigger_threshold, element.saturation_force]
+    pool = draw(st.lists(st.sets(st.sampled_from(QUADRANTS)).map(frozenset),
+                         min_size=1, max_size=3))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), max_size=30))
+    times = [-draw(st.sampled_from((0.0, 0.0, 0.5)))]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    steps = []
+    for time in times:
+        force, quadrants = draw(st.sampled_from(forces)), draw(st.sampled_from(pool))
+        steps.append(LoadStep(time, force, quadrants if quadrants or not force
+                              else frozenset(QUADRANTS)))
+    return LoadScenario(tuple(steps))
+
+
+def reference_codes(cfg: ToolkitConfig, scenario: LoadScenario, seed: int) -> np.ndarray:
+    """Codes per tick from ``apply_load`` at each tick and one ``Chain.codes``
+    call, on the noise that the block simulator draws."""
+    rate = cfg.adc.sample_rate
+    rows = []
+    for k in range(pipeline.tick_count(rate, scenario.end_time)):
+        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, k / rate)
+        rows.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(rows), 5))
+    return cfg.sensing_chain().codes(np.reshape(rows, (-1, 5)), noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs(), data=st.data(), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 40))
+def test_distinct_load_table_matches_per_step_reference(cfg, data, seed, block):
+    scenario = data.draw(repeating_scenarios(cfg))
+    deltas, _ = pipeline._load_table(cfg, scenario)
+    assert len(deltas) == len({(step.force.hex(), step.quadrants) for step in scenario.steps})
+    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+        blocks = [codes for _, codes in pipeline.simulate_blocks(cfg, scenario, seed=seed)]
+    codes = np.concatenate([np.empty((0, 5), np.int64), *blocks])
+    assert np.array_equal(codes, reference_codes(cfg, scenario, seed))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,11 @@
 """Start-up: ``estimate`` and ``report`` run on the standard library.
 
 numpy is imported only inside the array code that ``simulate`` and
-``calibrate`` reach, so the replay commands skip its import time, and
-the command-line entry point starts OpenBLAS with one thread and runs
-the command with the cyclic garbage collector off. The test modules
+``calibrate`` reach, so the replay commands skip its import time;
+``json`` only where a model file is read or written, so ``simulate``
+and ``report`` skip it; and the command-line entry point starts
+OpenBLAS with one thread and runs the command with the cyclic garbage
+collector off. The test modules
 import numpy themselves, so every command here runs as
 ``python -m tactsim`` in a fresh interpreter, and ``-X importtime``
 lists the modules it imported.
@@ -61,16 +63,19 @@ def uses_numpy(imported) -> bool:
 
 @pytest.fixture(scope="module")
 def replay(tmp_path_factory, chain_dataset):
-    """Files of one simulate -> calibrate -> estimate run, each a subprocess."""
+    """Files of one simulate -> calibrate -> estimate run, each a subprocess,
+    and under ``imports`` the modules that each of the three imported."""
     work = tmp_path_factory.mktemp("startup")
     paths = {name: work / name for name in
              ("scenario.csv", "dataset.csv", "model.json", "stream.csv", "frames.csv")}
     save_scenario(paths["scenario.csv"], accuracy_scenario())
     save_dataset(paths["dataset.csv"], chain_dataset)
-    tactsim_run("simulate", paths["scenario.csv"], "-o", paths["stream.csv"])
-    tactsim_run("calibrate", paths["dataset.csv"], "-o", paths["model.json"], "--repeats", 2)
-    tactsim_run("estimate", paths["stream.csv"], "-m", paths["model.json"],
-                "-o", paths["frames.csv"])
+    _, simulated = tactsim_run("simulate", paths["scenario.csv"], "-o", paths["stream.csv"])
+    _, calibrated = tactsim_run("calibrate", paths["dataset.csv"], "-o", paths["model.json"],
+                                "--repeats", 2)
+    _, estimated = tactsim_run("estimate", paths["stream.csv"], "-m", paths["model.json"],
+                               "-o", paths["frames.csv"])
+    paths["imports"] = {"simulate": simulated, "calibrate": calibrated, "estimate": estimated}
     return paths
 
 
@@ -104,6 +109,13 @@ def test_report_leaves_numpy_out(replay, truth):
     assert out.startswith("frames,154\n")
     assert ("rmse_n," in out) is truth
     assert not uses_numpy(imported)
+
+
+def test_json_only_where_a_model_file_is_read_or_written(replay):
+    _, reported = tactsim_run("report", replay["frames.csv"], "--truth", replay["scenario.csv"])
+    imports = {**replay["imports"], "report": reported}
+    assert {command: "json" in imported for command, imported in imports.items()} == {
+        "simulate": False, "calibrate": True, "estimate": True, "report": False}
 
 
 # Runs ``cli.run`` with ``main`` replaced by a probe that imports numpy and
