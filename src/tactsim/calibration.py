@@ -204,8 +204,8 @@ def kfold_split(dataset, k: int = 5, seed=0) -> np.ndarray:
     if n < k:
         raise DataError(f"cannot split {n} samples into {k} folds")
     import numpy as np
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    from .rng import Pcg64
+    order = Pcg64(seed).permutation(n)
     folds = np.empty(n, dtype=int)
     base, extra = divmod(n, k)
     folds[order] = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))

@@ -5,7 +5,9 @@ block of ``BLOCK_TICKS`` ticks or lines at a time, so a replay never
 holds more than one block in memory regardless of length. All
 randomness comes from one seeded generator that draws exactly five
 amplifier-noise samples per tick in channel order, which makes every run
-byte-reproducible.
+byte-reproducible. The generator is ``rng.Pcg64``, the values of
+``numpy.random.default_rng(seed)`` drawn without importing
+``numpy.random``, so the bytes also stay the same across numpy versions.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     its ``LoadStep`` objects.
     """
     import numpy as np
+    from .rng import Pcg64
     if scenario.start_time > 0:
         raise DataError(
             f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
@@ -104,13 +107,13 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     rate = cfg.adc.sample_rate
     ticks = tick_count(rate, scenario.end_time)
     step_times = np.array(scenario.step_times)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = Pcg64(cfg.seed if seed is None else seed)
 
     def blocks():
         for start in range(0, ticks, BLOCK_TICKS):
             times = np.arange(start, min(start + BLOCK_TICKS, ticks)) / rate
             steps = np.searchsorted(step_times, times, side="right") - 1
-            noise = rng.uniform(-1.0, 1.0, size=(times.size, chain.channels))
+            noise = rng.uniform(times.size * chain.channels).reshape(times.size, chain.channels)
             yield times, chain.convert(v_in[load_of_step[steps]], noise)
 
     return blocks()
@@ -135,11 +138,12 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     dataset a real calibration session would produce.
     """
     import numpy as np
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    from .rng import Pcg64
+    rng = Pcg64(cfg.seed if seed is None else seed)
     weights_gw = expand_protocol(weights)
     forces = [gw_to_newtons(weight) for weight in weights_gw]
     deltas = [[fabric_delta_r(cfg.fabric, force)] for force in forces]
-    noise = rng.uniform(-1.0, 1.0, size=(len(forces), 1))
+    noise = rng.uniform(len(forces)).reshape(len(forces), 1)
     codes = Chain((cfg.bridge,), cfg.adc).codes(deltas, noise)[:, 0].tolist()
     signals = [channel_signal(cfg, code) for code in codes]
     return CalibrationDataset(

@@ -244,18 +244,21 @@ SCENARIO_HEADER = ("t", "force_n", "quadrants")
 def load_scenario(path) -> LoadScenario:
     """Read a scenario CSV with header ``t,force_n,quadrants``.
 
-    Each distinct ``quadrants`` spelling is parsed once, and its set is
-    shared by every step that spells it, so a step costs its slotted
-    ``LoadStep`` and two floats. A row's time and force are read before
-    its quadrants, so a row with several bad fields names the first.
+    Each distinct ``force_n`` and ``quadrants`` spelling is read once,
+    and its float or set is shared by every step that spells it, so a
+    step costs its slotted ``LoadStep`` and its time. A row's time and
+    force are read before its quadrants, so a row with several bad
+    fields names the first.
     """
-    steps, spelled = [], {}
+    steps, forces, spelled = [], {}, {}
     for line_number, (time, force, quadrants) in read_table(path, (SCENARIO_HEADER,)):
         try:
-            time, force = read_float(time), read_float(force)
+            time = read_float(time)
+            if (newtons := forces.get(force)) is None:
+                newtons = forces[force] = read_float(force)
             if (pressed := spelled.get(quadrants)) is None:
                 pressed = spelled[quadrants] = parse_quadrants(quadrants, line_number)
-            steps.append(LoadStep(time, force, pressed))
+            steps.append(LoadStep(time, newtons, pressed))
         except ValueError as exc:
             raise ParseError(str(exc), line_number) from exc
     try:

@@ -1,0 +1,120 @@
+"""``tactsim.rng`` against numpy's ``default_rng``, and against spelled-out draws.
+
+``Pcg64`` must give numpy's values bit for bit: uniform blocks of any
+size drawn in sequence, permutations, and both on one generator, at
+seeds below and above 2**32 and at ``[seed, repeat]`` lists. The literal
+draws of seeds 1 and 7411 are written here too, so a numpy whose array
+arithmetic or raw stream differs fails with a message that says which.
+The suite turns warnings into errors, so a wrapping multiply on a
+numpy scalar (which warns on overflow) fails here as well.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tactsim import rng
+from tactsim.rng import MASK128, MULTIPLIER, TABLE_MAX, Pcg64
+
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**130),
+    st.lists(st.integers(0, 2**40), min_size=2, max_size=2),  # kfold_split's [seed, repeat]
+)
+
+#: The first raw draws of ``default_rng(seed)``, its first ``uniform(-1.0, 1.0)``
+#: and its ``permutation(10)``, each from a fresh generator.
+SPELLED = {
+    1: ((0x8306BDF37922E4FF, 0xF35196BBC152A866, 0x24E7A4F608EC18CD, 0xF2DAB0AED2AC6FD2),
+        0.023643249400513433, [8, 4, 7, 0, 1, 2, 5, 9, 6, 3]),
+    7411: ((0xDDA5DFFEA2635374, 0x3E1FD48F6DF84515, 0x54BDB98379BBA355, 0x7E57FFBA30C5D534),
+           0.7316246026355437, [6, 0, 1, 2, 9, 3, 8, 7, 5, 4]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPELLED))
+def test_first_draws_are_spelled_out(seed):
+    raw, first, order = SPELLED[seed]
+    generator = Pcg64(seed)
+    assert [generator.next64() for _ in raw] == list(raw), "scalar PCG64 step"
+    assert Pcg64(seed).raw(len(raw)).tolist() == list(raw), (
+        "block PCG64 step: numpy's uint64 array arithmetic differs from the limb rules")
+    assert Pcg64(seed).uniform(1).tolist() == [first]
+    assert Pcg64(seed).permutation(10) == order
+
+
+@pytest.mark.parametrize("seed", sorted(SPELLED))
+def test_numpy_still_draws_the_spelled_out_stream(seed):
+    raw, first, order = SPELLED[seed]
+    message = f"numpy {np.__version__} no longer draws PCG64's stream of default_rng({seed})"
+    assert np.random.default_rng(seed).bit_generator.random_raw(len(raw)).tolist() == list(raw), (
+        message)
+    assert np.random.default_rng(seed).uniform(-1.0, 1.0) == first, message
+    assert np.random.default_rng(seed).permutation(10).tolist() == order, message
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, sizes=st.lists(st.integers(0, 5120), max_size=4))
+@example(seed=0, sizes=[0, 1, 5120, 0])
+@example(seed=2**40 + 3, sizes=[2 * TABLE_MAX + 3, 7])
+def test_uniform_blocks_match_numpy(seed, sizes):
+    mine, numpy_rng = Pcg64(seed), np.random.default_rng(seed)
+    for size in sizes:
+        drawn = mine.uniform(size)
+        assert drawn.dtype == np.float64 and drawn.shape == (size,)
+        assert drawn.tobytes() == numpy_rng.uniform(-1.0, 1.0, size).tobytes(), (seed, size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, n=st.integers(2, 1000))
+@example(seed=0, n=2)
+@example(seed=[7, 2], n=1000)
+def test_permutation_matches_numpy(seed, n):
+    assert Pcg64(seed).permutation(n) == np.random.default_rng(seed).permutation(n).tolist()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=SEEDS, n=st.integers(2, 200), before=st.integers(0, 50), after=st.integers(0, 50))
+def test_draws_in_sequence_share_one_stream(seed, n, before, after):
+    """A permutation between uniform blocks, then a second one: numpy keeps
+    an unused high half for the next 32-bit draw, across the uniforms."""
+    mine, numpy_rng = Pcg64(seed), np.random.default_rng(seed)
+    assert mine.uniform(before).tobytes() == numpy_rng.uniform(-1.0, 1.0, before).tobytes()
+    assert mine.permutation(n) == numpy_rng.permutation(n).tolist()
+    assert mine.uniform(after).tobytes() == numpy_rng.uniform(-1.0, 1.0, after).tobytes()
+    assert mine.permutation(n + 1) == numpy_rng.permutation(n + 1).tolist()
+
+
+def test_seeding_matches_numpy_state():
+    for seed in (0, 1, 7411, 2**32, 2**40 + 3, 2**200 + 17, [], [7, 2], list(range(1, 12))):
+        state = np.random.default_rng(seed).bit_generator.state["state"]
+        assert rng.seed_state(seed) == (state["state"], state["inc"]), seed
+
+
+def test_zero_draws():
+    generator = Pcg64(1)
+    assert generator.uniform(0).shape == (0,)
+    assert generator.raw(0).dtype == np.uint64
+    assert generator.permutation(0) == [] and generator.permutation(1) == [0]
+    assert generator.uniform(1).tolist() == [SPELLED[1][1]]  # nothing was drawn
+
+
+@pytest.mark.parametrize("seed", (-1, [3, -2]))
+def test_negative_seed_is_a_value_error(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        Pcg64(seed)
+
+
+def test_jump_tables_match_powers_of_the_multiplier(monkeypatch):
+    """Built fresh, and extended from smaller tables, every entry is
+    ``M**k`` and ``1 + M + ... + M**(k-1)`` mod 2**128."""
+    monkeypatch.setattr(rng, "_tables", None)
+    for n in (1, 2, 3, 100, 5, 5120, 5121, 0):
+        a_hi, a_lo, g_hi, g_lo = rng.jump_tables(n)
+        power, total = 1, 0
+        for k in range(n):
+            total, power = (total + power) & MASK128, power * MULTIPLIER & MASK128
+            assert (int(a_hi[k]) << 64 | int(a_lo[k]), int(g_hi[k]) << 64 | int(g_lo[k])) == (
+                power, total), (n, k)
+        assert not a_lo.flags.writeable

@@ -245,3 +245,15 @@ class TestScenarioCsv:
         path.write_text("t,force_n,quadrants\n0.0,abc,\n")
         with pytest.raises(ParseError, match="line 2"):
             load_scenario(path)
+
+    def test_each_force_and_quadrant_spelling_is_read_once(self, tmp_path):
+        # steps share one float per force spelling and one set per quadrant
+        # spelling; -0.0 keeps its sign
+        path = tmp_path / "scenario.csv"
+        path.write_text("t,force_n,quadrants\n0,0.0,\n1,0.5,1+2\n2,0.0,\n3,0.5,1+2\n"
+                        "4,-0.0,\n5,0,\n")
+        steps = load_scenario(path).steps
+        assert steps[0].force is steps[2].force and steps[1].force is steps[3].force
+        assert steps[0].quadrants is steps[2].quadrants is steps[4].quadrants
+        assert steps[1].quadrants is steps[3].quadrants
+        assert [repr(step.force) for step in steps[4:]] == ["-0.0", "0.0"]

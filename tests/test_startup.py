@@ -1,7 +1,9 @@
 """Start-up: ``estimate`` and ``report`` run on the standard library.
 
 numpy is imported only inside the array code that ``simulate`` and
-``calibrate`` reach, so the replay commands skip its import time;
+``calibrate`` reach, so the replay commands skip its import time, and
+those two draw their noise and folds from ``tactsim.rng``, so no
+command imports ``numpy.random``;
 ``json`` only where a model file is read or written, so ``simulate``
 and ``report`` skip it; and the command-line entry point starts
 OpenBLAS with one thread and runs the command with the cyclic garbage
@@ -61,6 +63,10 @@ def uses_numpy(imported) -> bool:
     return any(name == "numpy" or name.startswith("numpy.") for name in imported)
 
 
+def uses_numpy_random(imported) -> bool:
+    return any(name == "numpy.random" or name.startswith("numpy.random.") for name in imported)
+
+
 @pytest.fixture(scope="module")
 def replay(tmp_path_factory, chain_dataset):
     """Files of one simulate -> calibrate -> estimate run, each a subprocess,
@@ -84,11 +90,21 @@ def test_import_leaves_numpy_out():
     assert done.returncode == 0, done.stderr[-2000:]
     assert "tactsim.pipeline" in imported
     assert not uses_numpy(imported)
+    assert not uses_numpy_random(imported)
 
 
 def test_simulate_and_calibrate_still_run(replay):
     assert replay["stream.csv"].read_text().count("\n") == 154  # 0 to 16 s at 9.6 Hz
     assert '"format": "tactsim-model-v1"' in replay["model.json"].read_text()
+
+
+@pytest.mark.parametrize("command", ("simulate", "calibrate"))
+def test_simulate_and_calibrate_leave_numpy_random_out(replay, command):
+    imported = replay["imports"][command]
+    assert uses_numpy(imported)
+    assert "tactsim.rng" in imported
+    assert not uses_numpy_random(imported), sorted(
+        name for name in imported if name.startswith("numpy.random"))
 
 
 @pytest.mark.parametrize("source", ("file", "stdin"))
