@@ -34,9 +34,14 @@ from .pipeline import estimate_frames, simulate_samples, summarize_frames  # noq
 from .streams import read_samples, write_samples  # noqa: F401
 
 
-def _output(path):
-    """The file at ``path`` to write, or stdout for ``-`` or no path."""
-    return nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w")
+def _output(path, source="-"):
+    """The file at ``path`` to write, or stdout for ``-`` or no path; a
+    UsageError, before it is opened, if it is the input file ``source``."""
+    if path is None or path == "-":
+        return nullcontext(sys.stdout)
+    if source != "-" and os.path.exists(path) and os.path.samefile(source, path):
+        raise UsageError(f"-o {path} is the input stream, which writing would erase")
+    return open(path, "w")
 
 
 def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None) -> None:
@@ -70,7 +75,7 @@ def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) 
     """Replay a sample stream through a calibrated model, frame by frame."""
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
-    with open_input(stream_path) as stream, _output(output_path) as out:
+    with open_input(stream_path) as stream, _output(output_path, stream_path) as out:
         estimate_lines(cfg, est_cfg, stream, out)
 
 
@@ -178,6 +183,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        inputs = ("config", "scenario", "dataset", "stream", "model", "frames", "truth")
+        if [getattr(args, name, None) for name in inputs].count("-") > 1:
+            raise UsageError("only one input can be read from stdin (-)")
         cfg = _load_cfg(args)
         if args.command == "simulate":
             cmd_simulate(cfg, args.scenario, args.output)

@@ -164,8 +164,8 @@ class CodeTables:
     looked up without converting its fields: channel 0 maps to the
     ``StreamState`` entry of the clamped force, ``(force, repr(force),
     exact_units(force))``, channels 1-4 to the element's on state.
-    ``tails`` maps the ``c1,c2,c3,c4`` end of a stream line, with its
-    line end, to the ``,e1,e2,e3,e4,pattern`` end of its frame line.
+    ``tails`` maps the ``c1,c2,c3,c4`` end of a stream line, as read, to
+    the ``,e1,e2,e3,e4,pattern`` end of its frame line.
     Other spellings of a code are never added. A table that holds
     ``BLOCK_TICKS`` entries is emptied before it takes a new one, so
     each stays at most that size whatever the ADC width.
@@ -217,11 +217,11 @@ class CodeTables:
         """The frame-line end of a stream line's ``c1,c2,c3,c4`` end, added if new.
 
         None unless ``text`` holds four codes spelled as ``entry`` takes
-        them, then a line feed or nothing.
+        them, then its line end (LF, CRLF or CR) or nothing.
         """
         if text in self.tails:
             return self.tails[text]
-        keys = text.removesuffix("\n").split(",")
+        keys = text.rstrip("\r\n").split(",")
         if len(keys) != 4:
             return None
         on = [self.entry(channel, key) for channel, key in enumerate(keys, start=1)]
@@ -438,7 +438,7 @@ def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> 
         on_counts = [0, 0, 0, 0]
         pattern_counts = dict.fromkeys(PATTERNS, 0)
         for tail, n in counts.tails.items():
-            states, pattern = _FRAME_TAILS[tail]
+            states, pattern = _FRAME_TAILS[tail.rstrip("\r\n")]
             for index, on in enumerate(states):
                 on_counts[index] += n * on
             pattern_counts[pattern] += n
@@ -453,12 +453,9 @@ def summarize_lines(lines, sensing_range: float, truth: LoadScenario = None) -> 
     return "\n".join(summary)
 
 
-#: ``(states, pattern)`` of each canonically spelled frame tail, with each line end or none.
-_FRAME_TAILS = {
-    frame_tail(on, pattern) + end: (on, pattern)
-    for on in product((False, True), repeat=4) for pattern in PATTERNS
-    for end in ("", "\n", "\r\n")
-}
+#: ``(states, pattern)`` of each canonically spelled frame tail, its line end dropped.
+_FRAME_TAILS = {frame_tail(on, pattern): (on, pattern)
+                for on in product((False, True), repeat=4) for pattern in PATTERNS}
 
 
 def _squared_error(estimate: float, truth: float) -> float:
@@ -498,7 +495,7 @@ class _FrameCounts:
             return None
         if not (all(map(math.isfinite, raw_values))
                 and all(map(math.isfinite, filtered.values()))
-                and _FRAME_TAILS.keys() >= tails.keys()):
+                and _FRAME_TAILS.keys() >= {tail.rstrip("\r\n") for tail in tails}):
             return None
         pairs = []
         if self.truth is not None:

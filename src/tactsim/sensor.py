@@ -222,16 +222,11 @@ def apply_load(scenario: LoadScenario, fabric: FabricModel, elements, time: floa
 
 def parse_quadrants(field: str, line_number=None) -> frozenset:
     """Parse a ``+``-joined quadrant list such as ``1+2`` ('' means none)."""
-    field = field.strip()
-    if not field:
-        return frozenset()
-    quadrants = set()
-    for token in field.split("+"):
-        token = token.strip()
+    tokens = [token.strip() for token in field.split("+")] if field.strip() else []
+    for token in tokens:
         if token not in {"1", "2", "3", "4"}:
             raise ParseError(f"bad quadrant {token!r}", line_number)
-        quadrants.add(int(token))
-    return frozenset(quadrants)
+    return frozenset(map(int, tokens))
 
 
 def format_quadrants(quadrants) -> str:

@@ -140,13 +140,13 @@ def write_samples(handle, samples) -> None:
 def open_input(path):
     """The file at ``path``, or stdin for ``-``, to read as UTF-8 text.
 
-    Line ends are kept as read, as the csv module needs. A decode error
-    raised in the block becomes a DataError naming the file.
+    Either ends lines at LF, CRLF and CR alike and keeps each line's end,
+    as the csv module needs. A decode error in the block is a DataError naming the file.
     """
     try:
         if path == "-":
             if hasattr(sys.stdin, "reconfigure"):  # a text file, not an in-memory one
-                sys.stdin.reconfigure(encoding="utf-8")
+                sys.stdin.reconfigure(encoding="utf-8", newline="")
             yield sys.stdin
         else:
             with open(path, encoding="utf-8", newline="") as handle:

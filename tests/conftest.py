@@ -69,3 +69,15 @@ def replay_scenario():
         LoadStep(10.0, 0.4, frozenset({4})),
         LoadStep(12.0, 0.0, frozenset()),
     ))
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap method ``name`` of ``owner``; return the list its calls' arguments go to."""
+    calls, method = [], getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -4,13 +4,18 @@ import gc
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tactsim
 from tactsim import (
     PRESET_MODELS,
     PolynomialModel,
@@ -20,10 +25,11 @@ from tactsim import (
     save_scenario,
     synthetic_protocol_dataset,
 )
+from tactsim import pipeline
 from tactsim.cli import main
 from tactsim.config import _KEYS, _four_floats, load_config
 
-from conftest import accuracy_scenario
+from conftest import accuracy_scenario, count_calls
 
 
 #: ``--orders`` values the parser rejects -> the error message after the flag.
@@ -621,6 +627,7 @@ BLOCK_EDGE_STREAM_LINES = {
     "non_integral_code": ("{t!r},1,2,3,12.5,5", "channel value 12.5 is not an ADC code"),
     "code_out_of_range": ("{t!r},1,2,3,4,256", "code 256 outside [0, 255]"),
     "time_not_advancing": ("0.0,1,2,3,4,5", "timestamp 0.0 s does not advance past {t!r} s"),
+    "non_numeric_time": ("abc,1,2,3,4,5", "could not convert string to float: 'abc'"),
 }
 
 
@@ -666,6 +673,110 @@ class TestEstimateStreamErrors:
         result = self.replay(lines, source, model_path, tmp_path, capsys, monkeypatch)
         message = f"line {k}: {message.format(t=(k - 2) / 9.6)}"
         assert result == (2, "", f"tactsim: error: {message}\n", k - 1)
+
+
+class TestLineEnds:
+    """Every input, a file or stdin, splits lines at LF, CRLF and CR, and a
+    canonical stream or frame record takes the block pass whatever its
+    line ends."""
+
+    @pytest.fixture()
+    def records(self, workdir, model_path, capsys):
+        """A 2,100-line stream over three blocks, and its frame record."""
+        stream, frames = workdir / "stream.csv", workdir / "frames.csv"
+        stream.write_text("".join(_stream_line(n) + "\n" for n in range(1, 2101)))
+        assert run(capsys, "estimate", stream, "-m", model_path, "-o", frames)[0] == 0
+        return stream, frames
+
+    @pytest.mark.parametrize("source", ("file", "stdin"))
+    @pytest.mark.parametrize("end", ("\n", "\r\n", "\r"), ids=("lf", "crlf", "cr"))
+    def test_replays_take_the_block_pass(self, end, source, records, workdir, model_path,
+                                         capsys, monkeypatch):
+        stream, frames = records
+        truth = ("--truth", workdir / "scenario.csv", "--rmse")
+        expected = [run(capsys, "estimate", stream, "-m", model_path),
+                    run(capsys, "report", frames, *truth)]
+        respelled = (count_calls(monkeypatch, pipeline._Replay, "respell"),
+                     count_calls(monkeypatch, pipeline._FrameCounts, "respell"))
+
+        def converted(path):
+            data = path.read_bytes().replace(b"\n", end.encode())
+            if source == "stdin":  # split at \n only, as the interpreter's stdin is on POSIX
+                monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                    io.BytesIO(data), encoding="utf-8", newline="\n"))
+                return "-"
+            path = workdir / f"converted-{path.name}"
+            path.write_bytes(data)
+            return path
+
+        assert [run(capsys, "estimate", converted(stream), "-m", model_path),
+                run(capsys, "report", converted(frames), *truth)] == expected
+        assert expected[0][2] == expected[1][2] == ""
+        assert respelled == ([], [])
+
+    @pytest.mark.parametrize("command", ("simulate", "calibrate", "estimate", "report"))
+    def test_cr_only_stdin_reads_as_the_file(self, command, records, workdir, model_path):
+        stream, frames = records
+        inputs = {"simulate": workdir / "scenario.csv", "calibrate": workdir / "calibration.csv",
+                  "estimate": stream, "report": frames}
+        flags = {"simulate": (), "calibrate": ("--repeats", "2"), "estimate": ("-m", model_path),
+                 "report": ("--truth", workdir / "scenario.csv", "--rmse")}[command]
+        data = inputs[command].read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r")
+        assert data.count(b"\r") > 1 and b"\n" not in data
+        cr_file = workdir / "cr-input.csv"
+        cr_file.write_bytes(data)
+        code, out, err = _tactsim(command, cr_file, *flags)
+        assert (code, err) == (0, b"") and out.count(b"\n") > 1
+        assert _tactsim(command, "-", *flags, stdin=data) == (code, out, err)
+
+
+def _tactsim(*args, stdin=None):
+    """``python -m tactsim`` on ``args`` with ``stdin`` bytes: its exit code, stdout and stderr."""
+    src = str(Path(tactsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "tactsim", *map(str, args)], input=stdin,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+#: A command given stdin (-) for two of its inputs.
+TWO_STDIN_INPUTS = {
+    "simulate": ("simulate", "-", "--config", "-"),
+    "calibrate": ("calibrate", "-", "--config", "-"),
+    "estimate": ("estimate", "-", "-m", "-"),
+    "report": ("report", "-", "--truth", "-"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWO_STDIN_INPUTS))
+def test_two_inputs_from_stdin_are_a_usage_error(command, capsys, monkeypatch):
+    """The second input would read an emptied stdin, so nothing is read."""
+    stdin = io.StringIO("t,force_n,quadrants\n0,0.5,1\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, *TWO_STDIN_INPUTS[command])
+    assert (code, out, err) == (1, "", "tactsim: error: only one input can be read from stdin (-)\n")
+    assert stdin.tell() == 0
+
+
+@pytest.mark.parametrize("spelling", ("same", "hard_link"))
+def test_estimate_output_that_is_its_stream_is_a_usage_error(spelling, model_path, tmp_path,
+                                                             capsys):
+    stream = tmp_path / "rec.csv"
+    text = "".join(_stream_line(n) + "\n" for n in range(1, 40))
+    stream.write_text(text)
+    output = stream
+    if spelling == "hard_link":
+        output = tmp_path / "link.csv"
+        os.link(stream, output)
+    code, out, err = run(capsys, "estimate", stream, "-m", model_path, "-o", output)
+    message = f"-o {output} is the input stream, which writing would erase"
+    assert (code, out, err) == (1, "", f"tactsim: error: {message}\n")
+    assert stream.read_text() == text
+    other = tmp_path / "frames.csv"
+    other.write_text("old frames\n")
+    assert run(capsys, "estimate", stream, "-m", model_path, "-o", other)[0] == 0
+    assert other.read_text().count("\n") == 39
 
 
 class TestEstimateMemory:
@@ -878,6 +989,7 @@ BAD_FRAME_LINES = {
     "inf_time": ("inf,0.5,0.5,1,0,0,0,point", "frame fields must be finite"),
     "negative_time": ("-1.0,0.5,0.5,1,0,0,0,point", "frame time must be non-negative"),
     "underscore_time": ("1_0,0.5,0.5,1,0,0,0,point", "could not convert string to float: '1_0'"),
+    "non_numeric_time": ("abc,0.5,0.5,1,0,0,0,point", "could not convert string to float: 'abc'"),
 }
 
 

@@ -32,6 +32,7 @@ from tactsim import (
     load_scenario,
     make_estimator_config,
     moving_average,
+    parse_frame,
     read_samples,
     save_dataset,
     simulate_samples,
@@ -42,7 +43,7 @@ from tactsim import pipeline
 from tactsim.pipeline import _load_table, estimate_lines, simulate_blocks, tick_count
 from tactsim.streams import SampleLine
 
-from conftest import accuracy_scenario
+from conftest import accuracy_scenario, count_calls
 
 
 def quiet_scenario(duration=1.0):
@@ -404,6 +405,10 @@ class TestEstimateFrames:
             SampleLine(time, (0,) * 5)
 
 
+#: The line ends every input is split at.
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
 def _replay_outcome(replay, lines):
     """(text written, error type, message, line number) of ``replay(lines, out)``."""
     out = io.StringIO()
@@ -472,15 +477,19 @@ class TestBlockHandOffs:
         assert error is ParseError and line_number == k
         assert text.count("\n") == k - 1
 
-    def test_crlf_line_ends_and_an_unterminated_last_line(self, cfg):
+    def test_crlf_line_ends_and_an_unterminated_last_line(self, cfg, monkeypatch):
+        """LF, CRLF and CR lines, the last unterminated, all take the block pass."""
         est = make_estimator_config(cfg, _linear_volts_model())
-        lines = [line.replace("\n", "\r\n") for line in self.lines(9)]
-        lines[-1] = lines[-1].rstrip()
-        text, error, _, _ = self.check(cfg, est, lines)
-        assert error is None and text.count("\n") == 9
-        lines = self.lines(9)
-        lines[-1] = lines[-1].rstrip()
-        assert self.check(cfg, est, lines)[0] == text
+        respelled = count_calls(monkeypatch, pipeline._Replay, "respell")
+        texts = set()
+        for end in LINE_ENDS:
+            lines = [line.replace("\n", end) for line in self.lines(9)]
+            lines[-1] = lines[-1].rstrip()
+            text, error, _, _ = self.check(cfg, est, lines)
+            assert error is None and text.count("\n") == 9
+            assert respelled == [], f"line end {end!r}"
+            texts.add(text)
+        assert len(texts) == 1
 
     def test_float_codes_and_integer_and_negative_zero_times(self, cfg):
         est = make_estimator_config(cfg, _linear_volts_model())
@@ -591,15 +600,23 @@ class TestSummarize:
     def test_empty_stream(self):
         assert summarize_frames([], sensing_range=1.0) == "frames,0"
 
-    def test_crlf_line_ends_summarize_as_lf(self):
+    def test_crlf_line_ends_summarize_as_lf(self, monkeypatch):
+        """LF, CRLF and CR lines, the last unterminated, all take the block pass."""
         from tactsim.pipeline import summarize_lines
 
-        scenario = LoadScenario((LoadStep(0.0, 0.5, frozenset({1})),))
+        respelled = count_calls(monkeypatch, pipeline._FrameCounts, "respell")
         lines = ("0.0,0.5,0.5,1,0,0,0,point", "0.1,1.5,0.25,0,0,0,0,none",
                  "0.2,0.5,0.5,1,1,0,0,line")
-        crlf = summarize_lines([line + "\r\n" for line in lines], 1.0, truth=scenario)
-        assert crlf == summarize_lines([line + "\n" for line in lines], 1.0, truth=scenario)
-        assert "saturated_frames,1" in crlf.splitlines()
+        for truth in (None, LoadScenario((LoadStep(0.0, 0.5, frozenset({1})),))):
+            summaries = set()
+            for end in LINE_ENDS:
+                summaries.add(summarize_lines([line + end for line in lines[:-1]] + [lines[-1]],
+                                              1.0, truth=truth))
+                assert respelled == [], f"line end {end!r}"
+            (summary,) = summaries
+            assert summary == summarize_frames(map(parse_frame, lines), 1.0, truth=truth)
+            assert {"saturated_frames,1", "pattern_line,1"} <= set(summary.splitlines())
+            assert ("rmse_n" in summary) == (truth is not None)
 
     @pytest.mark.parametrize("block", (1, 2, 3, 1024))
     def test_frame_at_a_step_time_takes_that_steps_force(self, block, monkeypatch):
