@@ -34,13 +34,20 @@ from .pipeline import estimate_frames, simulate_samples, summarize_frames  # noq
 from .streams import read_samples, write_samples  # noqa: F401
 
 
-def _output(path, source="-"):
-    """The file at ``path`` to write, or stdout for ``-`` or no path; a
-    UsageError, before it is opened, if it is the input file ``source``."""
+def _output(path, source=None):
+    """The file at ``path`` to write, or stdout for ``-`` or no path. A
+    UsageError, before it is opened, if it is the file of the input stream
+    ``source``: the file at that path, or for ``-`` stdin's, where stdin
+    has a file descriptor."""
     if path is None or path == "-":
         return nullcontext(sys.stdout)
-    if source != "-" and os.path.exists(path) and os.path.samefile(source, path):
-        raise UsageError(f"-o {path} is the input stream, which writing would erase")
+    if source is not None and os.path.exists(path):
+        try:
+            read = os.fstat(sys.stdin.fileno()) if source == "-" else os.stat(source)
+        except (AttributeError, OSError, ValueError):  # no stdin, or one in memory
+            read = None
+        if read is not None and os.path.samestat(read, os.stat(path)):
+            raise UsageError(f"-o {path} is the input stream, which writing would erase")
     return open(path, "w")
 
 

@@ -151,118 +151,6 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     )
 
 
-class CodeTables:
-    """Estimator inputs per ADC code, computed once for each code seen.
-
-    A replay feeds the estimator few distinct ADC codes, so the model,
-    the clamp and the element thresholds are evaluated once per code,
-    with the values ``process_frame`` gives for that code's signal, and
-    then looked up.
-
-    ``text`` holds one table per channel, keyed by the canonical
-    spelling of each code seen (``str(code)``), so a stream line can be
-    looked up without converting its fields: channel 0 maps to the
-    ``StreamState`` entry of the clamped force, ``(force, repr(force),
-    exact_units(force))``, channels 1-4 to the element's on state.
-    ``tails`` maps the ``c1,c2,c3,c4`` end of a stream line, as read, to
-    the ``,e1,e2,e3,e4,pattern`` end of its frame line.
-    Other spellings of a code are never added. A table that holds
-    ``BLOCK_TICKS`` entries is emptied before it takes a new one, so
-    each stays at most that size whatever the ADC width.
-    """
-
-    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig):
-        self.cfg = cfg
-        self.est_cfg = est_cfg
-        self.text = ({}, {}, {}, {}, {})
-        self.tails = {}
-
-    def _add(self, channel: int, code: int):
-        """Compute and add the entry of ``code`` on ``channel``.
-
-        A ValueError for a force-layer signal that overflows at this ADC
-        scale.
-        """
-        table = self.text[channel]
-        if len(table) >= BLOCK_TICKS:
-            table.clear()
-        signal = channel_signal(self.cfg, code)
-        if channel:
-            entry = signal >= self.est_cfg.element_thresholds[channel - 1]
-        else:
-            force = estimate_force(self.est_cfg, signal)
-            entry = (force, repr(force), exact_units(force))
-        table[str(code)] = entry
-        return entry
-
-    def entry(self, channel: int, key: str):
-        """The entry of the code spelled ``key`` on ``channel``, added if new.
-
-        None if ``key`` is not the canonical spelling of a code in range,
-        or if the code's force cannot be computed.
-        """
-        table = self.text[channel]
-        if key in table:
-            return table[key]
-        if not (key.isascii() and key.isdigit()) or str(code := int(key)) != key:
-            return None
-        if code > self.cfg.adc.max_code:
-            return None
-        try:
-            return self._add(channel, code)
-        except ValueError:
-            return None
-
-    def tail(self, text: str):
-        """The frame-line end of a stream line's ``c1,c2,c3,c4`` end, added if new.
-
-        None unless ``text`` holds four codes spelled as ``entry`` takes
-        them, then its line end (LF, CRLF or CR) or nothing.
-        """
-        if text in self.tails:
-            return self.tails[text]
-        keys = text.rstrip("\r\n").split(",")
-        if len(keys) != 4:
-            return None
-        on = [self.entry(channel, key) for channel, key in enumerate(keys, start=1)]
-        if None in on:
-            return None
-        if len(self.tails) >= BLOCK_TICKS:
-            self.tails.clear()
-        spelled = self.tails[text] = f",{_TAILS[tuple(on)]}\n"
-        return spelled
-
-    def learn(self, channels):
-        """Check the channel values of one sample as ADC codes, then add them.
-
-        Returns the sample's entries: channel 0's ``StreamState`` entry and
-        the tuple of the four element on states. A DataError, which the
-        caller prefixes with where the sample came from, for a value that
-        is not a code in range or a force that cannot be computed.
-        """
-        max_code, codes = self.cfg.adc.max_code, []
-        for value in channels:
-            try:
-                code = round(value)
-            except (OverflowError, ValueError):  # inf or nan
-                code = None
-            if code != value:
-                raise DataError(f"channel value {value!r} is not an ADC code")
-            if not 0 <= code <= max_code:
-                raise DataError(f"code {code} outside [0, {max_code}]")
-            codes.append(code)
-        entries = []
-        for channel, code in enumerate(codes):
-            entry = self.text[channel].get(str(code))
-            if entry is None:
-                try:
-                    entry = self._add(channel, code)
-                except ValueError as exc:  # a signal that overflows at this ADC scale
-                    raise DataError(str(exc)) from exc
-            entries.append(entry)
-        return entries[0], tuple(entries[1:])
-
-
 #: Frame-record tail of each element on-state tuple.
 _TAILS = {on: frame_tail(on, classify_pattern(on)) for on in product((False, True), repeat=4)}
 
@@ -270,16 +158,15 @@ _TAILS = {on: frame_tail(on, classify_pattern(on)) for on in product((False, Tru
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     """Yield one EstimateFrame per sample, lazily.
 
-    Each sample's codes are checked and looked up in ``CodeTables``, and
-    its force stepped through ``advance``. An error names the sample's
-    line, or else its ordinal.
+    Each sample's codes are checked and looked up by ``_Replay.learn``,
+    and its force stepped through ``advance``. An error names the
+    sample's line, or else its ordinal.
     """
-    tables = CodeTables(cfg, est_cfg)
-    state = StreamState(est_cfg.filter_window)
+    replay = _Replay(cfg, est_cfg)
     for ordinal, sample in enumerate(samples, start=1):
         try:
-            entry, on = tables.learn(sample.channels)
-            filtered = advance(state, sample.time, entry)
+            entry, on = replay.learn(sample.channels)
+            filtered = advance(replay.state, sample.time, entry)
         except DataError as exc:  # a DataError or StreamError, said of the sample
             where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
             raise type(exc)(f"{where}: {exc}") from exc
@@ -349,19 +236,123 @@ def _columns(lines, fields: int):
 
 
 class _Replay:
-    """What ``estimate_lines`` keeps between blocks: the code tables and
-    the stream state."""
+    """What a replay of sample lines or samples keeps: the stream state,
+    the force and tail tables, and each element's threshold code.
 
-    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig, out):
-        self.tables = CodeTables(cfg, est_cfg)
+    A replay feeds the estimator few distinct ADC codes, so the model and
+    the clamp are evaluated once per force code, with the values
+    ``process_frame`` gives for that code's signal, and then looked up.
+    ``channel_signal`` never falls as the code rises, so each element's
+    rule ``signal >= threshold`` is ``code >= first_on[i]``, found once
+    per config by bisection: the smallest code whose signal meets the
+    threshold, or ``max_code + 1`` if none does.
+
+    ``forces`` maps the canonical spelling of each force code seen
+    (``str(code)``) to the ``StreamState`` entry of its clamped force,
+    ``(force, repr(force), exact_units(force))``, so a stream line can be
+    looked up without converting its fields. ``tails`` maps the
+    ``c1,c2,c3,c4`` end of a stream line, as read, to the
+    ``,e1,e2,e3,e4,pattern`` end of its frame line. Other spellings of a
+    code are never added. A table that holds ``BLOCK_TICKS`` entries is
+    emptied before it takes a new one, so each stays at most that size
+    whatever the ADC width. ``out`` takes the frame lines of ``block``;
+    ``estimate_frames`` has none.
+    """
+
+    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig, out=None):
+        self.cfg, self.est_cfg, self.out = cfg, est_cfg, out
         self.state = StreamState(est_cfg.filter_window)
-        self.out = out
+        self.forces, self.tails = {}, {}
+        codes = range(cfg.adc.max_code + 1)
+        self.first_on = tuple(
+            bisect_left(codes, True, key=lambda code: channel_signal(cfg, code) >= threshold)
+            for threshold in est_cfg.element_thresholds)
+        self.digits = len(str(cfg.adc.max_code))
+
+    def _code(self, key: str):
+        """The code ``key`` spells canonically, or None if it is not one in range.
+
+        A key longer than ``max_code``'s spelling is never converted, so
+        no field is too long for ``int``.
+        """
+        if len(key) > self.digits or not (key.isascii() and key.isdigit()):
+            return None
+        code = int(key)
+        return code if str(code) == key and code <= self.cfg.adc.max_code else None
+
+    def _add(self, code: int):
+        """Compute and add the force entry of ``code``.
+
+        A ValueError for a force-layer signal that overflows at this ADC
+        scale.
+        """
+        if len(self.forces) >= BLOCK_TICKS:
+            self.forces.clear()
+        force = estimate_force(self.est_cfg, channel_signal(self.cfg, code))
+        entry = self.forces[str(code)] = (force, repr(force), exact_units(force))
+        return entry
+
+    def entry(self, key: str):
+        """The force entry of the code spelled ``key``, added if new.
+
+        None if ``key`` is not the canonical spelling of a code in range,
+        or if the code's force cannot be computed.
+        """
+        if key in self.forces:
+            return self.forces[key]
+        if (code := self._code(key)) is None:
+            return None
+        try:
+            return self._add(code)
+        except ValueError:
+            return None
+
+    def tail(self, text: str):
+        """The frame-line end of a stream line's ``c1,c2,c3,c4`` end, added if new.
+
+        None unless ``text`` holds four codes spelled as ``entry`` takes
+        them, then its line end (LF, CRLF or CR) or nothing.
+        """
+        if text in self.tails:
+            return self.tails[text]
+        codes = list(map(self._code, text.rstrip("\r\n").split(",")))
+        if len(codes) != 4 or None in codes:
+            return None
+        if len(self.tails) >= BLOCK_TICKS:
+            self.tails.clear()
+        spelled = self.tails[text] = f",{_TAILS[tuple(map(ge, codes, self.first_on))]}\n"
+        return spelled
+
+    def learn(self, channels):
+        """Check the channel values of one sample as ADC codes, then look them up.
+
+        Returns the sample's force entry, as ``entry`` gives it, and the
+        tuple of the four element on states. A DataError, which the
+        caller prefixes with where the sample came from, for a value that
+        is not a code in range or a force that cannot be computed.
+        """
+        max_code, codes = self.cfg.adc.max_code, []
+        for value in channels:
+            try:
+                code = round(value)
+            except (OverflowError, ValueError):  # inf or nan
+                code = None
+            if code != value:
+                raise DataError(f"channel value {value!r} is not an ADC code")
+            if not 0 <= code <= max_code:
+                raise DataError(f"code {code} outside [0, {max_code}]")
+            codes.append(code)
+        try:
+            entry = self.forces.get(str(codes[0])) or self._add(codes[0])
+        except ValueError as exc:  # a signal that overflows at this ADC scale
+            raise DataError(str(exc)) from exc
+        return entry, tuple(map(ge, codes[1:], self.first_on))
 
     def block(self, lines, numbers):
         """Write the frames of sample lines in C-level passes; True once written.
 
         Every time is spelled, each distinct force code and element tail
-        looked up once in ``CodeTables``, and the filter stepped through
+        looked up once, and the filter stepped through
         ``StreamState.step``. None, with nothing written or stepped, for
         lines that are not a time and five canonically spelled codes. A
         time that does not advance the clock raises its StreamError,
@@ -370,9 +361,9 @@ class _Replay:
         if (columns := _columns(lines, 3)) is None:
             return None
         times, force_texts, tail_texts = columns
-        tables, state = self.tables, self.state
-        forces = {text: tables.entry(0, text) for text in set(force_texts)}
-        tails = {text: tables.tail(text) for text in set(tail_texts)}
+        state = self.state
+        forces = {text: self.entry(text) for text in set(force_texts)}
+        tails = {text: self.tail(text) for text in set(tail_texts)}
         if None in forces.values() or None in tails.values():
             return None
         clock = [-math.inf if state.last_time is None else state.last_time, *times]
@@ -400,7 +391,7 @@ class _Replay:
         """Line ``number``, ``text``, checked and spelled as ``format_sample_line`` spells it."""
         sample = parse_sample_line(text, number)
         try:
-            self.tables.learn(sample.channels)
+            self.learn(sample.channels)
         except DataError as exc:
             raise DataError(f"line {number}: {exc}") from exc
         return format_sample_line(sample) + "\n"

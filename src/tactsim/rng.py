@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from operator import index
 
+import numpy as np
+
 MASK32 = 2**32 - 1
 MASK64 = 2**64 - 1
 MASK128 = 2**128 - 1
@@ -96,7 +98,6 @@ def seed_state(seed) -> tuple:
 
 def _times(hi, lo, c: int):
     """``(hi, lo) * c`` mod 2**128, for uint64 limb arrays and a Python int ``c``."""
-    import numpy as np
     u32, low32 = np.uint64(32), np.uint64(MASK32)
     c_lo = c & MASK64
     b0, b1 = np.uint64(c_lo & MASK32), np.uint64(c_lo >> 32)
@@ -110,7 +111,6 @@ def _times(hi, lo, c: int):
 
 def _plus(hi, lo, c_hi, c_lo):
     """``(hi, lo) + (c_hi, c_lo)`` mod 2**128; either pair may be uint64 scalars."""
-    import numpy as np
     low = lo + c_lo
     return hi + c_hi + (low < lo).astype(np.uint64), low
 
@@ -121,7 +121,6 @@ def jump_tables(n: int):
     Built by doubling, ``T_{k+m} = T_m o T_k``: ``A_{k+m} = A_m*A_k`` and
     ``G_{k+m} = A_m*G_k + G_m``, and kept for later calls.
     """
-    import numpy as np
     global _tables
     tables = _tables or tuple(np.array([value], dtype=np.uint64)  # A_1 = M, G_1 = 1
                               for value in (MULTIPLIER >> 64, MULTIPLIER & MASK64, 0, 1))
@@ -167,14 +166,12 @@ class Pcg64:
 
     def raw(self, size: int):
         """The next ``size`` raw draws, as a uint64 array."""
-        import numpy as np
         blocks = [self._block(min(left, TABLE_MAX)) for left in range(size, 0, -TABLE_MAX)]
         return blocks[0] if len(blocks) == 1 else np.concatenate(
             [np.zeros(0, dtype=np.uint64), *blocks])
 
     def _block(self, n: int):
         """The next ``n`` raw draws, 1 <= n <= TABLE_MAX, from one pass over the tables."""
-        import numpy as np
         a_hi, a_lo, g_hi, g_lo = jump_tables(n)
         if self.offsets is None or self.offsets[0].size < n:
             self.offsets = _times(g_hi, g_lo, self.inc)
@@ -186,7 +183,6 @@ class Pcg64:
 
     def uniform(self, size: int):
         """``size`` floats of ``Generator.uniform(-1.0, 1.0, size)``."""
-        import numpy as np
         return -1.0 + 2.0 * ((self.raw(size) >> np.uint64(11)) * 2.0**-53)
 
     def permutation(self, n: int) -> list:

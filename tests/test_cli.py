@@ -628,6 +628,9 @@ BLOCK_EDGE_STREAM_LINES = {
     "code_out_of_range": ("{t!r},1,2,3,4,256", "code 256 outside [0, 255]"),
     "time_not_advancing": ("0.0,1,2,3,4,5", "timestamp 0.0 s does not advance past {t!r} s"),
     "non_numeric_time": ("abc,1,2,3,4,5", "could not convert string to float: 'abc'"),
+    # past int's 4,300-digit limit: the block pass declines them, float reads inf
+    "long_force_code": ("{t!r}," + "1" * 4301 + ",2,3,4,5", "sample fields must be finite"),
+    "long_element_code": ("{t!r},1,2,3," + "9" * 4301 + ",5", "sample fields must be finite"),
 }
 
 
@@ -673,6 +676,18 @@ class TestEstimateStreamErrors:
         result = self.replay(lines, source, model_path, tmp_path, capsys, monkeypatch)
         message = f"line {k}: {message.format(t=(k - 2) / 9.6)}"
         assert result == (2, "", f"tactsim: error: {message}\n", k - 1)
+
+
+def test_long_spellings_of_codes_replay_as_the_codes(model_path, tmp_path, capsys):
+    lines = [_stream_line(n) for n in range(1, 60)]
+    stream = tmp_path / "stream.csv"
+    stream.write_text("".join(line + "\n" for line in lines))
+    expected = run(capsys, "estimate", stream, "-m", model_path)
+    padded = "0" * 4300
+    lines[30] = ",".join(field if i == 0 else padded + field
+                         for i, field in enumerate(lines[30].split(",")))
+    stream.write_text("".join(line + "\n" for line in lines))
+    assert run(capsys, "estimate", stream, "-m", model_path) == expected
 
 
 class TestLineEnds:
@@ -731,10 +746,12 @@ class TestLineEnds:
 
 
 def _tactsim(*args, stdin=None):
-    """``python -m tactsim`` on ``args`` with ``stdin`` bytes: its exit code, stdout and stderr."""
+    """``python -m tactsim`` on ``args`` with ``stdin`` bytes through a pipe, or an
+    open file: its exit code, stdout and stderr."""
     src = str(Path(tactsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-m", "tactsim", *map(str, args)], input=stdin,
+    feed = {"stdin": stdin} if hasattr(stdin, "fileno") else {"input": stdin}
+    done = subprocess.run([sys.executable, "-m", "tactsim", *map(str, args)], **feed,
                           capture_output=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=120)
     return done.returncode, done.stdout, done.stderr
@@ -777,6 +794,21 @@ def test_estimate_output_that_is_its_stream_is_a_usage_error(spelling, model_pat
     other.write_text("old frames\n")
     assert run(capsys, "estimate", stream, "-m", model_path, "-o", other)[0] == 0
     assert other.read_text().count("\n") == 39
+
+
+def test_estimate_output_that_is_its_stdin_is_a_usage_error(model_path, tmp_path):
+    stream = tmp_path / "rec.csv"
+    data = "".join(_stream_line(n) + "\n" for n in range(1, 40)).encode()
+    stream.write_bytes(data)
+    args = ("estimate", "-", "-m", model_path, "-o", stream)
+    with stream.open("rb") as stdin:  # estimate - -o rec.csv < rec.csv
+        code, out, err = _tactsim(*args, stdin=stdin)
+    message = f"-o {stream} is the input stream, which writing would erase"
+    assert (code, out, err) == (1, b"", f"tactsim: error: {message}\n".encode())
+    assert stream.read_bytes() == data
+    _, frames, _ = _tactsim("estimate", stream, "-m", model_path)
+    assert _tactsim(*args, stdin=data) == (0, b"", b"")  # cat rec.csv | estimate - -o rec.csv
+    assert stream.read_bytes() == frames and frames.count(b"\n") == 39
 
 
 class TestEstimateMemory:
@@ -832,25 +864,25 @@ class TestEstimateMemory:
     def test_code_spellings_do_not_grow_the_tables(self, model_path, capsys, monkeypatch):
         from tactsim import pipeline
 
-        tables = []
+        replays = []
 
-        class Recorded(pipeline.CodeTables):
+        class Recorded(pipeline._Replay):
             def __init__(self, *args):
                 super().__init__(*args)
-                tables.append(self)
+                replays.append(self)
 
         # code 5 in 3,000 spellings: 5.0, 5.00, 05.0, 005.000, ...
         spellings = [f"{'0' * a}5.{'0' * b}" for a in range(50) for b in range(1, 61)]
-        monkeypatch.setattr(pipeline, "CodeTables", Recorded)
+        monkeypatch.setattr(pipeline, "_Replay", Recorded)
 
         def lines():
             return (f"{n / 9.6!r},{spelling},5,5,5,5\n" for n, spelling in enumerate(spellings))
 
         _, frames = self.replay_peak(lines, model_path, capsys, monkeypatch)
         assert frames == 3_000
-        _, recorded = tables  # the warm-up replay's, then the measured one's
-        assert [len(t) for t in recorded.text] == [1, 1, 1, 1, 1]
-        assert list(recorded.text[0]) == ["5"]
+        _, recorded = replays  # the warm-up replay's, then the measured one's
+        assert list(recorded.forces) == ["5"]
+        assert list(recorded.tails) == ["5,5,5,5\n"]
 
     def test_new_codes_do_not_grow_the_peak(self, model_path, tmp_path, capsys, monkeypatch):
         path = tmp_path / "adc20.cfg"

@@ -12,7 +12,9 @@ The estimator reference converts every code of every tick to a signal,
 the force-layer signal to a force with ``estimate_force``, and filters
 the forces with ``moving_average``, the plain definition of the filter.
 The code-indexed ``estimate_lines`` must write the same frames, down to
-the sign of a zero. The running-sum filter of ``StreamState`` must give
+the sign of a zero. Each element's threshold code, the first code whose
+signal meets the element's threshold, must give ``signal >= threshold``
+at every code of ADCs of 1-16 bits, and around it at 53 bits. The running-sum filter of ``StreamState`` must give
 ``moving_average`` of each window, bit for bit, for any window length
 and any forces, subnormals, signed zeros and runs of repeats included.
 
@@ -356,6 +358,60 @@ def test_code_tables_match_per_tick_reference(case, block):
                                 out)
     expected = reference_frames(cfg, est_cfg, samples)
     assert out.getvalue() == "".join(format_frame(f) + "\n" for f in expected)
+
+
+@st.composite
+def threshold_cases(draw):
+    """A config of 1-16 ADC bits, in volts or counts, and its estimator
+    config with four element thresholds on, between and just around code
+    signals, and above the top code's."""
+    adc = AdcConfig(bits=draw(st.integers(1, 16)), full_scale=draw(st.floats(0.1, 20.0)))
+    cfg = default_config(adc=adc, signal_units=draw(st.sampled_from(("volts", "counts"))))
+    top = channel_signal(cfg, adc.max_code)
+    thresholds = []
+    for _ in range(4):
+        code = draw(st.integers(1, adc.max_code))
+        low, high = channel_signal(cfg, code - 1), channel_signal(cfg, code)
+        thresholds.append(draw(st.sampled_from((
+            high, (low + high) / 2, math.nextafter(high, 0.0), math.nextafter(high, math.inf),
+            math.nextafter(top, math.inf), 2 * top))))
+    est_cfg = EstimatorConfig(model=PolynomialModel((0.0, 1.0), cfg.signal_units),
+                              element_thresholds=tuple(thresholds),
+                              sensing_range=1.0, resolution=0.1)
+    return cfg, est_cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=threshold_cases())
+def test_threshold_codes_give_the_element_rule_at_every_code(case):
+    cfg, est_cfg = case
+    first_on = pipeline._Replay(cfg, est_cfg).first_on
+    codes = range(cfg.adc.max_code + 1)
+    signals = [channel_signal(cfg, code) for code in codes]
+    for on, threshold in zip(first_on, est_cfg.element_thresholds, strict=True):
+        assert 0 <= on <= cfg.adc.max_code + 1
+        assert [code >= on for code in codes] == [signal >= threshold for signal in signals]
+
+
+@pytest.mark.parametrize("units", ["volts", "counts"])
+def test_threshold_codes_at_53_bits(units, monkeypatch):
+    cfg = default_config(adc=AdcConfig(bits=53), signal_units=units)
+    max_code = cfg.adc.max_code
+    top = channel_signal(cfg, max_code)
+    thresholds = (1e-300, top / 3, channel_signal(cfg, 2**40 + 1), top, math.nextafter(top, math.inf))
+    calls = []
+    monkeypatch.setattr(pipeline, "channel_signal",
+                        lambda cfg, code: calls.append(code) or channel_signal(cfg, code))
+    for threshold in thresholds:
+        est_cfg = EstimatorConfig(model=PolynomialModel((0.0, 1.0), units),
+                                  element_thresholds=(threshold,) * 4,
+                                  sensing_range=1.0, resolution=0.1)
+        calls.clear()
+        on = pipeline._Replay(cfg, est_cfg).first_on[0]
+        assert len(calls) <= 4 * 54  # a bisection of 2**53 codes per element
+        for code in range(max(on - 3, 0), min(on + 3, max_code + 1)):
+            assert (code >= on) == (channel_signal(cfg, code) >= threshold)
+        assert (on == max_code + 1) == (top < threshold)
 
 
 def outcome(write):
