@@ -15,8 +15,8 @@ subtracting each leaving one, and the int division
 gives. The run of equal forces at the window's end tells a settled
 window. ``StreamState.step`` spells each filtered force, once per
 distinct window sum and length. Every replay steps its stream through
-it: ``advance`` one tick at a time, ``pipeline.estimate_lines`` a block
-of ticks at a time.
+it: ``process_frame`` one tick at a time, ``pipeline.estimate_lines`` a
+block of ticks at a time.
 """
 
 import math
@@ -220,20 +220,11 @@ def process_frame(cfg: EstimatorConfig, state: StreamState, signals, time: float
         raise ValueError(f"expected 5 channels, got {len(signals)}")
     raw = estimate_force(cfg, signals[0])
     on = detect_contacts(signals[1:], cfg.element_thresholds)
-    filtered = advance(state, time, (raw, repr(raw), exact_units(raw)))
-    return EstimateFrame(time, raw, filtered, on, _PATTERNS_BY_COUNT[sum(on)])
-
-
-def advance(state: StreamState, time: float, entry) -> float:
-    """One step of the stream: clock check, then the filtered force.
-
-    ``entry`` is the tick's ``StreamState`` entry of its clamped force.
-    ``process_frame`` and the code-indexed ``pipeline.estimate_frames``
-    step through here.
-    """
+    entry = (raw, repr(raw), exact_units(raw))
     state.tick(time)
     (text,) = state.step([entry])
-    return entry[0] if text is entry[1] else float(text)  # this tick's own spelling needs no parse
+    filtered = raw if text is entry[1] else float(text)  # this tick's own spelling needs no parse
+    return EstimateFrame(time, raw, filtered, on, _PATTERNS_BY_COUNT[sum(on)])
 
 
 def frame_tail(states, pattern: str) -> str:

@@ -24,10 +24,9 @@ from .calibration import CalibrationDataset, expand_protocol
 from .config import ToolkitConfig, channel_signal
 from .errors import DataError, ParseError, StreamError, UsageError
 from .estimator import (
-    PATTERNS, EstimateFrame, EstimatorConfig, StreamState, advance, classify_pattern,
-    estimate_force, exact_units, format_frame, frame_tail, parse_frame,
+    PATTERNS, EstimatorConfig, StreamState, classify_pattern, estimate_force, exact_units,
+    format_frame, frame_tail, parse_frame, process_frame,
 )
-from .estimator import process_frame  # noqa: F401  imported only for bench/spans.py to trace
 from .sensor import LoadScenario, apply_load, fabric_delta_r
 from .streams import SampleLine, format_sample_line, parse_sample_line, plain_ascii
 from .units import fsum_counted, gw_to_newtons
@@ -158,19 +157,41 @@ _TAILS = {on: frame_tail(on, classify_pattern(on)) for on in product((False, Tru
 def estimate_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
     """Yield one EstimateFrame per sample, lazily.
 
-    Each sample's codes are checked and looked up by ``_Replay.learn``,
-    and its force stepped through ``advance``. An error names the
-    sample's line, or else its ordinal.
+    Each sample's values are checked as ADC codes by ``_sample_codes``,
+    converted with ``channel_signal`` and stepped through
+    ``process_frame``. An error names the sample's line, or else its
+    ordinal; a force-layer signal the model cannot take is a DataError.
     """
-    replay = _Replay(cfg, est_cfg)
+    state = StreamState(est_cfg.filter_window)
     for ordinal, sample in enumerate(samples, start=1):
         try:
-            entry, on = replay.learn(sample.channels)
-            filtered = advance(replay.state, sample.time, entry)
-        except DataError as exc:  # a DataError or StreamError, said of the sample
+            signals = [channel_signal(cfg, code) for code in _sample_codes(cfg, sample.channels)]
+            frame = process_frame(est_cfg, state, signals, sample.time)
+        except (DataError, ValueError) as exc:  # a ValueError: a signal that overflows
             where = f"sample {ordinal}" if sample.line_number is None else f"line {sample.line_number}"
-            raise type(exc)(f"{where}: {exc}") from exc
-        yield EstimateFrame(sample.time, entry[0], filtered, on, classify_pattern(on))
+            kind = type(exc) if isinstance(exc, DataError) else DataError
+            raise kind(f"{where}: {exc}") from exc
+        yield frame
+
+
+def _sample_codes(cfg: ToolkitConfig, channels) -> list:
+    """The channel values of one sample as ADC codes.
+
+    A DataError, which the caller prefixes with where the sample came
+    from, for a value that is not a code in range.
+    """
+    max_code, codes = cfg.adc.max_code, []
+    for value in channels:
+        try:
+            code = round(value)
+        except (OverflowError, ValueError):  # inf or nan
+            code = None
+        if code != value:
+            raise DataError(f"channel value {value!r} is not an ADC code")
+        if not 0 <= code <= max_code:
+            raise DataError(f"code {code} outside [0, {max_code}]")
+        codes.append(code)
+    return codes
 
 
 def estimate_lines(cfg: ToolkitConfig, est_cfg: EstimatorConfig, lines, out) -> None:
@@ -191,10 +212,12 @@ def _replay_blocks(lines, block, respell):
 
     ``block(lines, numbers)`` takes lines and each one's file line number,
     or declines them by returning None, having done nothing. A declined
-    block's lines, but blank and ``#`` ones, go through ``respell(text,
-    number)`` in file order, so an error names its line, and back through
-    ``block``, which takes every respelled line: those before a bad line
-    before the error propagates, so a clock error among them comes first.
+    block's lines, but blank and ``#`` ones, go back through ``block``
+    with their own numbers. If it declines those too, they go through
+    ``respell(text, number)`` in file order, so an error names its line,
+    and back through ``block``, which takes every respelled line: those
+    before a bad line before the error propagates, so a clock error among
+    them comes first.
     """
     lines, read = iter(lines), 0
     while chunk := list(islice(lines, BLOCK_TICKS)):
@@ -202,15 +225,18 @@ def _replay_blocks(lines, block, respell):
         read += len(chunk)
         result = block(chunk, numbers)
         if result is None:
-            respelled, kept = [], []
+            kept = [(line, number) for line, number in zip(chunk, numbers)
+                    if (text := line.strip()) and not text.startswith("#")]
+            if len(kept) < len(chunk):
+                chunk, numbers = zip(*kept) if kept else ((), ())
+                result = block(chunk, numbers) if kept else ()
+        if result is None:
+            respelled = []
             try:
-                for number, line in zip(numbers, chunk):
-                    text = line.strip()
-                    if text and not text.startswith("#"):
-                        respelled.append(respell(text, number))
-                        kept.append(number)
+                for line, number in zip(chunk, numbers):
+                    respelled.append(respell(line.strip(), number))
             finally:
-                result = block(respelled, kept) if respelled else ()
+                result = block(respelled, numbers[:len(respelled)]) if respelled else ()
         yield result
 
 
@@ -236,8 +262,8 @@ def _columns(lines, fields: int):
 
 
 class _Replay:
-    """What a replay of sample lines or samples keeps: the stream state,
-    the force and tail tables, and each element's threshold code.
+    """What ``estimate_lines``' block pass keeps: the stream state, the
+    force and tail tables, each element's threshold code and the output.
 
     A replay feeds the estimator few distinct ADC codes, so the model and
     the clamp are evaluated once per force code, with the values
@@ -255,11 +281,10 @@ class _Replay:
     ``,e1,e2,e3,e4,pattern`` end of its frame line. Other spellings of a
     code are never added. A table that holds ``BLOCK_TICKS`` entries is
     emptied before it takes a new one, so each stays at most that size
-    whatever the ADC width. ``out`` takes the frame lines of ``block``;
-    ``estimate_frames`` has none.
+    whatever the ADC width. ``out`` takes the frame lines of ``block``.
     """
 
-    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig, out=None):
+    def __init__(self, cfg: ToolkitConfig, est_cfg: EstimatorConfig, out):
         self.cfg, self.est_cfg, self.out = cfg, est_cfg, out
         self.state = StreamState(est_cfg.filter_window)
         self.forces, self.tails = {}, {}
@@ -280,32 +305,24 @@ class _Replay:
         code = int(key)
         return code if str(code) == key and code <= self.cfg.adc.max_code else None
 
-    def _add(self, code: int):
-        """Compute and add the force entry of ``code``.
-
-        A ValueError for a force-layer signal that overflows at this ADC
-        scale.
-        """
-        if len(self.forces) >= BLOCK_TICKS:
-            self.forces.clear()
-        force = estimate_force(self.est_cfg, channel_signal(self.cfg, code))
-        entry = self.forces[str(code)] = (force, repr(force), exact_units(force))
-        return entry
-
     def entry(self, key: str):
         """The force entry of the code spelled ``key``, added if new.
 
         None if ``key`` is not the canonical spelling of a code in range,
-        or if the code's force cannot be computed.
+        or if the code's force-layer signal overflows at this ADC scale.
         """
         if key in self.forces:
             return self.forces[key]
         if (code := self._code(key)) is None:
             return None
         try:
-            return self._add(code)
+            force = estimate_force(self.est_cfg, channel_signal(self.cfg, code))
         except ValueError:
             return None
+        if len(self.forces) >= BLOCK_TICKS:
+            self.forces.clear()
+        entry = self.forces[key] = (force, repr(force), exact_units(force))
+        return entry
 
     def tail(self, text: str):
         """The frame-line end of a stream line's ``c1,c2,c3,c4`` end, added if new.
@@ -322,31 +339,6 @@ class _Replay:
             self.tails.clear()
         spelled = self.tails[text] = f",{_TAILS[tuple(map(ge, codes, self.first_on))]}\n"
         return spelled
-
-    def learn(self, channels):
-        """Check the channel values of one sample as ADC codes, then look them up.
-
-        Returns the sample's force entry, as ``entry`` gives it, and the
-        tuple of the four element on states. A DataError, which the
-        caller prefixes with where the sample came from, for a value that
-        is not a code in range or a force that cannot be computed.
-        """
-        max_code, codes = self.cfg.adc.max_code, []
-        for value in channels:
-            try:
-                code = round(value)
-            except (OverflowError, ValueError):  # inf or nan
-                code = None
-            if code != value:
-                raise DataError(f"channel value {value!r} is not an ADC code")
-            if not 0 <= code <= max_code:
-                raise DataError(f"code {code} outside [0, {max_code}]")
-            codes.append(code)
-        try:
-            entry = self.forces.get(str(codes[0])) or self._add(codes[0])
-        except ValueError as exc:  # a signal that overflows at this ADC scale
-            raise DataError(str(exc)) from exc
-        return entry, tuple(map(ge, codes[1:], self.first_on))
 
     def block(self, lines, numbers):
         """Write the frames of sample lines in C-level passes; True once written.
@@ -391,8 +383,9 @@ class _Replay:
         """Line ``number``, ``text``, checked and spelled as ``format_sample_line`` spells it."""
         sample = parse_sample_line(text, number)
         try:
-            self.learn(sample.channels)
-        except DataError as exc:
+            codes = _sample_codes(self.cfg, sample.channels)
+            estimate_force(self.est_cfg, channel_signal(self.cfg, codes[0]))
+        except (DataError, ValueError) as exc:  # a ValueError: a signal that overflows
             raise DataError(f"line {number}: {exc}") from exc
         return format_sample_line(sample) + "\n"
 

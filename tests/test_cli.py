@@ -729,6 +729,29 @@ class TestLineEnds:
         assert expected[0][2] == expected[1][2] == ""
         assert respelled == ([], [])
 
+    def test_comment_and_blank_lines_take_the_block_pass(self, records, workdir, model_path,
+                                                         capsys, monkeypatch):
+        """A ``#`` line before every block and a blank line cost no respell:
+        the block pass takes the lines between them."""
+        stream, frames = records
+        truth = ("--truth", workdir / "scenario.csv", "--rmse")
+        expected = [run(capsys, "estimate", stream, "-m", model_path),
+                    run(capsys, "report", frames, *truth)]
+        respelled = (count_calls(monkeypatch, pipeline._Replay, "respell"),
+                     count_calls(monkeypatch, pipeline._FrameCounts, "respell"))
+
+        def commented(path):
+            lines = path.read_text().splitlines(keepends=True)
+            lines.insert(1500, "\n")
+            path = workdir / f"commented-{path.name}"
+            path.write_text("".join(("# block\n" if k % 1024 == 0 else "") + line
+                                    for k, line in enumerate(lines)))
+            return path
+
+        assert [run(capsys, "estimate", commented(stream), "-m", model_path),
+                run(capsys, "report", commented(frames), *truth)] == expected
+        assert respelled == ([], [])
+
     @pytest.mark.parametrize("command", ("simulate", "calibrate", "estimate", "report"))
     def test_cr_only_stdin_reads_as_the_file(self, command, records, workdir, model_path):
         stream, frames = records

@@ -370,7 +370,8 @@ class TestEstimateFrames:
             resolution=0.05,
         )
         codes = (0, k, k - 1, k, k - 1)
-        # The first tick fills the code tables; the second is looked up in them.
+        # The block pass compares each element's code with its threshold code, and
+        # estimate_frames (through process_frame) its signal with the threshold.
         lines = [f"{t!r},{','.join(map(str, codes))}\n" for t in (0.0, 0.5)]
         out = io.StringIO()
         estimate_lines(cfg, est, lines, out)
@@ -398,6 +399,17 @@ class TestEstimateFrames:
         with pytest.raises(DataError) as info:
             list(estimate_frames(cfg, est, samples))
         assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("line_number, where", ((None, "sample 2"), (7, "line 7")))
+    def test_force_signal_that_overflows_is_a_data_error(self, line_number, where):
+        cfg = default_config(adc=AdcConfig(full_scale=1.7e308))  # code 200's signal is inf
+        est = make_estimator_config(cfg, _linear_volts_model())
+        samples = [SampleLine(0.0, (1, 0, 0, 0, 0)),
+                   SampleLine(0.5, (200, 0, 0, 0, 0), line_number=line_number)]
+        with pytest.raises(DataError) as info:
+            list(estimate_frames(cfg, est, samples))
+        assert type(info.value) is DataError
+        assert str(info.value) == f"{where}: signal value must be finite"
 
     @pytest.mark.parametrize("time", (math.inf, math.nan))
     def test_non_finite_sample_time_rejected(self, time):

@@ -25,7 +25,11 @@ the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
 of ``estimate_frames`` over ``read_samples``, and fails on the same line
 with the same message after writing the same frames; its reference
 takes the errors of ``estimate_frames`` and the filtered forces of
-``moving_average``. ``summarize_lines``
+``moving_average``. ``estimate_frames`` steps ``process_frame``, which
+compares each element's signal with its threshold, so the block pass's
+threshold codes are checked against the rule they stand for. A block
+with blank or ``#`` lines goes back through the block pass without
+them before any line is respelled. ``summarize_lines``
 gives the summary that ``reference_summary`` counts frame by frame from
 the parsed lines, or the same error. ``cross_validate``, which slices one
 design matrix per run and scores each fold's models in one pass, must
@@ -385,7 +389,7 @@ def threshold_cases(draw):
 @given(case=threshold_cases())
 def test_threshold_codes_give_the_element_rule_at_every_code(case):
     cfg, est_cfg = case
-    first_on = pipeline._Replay(cfg, est_cfg).first_on
+    first_on = pipeline._Replay(cfg, est_cfg, io.StringIO()).first_on
     codes = range(cfg.adc.max_code + 1)
     signals = [channel_signal(cfg, code) for code in codes]
     for on, threshold in zip(first_on, est_cfg.element_thresholds, strict=True):
@@ -407,7 +411,7 @@ def test_threshold_codes_at_53_bits(units, monkeypatch):
                                   element_thresholds=(threshold,) * 4,
                                   sensing_range=1.0, resolution=0.1)
         calls.clear()
-        on = pipeline._Replay(cfg, est_cfg).first_on[0]
+        on = pipeline._Replay(cfg, est_cfg, io.StringIO()).first_on[0]
         assert len(calls) <= 4 * 54  # a bisection of 2**53 codes per element
         for code in range(max(on - 3, 0), min(on + 3, max_code + 1)):
             assert (code >= on) == (channel_signal(cfg, code) >= threshold)
