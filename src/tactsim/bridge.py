@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import floor
 
 from .errors import ConfigError, UsageError
 
@@ -128,22 +129,11 @@ def _check_balanced(cfg: BridgeConfig) -> None:
         )
 
 
-# The stage arithmetic below is shared by the scalar stages and the
-# block kernel, so both give bit-identical results. Every operation is
-# elementwise, so the same code runs on floats and on numpy arrays; the
-# block kernel passes numpy's clip and floor, the scalar stages use these.
-
-def _clip(v, low, high):
-    """``np.minimum(np.maximum(v, low), high)`` for floats: NaN propagates
-    and a tie returns the bound, so ``-0.0`` clips to a ``0.0`` bound."""
-    v = v if v != v or v > low else low
-    return v if v != v or v < high else high
-
-
-def _array_clip(v, low, high):
-    import numpy as np
-    return np.minimum(np.maximum(v, low), high)
-
+# The stage arithmetic below is the one spelling of each stage on Python
+# floats: bridge_output, amplify and adc_sample call it per value, and
+# Chain and the simulate loop per channel and tick, so all give the same
+# bits. Python's float * and + overflow to inf without raising, so the
+# callers check finiteness where an overflow has its own message.
 
 def _divider_volts(supply, r3, rx_rest, reference, delta_rx):
     rx = rx_rest + delta_rx
@@ -151,14 +141,27 @@ def _divider_volts(supply, r3, rx_rest, reference, delta_rx):
     return supply * (sense - reference)
 
 
-def _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise, clip=_clip):
+def _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise):
+    """Clipped to the rails as ``np.minimum(np.maximum(v, low), high)``
+    clips: NaN propagates and a tie returns the rail, so ``-0.0`` clips
+    to a ``0.0`` rail."""
     v = gain * v_in * (1.0 + noise_fraction * noise)
-    return clip(v, rail_low, rail_high)
+    v = v if v != v or v > rail_low else rail_low
+    return v if v != v or v < rail_high else rail_high
 
 
-def _rounded_code(max_code, full_scale, v, clip=_clip, floor=math.floor):
-    # Past 51 bits the top voltage can round up to max_code + 1.
-    return clip(floor(clip(v, 0.0, full_scale) * max_code / full_scale + 0.5), 0, max_code)
+def _rounded_code(max_code, full_scale, v):
+    """The code of a finite voltage; math.floor's OverflowError if ``v * max_code`` overflows."""
+    v = v if v < full_scale else full_scale
+    code = floor((v if v > 0.0 else 0.0) * max_code / full_scale + 0.5)
+    return code if code < max_code else max_code  # past 51 bits the top can round up
+
+
+def stage_code(gain, noise_fraction, rail_low, rail_high, max_code, full_scale, v_in, noise):
+    """The ADC code of amplifier input ``v_in`` at ``noise``: the amplifier
+    stage, then the ADC stage. ``Chain.stages`` holds the parameters."""
+    return _rounded_code(max_code, full_scale,
+                         _railed_gain(gain, noise_fraction, rail_low, rail_high, v_in, noise))
 
 
 def bridge_output(cfg: BridgeConfig, delta_rx: float) -> float:
@@ -200,7 +203,7 @@ def adc_sample(adc: AdcConfig, v: float) -> int:
         raise ValueError("ADC input must be finite")
     try:
         return _rounded_code(adc.max_code, adc.full_scale, v)
-    except OverflowError as exc:  # as in Chain.codes
+    except OverflowError as exc:  # as in Chain.convert
         raise ValueError("ADC input times the largest code overflows") from exc
 
 
@@ -215,65 +218,58 @@ class Chain:
     """Bridge -> amplifier -> ADC for several channels, compiled once.
 
     ``bridges`` holds one bridge per channel. Their balance is checked
-    here, once; ``inputs`` and ``convert`` then run whole blocks of
-    samples with the arithmetic of ``bridge_output`` and of ``amplify``
-    and ``adc_sample``, so a block gives the same codes as those stages
-    called per sample. ``codes`` is the two in turn.
+    here, once. ``inputs`` and ``convert`` then take rows of floats, one
+    value per channel and one row per sample, with the arithmetic of
+    ``bridge_output`` and of ``amplify`` and ``adc_sample``, so a row
+    gives the same codes as those stages called per value. ``codes`` is
+    the two in turn. ``stages[c]`` holds channel ``c``'s amplifier and
+    ADC parameters, so that ``stage_code(*stages[c], v_in, noise)`` is
+    one code of that channel.
     """
 
     def __init__(self, bridges, adc: AdcConfig):
-        import numpy as np
         for bridge in bridges:
             _check_balanced(bridge)
         self.adc = adc
         self.channels = len(bridges)
-        # One row per parameter, one column per channel.
-        params = np.array([
-            (b.supply_voltage, b.r3, b.rx_rest, b.r2 / (b.r1 + b.r2),
-             b.amplifier_gain, b.noise_fraction, b.rail_low, b.rail_high)
-            for b in bridges
-        ]).T
-        self._divider, self._amplifier = params[:4], params[4:]
+        self._dividers = [(b.supply_voltage, b.r3, b.rx_rest, b.r2 / (b.r1 + b.r2))
+                          for b in bridges]
+        self.stages = [(b.amplifier_gain, b.noise_fraction, b.rail_low, b.rail_high,
+                        adc.max_code, adc.full_scale) for b in bridges]
 
-    def codes(self, delta_rx, noise) -> np.ndarray:
-        """ADC codes for arrays of sensing-arm rises and noise samples.
-
-        Both arrays have one column per channel and one row per sample.
-        """
+    def codes(self, delta_rx, noise) -> list:
+        """Rows of int ADC codes for rows of sensing-arm rises and of noise samples."""
         return self.convert(self.inputs(delta_rx), noise)
 
-    def inputs(self, delta_rx) -> np.ndarray:
-        """Amplifier input voltages for an array of sensing-arm rises."""
-        import numpy as np
-        delta_rx = np.asarray(delta_rx, dtype=float)
-        if (delta_rx < 0).any():
+    def inputs(self, delta_rx) -> list:
+        """Rows of amplifier input voltages for rows of sensing-arm rises."""
+        delta_rx = [list(map(float, row)) for row in delta_rx]
+        if any(delta < 0 for row in delta_rx for delta in row):
             raise ValueError("delta_rx must be non-negative")
-        try:  # arms past the float range would read as a zero divider
-            with np.errstate(over="raise", invalid="ignore"):
-                v_in = _divider_volts(*self._divider, delta_rx)
-        except FloatingPointError as exc:
-            raise ValueError("bridge arm resistances overflow") from exc
-        if not np.isfinite(v_in).all():
+        for row in delta_rx:  # arms past the float range would read as a zero divider
+            for (_, r3, rx_rest, _), delta in zip(self._dividers, row):
+                if r3 + (rx_rest + delta) == math.inf > delta:
+                    raise ValueError("bridge arm resistances overflow")
+        v_in = [[_divider_volts(*divider, delta) for divider, delta in zip(self._dividers, row)]
+                for row in delta_rx]
+        if not all(math.isfinite(v) for row in v_in for v in row):
             raise ValueError("amplifier input must be finite")
         return v_in
 
-    def convert(self, v_in, noise) -> np.ndarray:
-        """ADC codes for an array of ``inputs`` voltages and one of noise samples."""
-        import numpy as np
-        with np.errstate(over="ignore"):  # an output past the rails clips to them
-            v = _railed_gain(*self._amplifier, v_in, np.asarray(noise, dtype=float), _array_clip)
-        if not np.isfinite(v).all():
+    def convert(self, v_in, noise) -> list:
+        """Rows of int ADC codes for rows of ``inputs`` voltages and of noise samples."""
+        volts = [[_railed_gain(*stage[:4], v, n) for stage, v, n in zip(self.stages, row, noises)]
+                 for row, noises in zip(v_in, noise)]  # an output past the rails clips to them
+        if not all(math.isfinite(v) for row in volts for v in row):
             raise ValueError("ADC input must be finite")
+        max_code, full_scale = self.adc.max_code, self.adc.full_scale
         try:  # a full scale so large that an input times the top code overflows
-            with np.errstate(over="raise"):
-                codes = _rounded_code(self.adc.max_code, self.adc.full_scale, v, _array_clip,
-                                      np.floor)
-        except FloatingPointError as exc:
+            return [[_rounded_code(max_code, full_scale, v) for v in row] for row in volts]
+        except OverflowError as exc:
             raise ValueError("ADC input times the largest code overflows") from exc
-        return codes.astype(np.int64)
 
 
 def sample_chain(bridge: BridgeConfig, adc: AdcConfig, delta_rx: float,
                  noise_sample: float = 0.0) -> int:
     """One full conversion: bridge -> amplifier -> ADC code."""
-    return int(Chain((bridge,), adc).codes([[delta_rx]], [[noise_sample]])[0, 0])
+    return Chain((bridge,), adc).codes([[delta_rx]], [[noise_sample]])[0][0]

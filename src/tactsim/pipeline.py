@@ -6,8 +6,8 @@ holds more than one block in memory regardless of length. All
 randomness comes from one seeded generator that draws exactly five
 amplifier-noise samples per tick in channel order, which makes every run
 byte-reproducible. The generator is ``rng.Pcg64``, the values of
-``numpy.random.default_rng(seed)`` drawn without importing
-``numpy.random``, so the bytes also stay the same across numpy versions.
+``numpy.random.default_rng(seed)`` in pure Python, so simulation imports
+no numpy and its bytes stay the same across numpy versions.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 from itertools import compress, count, islice, product, repeat
 from operator import ge
 
-from .bridge import Chain
+from .bridge import Chain, stage_code
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
 from .calibration import CalibrationDataset, expand_protocol
 from .config import ToolkitConfig, channel_signal
@@ -52,15 +53,14 @@ def tick_count(adc_rate: float, end_time: float) -> int:
 def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
     """Sensing-arm rises of each distinct load, and each step's row of them.
 
-    Returns ``(deltas, load_of_step)``. ``deltas`` has one row per
-    distinct signed load ``(force, quadrants)``, in the order the steps
-    first reach it: each channel's rise, fabric first, as ``apply_load``
-    gives it at that load's first step. ``load_of_step`` is an intp array
-    of each step's row. The load is held between steps, so these rows are
-    all the resistance states a simulation can visit. ``-0.0`` keeps a
-    row apart from ``0.0``, since its fabric rise is ``-0.0``.
+    Returns ``(deltas, load_of_step)``, two lists. ``deltas`` has one row
+    per distinct signed load ``(force, quadrants)``, in the order the
+    steps first reach it: each channel's rise, fabric first, as
+    ``apply_load`` gives it at that load's first step. ``load_of_step``
+    holds each step's row index. The load is held between steps, so these
+    rows are all the resistance states a simulation can visit. ``-0.0``
+    keeps a row apart from ``0.0``, since its fabric rise is ``-0.0``.
     """
-    import numpy as np
     rows, first_times, load_of_step = {}, [], []
     for step in scenario.steps:
         load = (step.force, math.copysign(1.0, step.force), step.quadrants)
@@ -72,48 +72,81 @@ def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
     for time in first_times:
         fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, time)
         deltas.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
-    return np.array(deltas), np.array(load_of_step, dtype=np.intp)
+    return deltas, load_of_step
+
+
+#: The lowest and the highest value of ``Pcg64.uniform``.
+_NOISE_RANGE = (-1.0, 1.0 - 2.0**-52)
 
 
 def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     """ADC sample stream for a load scenario, one block of ticks at a time.
 
-    A lazy iterator of ``(times, codes)`` pairs of arrays: up to
-    ``BLOCK_TICKS`` float tick times and a (ticks x 5) int64 array of
-    their ADC codes, one row per tick. The sample clock starts at t = 0,
-    so scenarios must start there. The scenario, its tick count and the
-    bridges are checked when this is called, before any sample is
-    produced.
+    A lazy iterator of ``(times, rows)`` pairs of lists: up to
+    ``BLOCK_TICKS`` float tick times and, for each, a tuple of its five
+    int ADC codes. The sample clock starts at t = 0, so scenarios must
+    start there. The scenario, its tick count and the bridges are checked
+    when this is called, before any sample is produced.
 
-    The chain's inputs are computed once per distinct load of
-    ``_load_table``, and each tick reads its step's row through the
-    step's index, so a scenario costs a few bytes per step on top of
-    its ``LoadStep`` objects.
+    Each tick takes the next five draws of ``rng.Pcg64``, one per
+    channel in channel order. The chain's inputs are computed once per
+    distinct load of ``_load_table`` and converted at the lowest and the
+    highest draw, so a chain that overflows fails here. Every stage is a
+    monotone rounding, so a channel's code is monotone in its draw: one
+    whose code is the same at the lowest and the highest draw keeps it on
+    every tick of that load, and its draw is never computed. Each tick
+    jumps the generator's state over all five draws at once, and each
+    other channel's draw is computed from the state before the jump. A
+    scenario costs a few bytes per step on top of its ``LoadStep`` objects.
     """
-    import numpy as np
-    from .rng import Pcg64
+    from .rng import MASK128, Pcg64, output, uniform_of
     if scenario.start_time > 0:
         raise DataError(
             f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
         )
     chain = cfg.sensing_chain()
     deltas, load_of_step = _load_table(cfg, scenario)
-    try:  # every state the run can visit, at the noise that drives each output highest
-        v_in = chain.inputs(deltas)  # each load's amplifier inputs, indexed per tick below
-        chain.convert(v_in, np.ones(v_in.shape))
+    try:  # every state the run can visit, at the lowest and the highest draw
+        v_in = chain.inputs(deltas)
+        low, high = (chain.convert(v_in, [[noise] * chain.channels] * len(v_in))
+                     for noise in _NOISE_RANGE)
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
     rate = cfg.adc.sample_rate
     ticks = tick_count(rate, scenario.end_time)
-    step_times = np.array(scenario.step_times)
+    step_times, last = scenario.step_times, len(scenario.step_times) - 1
     rng = Pcg64(cfg.seed if seed is None else seed)
+    # Per load: its codes at the lowest draw, and for each channel whose
+    # code moves, (channel, its code of a draw, the draw's jump).
+    loads = [(tuple(codes), [(c, partial(stage_code, *chain.stages[c], volts[c]), *rng.jumps[c])
+                             for c in range(chain.channels) if codes[c] != top[c]])
+             for codes, top, volts in zip(low, high, v_in)]
+    jump_a, jump_c = rng.jumps[chain.channels - 1]  # a tick: one draw per channel
 
     def blocks():
+        state, step = rng.state, 0
         for start in range(0, ticks, BLOCK_TICKS):
-            times = np.arange(start, min(start + BLOCK_TICKS, ticks)) / rate
-            steps = np.searchsorted(step_times, times, side="right") - 1
-            noise = rng.uniform(times.size * chain.channels).reshape(times.size, chain.channels)
-            yield times, chain.convert(v_in[load_of_step[steps]], noise)
+            times = [k / rate for k in range(start, min(start + BLOCK_TICKS, ticks))]
+            rows, done = [], 0
+            while done < len(times):  # one pass per scenario step the block reaches
+                while step < last and step_times[step + 1] <= times[done]:
+                    step += 1
+                end = bisect_left(times, step_times[step + 1], done) if step < last else len(times)
+                states = []  # the state before each tick's draws
+                for _ in range(end - done):
+                    states.append(state)
+                    state = (jump_a * state + jump_c) & MASK128
+                codes, live = loads[load_of_step[step]]
+                if live:
+                    columns = [repeat(code, end - done) for code in codes]
+                    for c, code, a, b in live:
+                        columns[c] = [code(uniform_of(output((a * s + b) & MASK128)))
+                                      for s in states]
+                    rows += zip(*columns)
+                else:
+                    rows += [codes] * (end - done)
+                done = end
+            yield times, rows
 
     return blocks()
 
@@ -121,12 +154,10 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
 def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     """ADC sample stream for a load scenario: a lazy iterator of SampleLine.
 
-    The ticks of ``simulate_blocks``, as float times and int codes,
-    checked the same way when this is called.
+    The ticks of ``simulate_blocks``, checked the same way when this is called.
     """
     blocks = simulate_blocks(cfg, scenario, seed=seed)
-    return (SampleLine(t, tuple(codes)) for times, rows in blocks
-            for t, codes in zip(times.tolist(), rows.tolist()))
+    return (SampleLine(t, codes) for times, rows in blocks for t, codes in zip(times, rows))
 
 
 def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> CalibrationDataset:
@@ -136,18 +167,15 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
     force-layer signal recorded against the known force, yielding the
     dataset a real calibration session would produce.
     """
-    import numpy as np
     from .rng import Pcg64
     rng = Pcg64(cfg.seed if seed is None else seed)
     weights_gw = expand_protocol(weights)
     forces = [gw_to_newtons(weight) for weight in weights_gw]
     deltas = [[fabric_delta_r(cfg.fabric, force)] for force in forces]
-    noise = rng.uniform(len(forces)).reshape(len(forces), 1)
-    codes = Chain((cfg.bridge,), cfg.adc).codes(deltas, noise)[:, 0].tolist()
-    signals = [channel_signal(cfg, code) for code in codes]
-    return CalibrationDataset(
-        np.array(signals), np.array(forces), weights_gw=np.array(weights_gw)
-    )
+    noise = [[value] for value in rng.uniform(len(forces))]
+    codes = Chain((cfg.bridge,), cfg.adc).codes(deltas, noise)
+    signals = [channel_signal(cfg, code) for code, in codes]
+    return CalibrationDataset(signals, forces, weights_gw=weights_gw)
 
 
 #: Frame-record tail of each element on-state tuple.

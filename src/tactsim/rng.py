@@ -14,21 +14,16 @@ are written out here from those:
   and redrawn while above it.
 
 PCG64 steps its 128-bit state by ``s -> M*s + inc`` and outputs the new
-state's XSL-RR. A block of ``n`` uniforms takes the states
-``s_k = A_k*s_0 + inc*G_k`` for k = 1..n in one pass of array
-arithmetic on 64-bit limbs, where ``A_k = M**k`` and
-``G_k = 1 + M + ... + M**(k-1)`` (mod 2**128) are tables shared by
-every generator in the process. Every wrapping multiply is on arrays or
-Python ints, and every scalar operand is an explicit ``np.uint64``,
-which keeps the arithmetic the same under numpy 1.x's promotion rules
-and 2.x's.
+state's XSL-RR. ``k`` steps at once take ``s`` to ``A_k*s + inc*G_k``,
+where ``A_k = M**k`` and ``G_k = 1 + M + ... + M**(k-1)`` (mod 2**128):
+``Pcg64.jumps`` holds those pairs for k = 1..5, so a caller that needs
+only some of five draws computes those and steps over the rest. All of
+it is Python int arithmetic, without numpy.
 """
 
 from __future__ import annotations
 
 from operator import index
-
-import numpy as np
 
 MASK32 = 2**32 - 1
 MASK64 = 2**64 - 1
@@ -38,11 +33,9 @@ MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 #: SeedSequence's hash constants.
 INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-#: Most states one array pass computes; a longer draw takes several.
-TABLE_MAX = 8192
-
-#: ``(A_hi, A_lo, G_hi, G_lo)`` of k = 1..len, built on first use and extended on demand.
-_tables = None
+#: ``(A_k, G_k)`` for k = 1..5: ``M**k`` and ``1 + M + ... + M**(k-1)``, mod 2**128.
+JUMPS = tuple((pow(MULTIPLIER, k, 2**128), sum(pow(MULTIPLIER, i, 2**128) for i in range(k))
+               & MASK128) for k in range(1, 6))
 
 
 def _entropy_words(seed) -> list:
@@ -96,45 +89,16 @@ def seed_state(seed) -> tuple:
     return (state * MULTIPLIER + inc) & MASK128, inc
 
 
-def _times(hi, lo, c: int):
-    """``(hi, lo) * c`` mod 2**128, for uint64 limb arrays and a Python int ``c``."""
-    u32, low32 = np.uint64(32), np.uint64(MASK32)
-    c_lo = c & MASK64
-    b0, b1 = np.uint64(c_lo & MASK32), np.uint64(c_lo >> 32)
-    a0, a1 = lo & low32, lo >> u32  # lo * c_lo in 32-bit halves, for its high word
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((p00 >> u32) + (p01 & low32) + (p10 & low32)) >> u32
-    top = (a1 * b1 + (p01 >> u32) + (p10 >> u32) + carry
-           + hi * np.uint64(c_lo) + lo * np.uint64(c >> 64))
-    return top, lo * np.uint64(c_lo)
+def output(state: int) -> int:
+    """PCG64's raw 64-bit draw at a 128-bit state: its XSL-RR, the halves'
+    XOR rotated right by the state's top six bits."""
+    value = (state >> 64 ^ state) & MASK64
+    return ((value << 64 | value) >> (state >> 122)) & MASK64
 
 
-def _plus(hi, lo, c_hi, c_lo):
-    """``(hi, lo) + (c_hi, c_lo)`` mod 2**128; either pair may be uint64 scalars."""
-    low = lo + c_lo
-    return hi + c_hi + (low < lo).astype(np.uint64), low
-
-
-def jump_tables(n: int):
-    """``(A_hi, A_lo, G_hi, G_lo)`` for k = 1..n, as read-only uint64 arrays.
-
-    Built by doubling, ``T_{k+m} = T_m o T_k``: ``A_{k+m} = A_m*A_k`` and
-    ``G_{k+m} = A_m*G_k + G_m``, and kept for later calls.
-    """
-    global _tables
-    tables = _tables or tuple(np.array([value], dtype=np.uint64)  # A_1 = M, G_1 = 1
-                              for value in (MULTIPLIER >> 64, MULTIPLIER & MASK64, 0, 1))
-    while tables[0].size < n:
-        a_hi, a_lo, g_hi, g_lo = tables
-        grow = min(a_lo.size, n - a_lo.size)
-        a_m = int(a_hi[-1]) << 64 | int(a_lo[-1])
-        new = (*_times(a_hi[:grow], a_lo[:grow], a_m),
-               *_plus(*_times(g_hi[:grow], g_lo[:grow], a_m), g_hi[-1], g_lo[-1]))
-        tables = tuple(map(np.concatenate, zip(tables, new)))
-    for table in tables:
-        table.flags.writeable = False
-    _tables = tables
-    return tuple(table[:n] for table in tables)
+def uniform_of(raw: int) -> float:
+    """``Generator.uniform(-1.0, 1.0)``'s value of one raw draw."""
+    return -1.0 + 2.0 * ((raw >> 11) * 2.0**-53)
 
 
 class Pcg64:
@@ -147,13 +111,13 @@ class Pcg64:
     def __init__(self, seed):
         self.state, self.inc = seed_state(seed)
         self.half = None  # the high half of a raw draw whose low half was used
-        self.offsets = None  # (inc * G_k) for the blocks of uniforms, once per generator
+        #: ``(A_k, inc*G_k)`` for k = 1..5: ``state -> A_k*state + inc*G_k`` is k steps.
+        self.jumps = tuple((a, self.inc * g & MASK128) for a, g in JUMPS)
 
     def next64(self) -> int:
-        """The next raw 64-bit draw: one step, then XSL-RR of the new state."""
+        """The next raw 64-bit draw: one step, then the new state's output."""
         self.state = state = (self.state * MULTIPLIER + self.inc) & MASK128
-        value, rot = (state >> 64 ^ state) & MASK64, state >> 122
-        return (value >> rot | value << (64 - rot)) & MASK64
+        return output(state)
 
     def next32(self) -> int:
         """The next 32-bit draw: a raw draw's low half, then its buffered high half."""
@@ -164,26 +128,9 @@ class Pcg64:
         self.half = value >> 32
         return value & MASK32
 
-    def raw(self, size: int):
-        """The next ``size`` raw draws, as a uint64 array."""
-        blocks = [self._block(min(left, TABLE_MAX)) for left in range(size, 0, -TABLE_MAX)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(
-            [np.zeros(0, dtype=np.uint64), *blocks])
-
-    def _block(self, n: int):
-        """The next ``n`` raw draws, 1 <= n <= TABLE_MAX, from one pass over the tables."""
-        a_hi, a_lo, g_hi, g_lo = jump_tables(n)
-        if self.offsets is None or self.offsets[0].size < n:
-            self.offsets = _times(g_hi, g_lo, self.inc)
-        s_hi, s_lo = _plus(*_times(a_hi, a_lo, self.state),
-                           self.offsets[0][:n], self.offsets[1][:n])
-        self.state = int(s_hi[-1]) << 64 | int(s_lo[-1])
-        value, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)  # XSL-RR
-        return value >> rot | value << ((np.uint64(64) - rot) & np.uint64(63))
-
-    def uniform(self, size: int):
+    def uniform(self, size: int) -> list:
         """``size`` floats of ``Generator.uniform(-1.0, 1.0, size)``."""
-        return -1.0 + 2.0 * ((self.raw(size) >> np.uint64(11)) * 2.0**-53)
+        return [uniform_of(self.next64()) for _ in range(size)]
 
     def permutation(self, n: int) -> list:
         """``Generator.permutation(n)``'s order of ``range(n)``, as a list; n < 2**32."""

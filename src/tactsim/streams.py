@@ -110,24 +110,20 @@ def read_samples(lines):
         yield parse_sample_line(stripped, line_number)
 
 
-def format_sample_block(times, codes) -> str:
+def format_sample_block(times, rows) -> str:
     """Canonical lines, newline-terminated, for a block of simulated ticks.
 
-    ``times`` is the array of float tick times and ``codes`` the
-    C-ordered (ticks x 5) int64 array of their ADC codes, as
-    ``simulate_blocks`` yields them; each line is what
-    ``format_sample_line`` gives for that tick. Rows repeat within a
-    block while the load is held, so each row is keyed by its 40 bytes
-    and each distinct row's ``,c0,c1,c2,c3,c4`` tail spelled once.
+    ``times`` holds the float tick times and ``rows`` a tuple of five
+    int ADC codes per tick, as ``simulate_blocks`` yields them; each line
+    is what ``format_sample_line`` gives for that tick. Rows repeat
+    within a block while the load is held, so each distinct row's
+    ``,c0,c1,c2,c3,c4`` tail is spelled once per block, and the memo
+    holds at most one block's rows whatever the ADC width.
     """
-    import numpy as np
-    keys = codes.view("V40").ravel().tolist()
-    tails = dict.fromkeys(keys)  # the distinct rows, in order of first appearance
-    rows = np.frombuffer(b"".join(tails), codes.dtype).reshape(-1, CHANNEL_COUNT).tolist()
-    spelled = dict(zip(tails, [f",{a},{b},{c},{d},{e}\n" for a, b, c, d, e in rows]))
-    lines = [None] * (2 * len(keys))  # each tick's time spelling, then its tail
-    lines[::2] = map(repr, times.tolist())
-    lines[1::2] = map(spelled.__getitem__, keys)
+    spelled = {row: ",%d,%d,%d,%d,%d\n" % row for row in set(rows)}
+    lines = [None] * (2 * len(rows))  # each tick's time spelling, then its tail
+    lines[::2] = map(repr, times)
+    lines[1::2] = map(spelled.__getitem__, rows)
     return "".join(lines)
 
 

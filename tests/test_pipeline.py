@@ -41,6 +41,7 @@ from tactsim import (
 from tactsim.config import channel_signal
 from tactsim import pipeline
 from tactsim.pipeline import _load_table, estimate_lines, simulate_blocks, tick_count
+from tactsim.rng import uniform_of
 from tactsim.streams import SampleLine
 
 from conftest import accuracy_scenario, count_calls
@@ -192,7 +193,7 @@ class TestSimulate:
         scenario = LoadScenario(tuple(LoadStep(float(k), force, frozenset(quadrants))
                                       for k, force in enumerate(forces)))
         deltas, load_of_step = _load_table(cfg, scenario)
-        rows = deltas[load_of_step].tolist()  # each step's row, through its index
+        rows = [deltas[row] for row in load_of_step]  # each step's row, through its index
         assert len(rows) == len(scenario.steps)
         assert len(deltas) == len({force.hex() for force in forces})  # one row per load
         assert load_of_step[0] != load_of_step[1]  # -0.0 and 0.0 each have their own
@@ -201,14 +202,31 @@ class TestSimulate:
             expected = [fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))]
             assert [x.hex() for x in row] == [x.hex() for x in expected], step
 
+    def test_noise_range_is_the_lowest_and_highest_draw(self):
+        # A channel whose codes at these two noise values agree takes no draw.
+        lowest, highest = uniform_of(0), uniform_of(2**64 - 1)
+        assert [x.hex() for x in pipeline._NOISE_RANGE] == [lowest.hex(), highest.hex()]
+        assert (lowest, highest) == (-1.0, 1.0 - 2.0**-52)
+
+    def test_constant_channels_take_no_draw(self):
+        # At rest every code is 0 whatever the draw; a press moves the fabric's code.
+        cfg = default_config()
+        with mock.patch.object(pipeline, "stage_code", wraps=pipeline.stage_code) as code:
+            quiet = list(simulate_samples(cfg, quiet_scenario(3.0), seed=2))
+            assert code.call_count == 0
+            pressed = list(simulate_samples(cfg, press_scenario(0.3, 1, 3.0), seed=2))
+        assert {s.channels for s in quiet} == {(0,) * 5}
+        assert 0 < code.call_count <= len(pressed) * 5
+
     def test_scenario_steps_cost_a_small_constant(self, tmp_path):
         # Traced bytes per step, from N and 4N steps of seven repeating
         # loads. A loaded step keeps its slotted LoadStep, its time and
         # two tuple slots: 96 B; its force is one of seven shared floats
         # (120 B with a float per step). simulate_blocks' set-up then
-        # peaks 16 B a step above that, for its step times and row
-        # indices. A frozenset, a __dict__ or a table row per step breaks
-        # the bounds (one of each: 376 B kept, 296 B of set-up peak).
+        # peaks 8 B a step above that, for its row indices; it reads the
+        # scenario's own step times. A frozenset, a __dict__ or a table
+        # row per step breaks the bounds (one of each: 376 B kept, 296 B
+        # of set-up peak).
         import tracemalloc
 
         quadrants = ("", "1", "1+2", "3+4", "1+2+3", "2", "1+2+3+4")
@@ -228,7 +246,7 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
 
-        cost(300)  # numpy's import and a full block's noise tables, outside the counts
+        cost(300)  # the lazy imports and a first block, outside the counts
         steps = 2000
         (kept, setup), (kept_4n, setup_4n) = cost(steps), cost(4 * steps)
         assert (kept_4n - kept) / (3 * steps) < 136

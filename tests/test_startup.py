@@ -1,16 +1,16 @@
-"""Start-up: ``estimate`` and ``report`` run on the standard library.
+"""Start-up: ``simulate``, ``estimate`` and ``report`` run on the standard library.
 
-numpy is imported only inside the array code that ``simulate`` and
-``calibrate`` reach, so the replay commands skip its import time, and
-those two draw their noise and folds from ``tactsim.rng``, so no
-command imports ``numpy.random``;
-``json`` only where a model file is read or written, so ``simulate``
+numpy is imported only inside the calibration code that ``calibrate``
+reaches, so the other three commands skip its import time, and
+``simulate`` writes the same stream where numpy cannot be imported at
+all. ``simulate`` draws its noise and ``calibrate`` its folds from
+``tactsim.rng``, so no command imports ``numpy.random``; ``json`` is
+imported only where a model file is read or written, so ``simulate``
 and ``report`` skip it; and the command-line entry point starts
 OpenBLAS with one thread and runs the command with the cyclic garbage
-collector off. The test modules
-import numpy themselves, so every command here runs as
-``python -m tactsim`` in a fresh interpreter, and ``-X importtime``
-lists the modules it imported.
+collector off. The test modules import numpy themselves, so every
+command here runs as ``python -m tactsim`` in a fresh interpreter, and
+``-X importtime`` lists the modules it imported.
 """
 
 import gc
@@ -101,10 +101,20 @@ def test_simulate_and_calibrate_still_run(replay):
 @pytest.mark.parametrize("command", ("simulate", "calibrate"))
 def test_simulate_and_calibrate_leave_numpy_random_out(replay, command):
     imported = replay["imports"][command]
-    assert uses_numpy(imported)
+    assert uses_numpy(imported) is (command == "calibrate")
     assert "tactsim.rng" in imported
     assert not uses_numpy_random(imported), sorted(
         name for name in imported if name.startswith("numpy.random"))
+
+
+def test_simulate_runs_where_numpy_cannot_be_imported(replay):
+    # A None entry in sys.modules makes every later ``import numpy`` fail.
+    done, imported = python("-c", "import sys; sys.modules['numpy'] = None; "
+                            "from tactsim import cli; sys.exit(cli.run())",
+                            "simulate", str(replay["scenario.csv"]))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == replay["stream.csv"].read_text()
+    assert not uses_numpy(imported)
 
 
 @pytest.mark.parametrize("source", ("file", "stdin"))

@@ -2,7 +2,6 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from tactsim import (
@@ -94,7 +93,7 @@ class TestSampleLines:
         assert a == b
 
 
-#: Rows of ADC codes that ``format_sample_block`` keys by their bytes: codes
+#: Rows of ADC codes that ``format_sample_block`` spells once each: codes
 #: up to the widest 53-bit ADC, and rows that differ only in high bytes.
 WIDE_ROWS = {
     "wide": [[2**53 - 1 - i, i, 2**52 + i, 2**32 + 7 * i, 2**53 - 1] for i in range(40)],
@@ -105,11 +104,11 @@ WIDE_ROWS = {
 @pytest.mark.parametrize("distinct", (True, False), ids=("distinct", "repeated"))
 @pytest.mark.parametrize("case", sorted(WIDE_ROWS))
 def test_block_spells_wide_rows_as_format_sample_line(case, distinct):
-    rows = WIDE_ROWS[case] if distinct else [WIDE_ROWS[case][i % 3] for i in range(40)]
-    times = np.arange(len(rows)) / 9.6
-    expected = "".join(format_sample_line(SampleLine(t, tuple(codes))) + "\n"
-                       for t, codes in zip(times.tolist(), rows))
-    assert format_sample_block(times, np.array(rows, dtype=np.int64)) == expected
+    rows = [tuple(WIDE_ROWS[case][i if distinct else i % 3]) for i in range(40)]
+    times = [k / 9.6 for k in range(len(rows))]
+    expected = "".join(format_sample_line(SampleLine(t, codes)) + "\n"
+                       for t, codes in zip(times, rows))
+    assert format_sample_block(times, rows) == expected
 
 
 class TestConfigFile:
