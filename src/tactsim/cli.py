@@ -34,20 +34,30 @@ from .pipeline import estimate_frames, simulate_samples, summarize_frames  # noq
 from .streams import read_samples, write_samples  # noqa: F401
 
 
-def _output(path, source=None):
-    """The file at ``path`` to write, or stdout for ``-`` or no path. A
-    UsageError, before it is opened, if it is the file of the input stream
-    ``source``: the file at that path, or for ``-`` stdin's, where stdin
-    has a file descriptor."""
-    if path is None or path == "-":
-        return nullcontext(sys.stdout)
-    if source is not None and os.path.exists(path):
+#: The arguments that name a command's input files; an error calls each by this name.
+_INPUTS = ("config", "scenario", "dataset", "stream", "model", "frames", "truth")
+
+
+def _check_output(path, inputs) -> None:
+    """A UsageError if the file at ``-o`` ``path`` is one of ``inputs``, ``(name,
+    path)`` pairs: the file at that path, or for ``-`` stdin's, where stdin has
+    a file descriptor. Checked before any file is read or written."""
+    if path is None or path == "-" or not os.path.exists(path):
+        return
+    written = os.stat(path)
+    for name, source in inputs:
         try:
             read = os.fstat(sys.stdin.fileno()) if source == "-" else os.stat(source)
-        except (AttributeError, OSError, ValueError):  # no stdin, or one in memory
-            read = None
-        if read is not None and os.path.samestat(read, os.stat(path)):
-            raise UsageError(f"-o {path} is the input stream, which writing would erase")
+        except (AttributeError, OSError, ValueError):  # no stdin, one in memory, or no file
+            continue
+        if os.path.samestat(read, written):
+            raise UsageError(f"-o {path} is the input {name}, which writing would erase")
+
+
+def _output(path):
+    """The file at ``path`` to write, or stdout for ``-`` or no path."""
+    if path is None or path == "-":
+        return nullcontext(sys.stdout)
     return open(path, "w")
 
 
@@ -82,7 +92,7 @@ def cmd_estimate(cfg: ToolkitConfig, model_path, stream_path, output_path=None) 
     """Replay a sample stream through a calibrated model, frame by frame."""
     model = load_model(model_path)
     est_cfg = make_estimator_config(cfg, model)
-    with open_input(stream_path) as stream, _output(output_path, stream_path) as out:
+    with open_input(stream_path) as stream, _output(output_path) as out:
         estimate_lines(cfg, est_cfg, stream, out)
 
 
@@ -190,9 +200,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        inputs = ("config", "scenario", "dataset", "stream", "model", "frames", "truth")
-        if [getattr(args, name, None) for name in inputs].count("-") > 1:
+        inputs = [(name, path) for name in _INPUTS
+                  if (path := getattr(args, name, None)) is not None]
+        if [path for _, path in inputs].count("-") > 1:
             raise UsageError("only one input can be read from stdin (-)")
+        _check_output(getattr(args, "output", None), inputs)
         cfg = _load_cfg(args)
         if args.command == "simulate":
             cmd_simulate(cfg, args.scenario, args.output)

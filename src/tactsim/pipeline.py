@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import compress, count, islice, product, repeat
 from operator import ge
 
@@ -75,8 +75,44 @@ def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
     return deltas, load_of_step
 
 
+#: Runs shorter than this many ticks per code of their span compute every
+#: code: about where sorting and looking up the draws costs what bisection saves.
+_BISECT_TICKS_PER_CODE = 12
+
 #: The lowest and the highest value of ``Pcg64.uniform``.
 _NOISE_RANGE = (-1.0, 1.0 - 2.0**-52)
+
+
+def _run_codes(code, noise, raws, first: int, final: int):
+    """The codes ``code(noise(raw))`` of a run's raw draws, for a code that is
+    monotone in the draw and is ``first`` at the lowest draw and ``final``
+    at the highest.
+
+    A run long against its code span is sorted, and the draws where the
+    code changes are found by bisection, each draw's code computed at most
+    once; every draw then takes its code by ``bisect_right`` over those
+    change points. A shorter run computes every draw's code, which
+    bisection could not beat. So no run computes more codes than it has
+    draws, and the choice rests only on the run's length and end codes.
+    """
+    n = len(raws)
+    if n < _BISECT_TICKS_PER_CODE * abs(final - first):
+        return list(map(code, map(noise, raws)))
+    ordered = sorted(raws)
+    # Positions -1 and n stand for the lowest and the highest draw, whose codes are known.
+    starts, codes, spans = [], [first], [(-1, first, n, final)]
+    while spans:  # split from the lowest draw up, so the change points come in order
+        lo, low_code, hi, high_code = spans.pop()
+        if low_code == high_code:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            mid_code = code(noise(ordered[mid]))
+            spans += ((mid, mid_code, hi, high_code), (lo, low_code, mid, mid_code))
+        elif hi < n:  # the code changes at draw hi
+            starts.append(ordered[hi])
+            codes.append(high_code)
+    return list(map(codes.__getitem__, map(bisect_right, repeat(starts), raws)))
 
 
 def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
@@ -94,10 +130,15 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     highest draw, so a chain that overflows fails here. Every stage is a
     monotone rounding, so a channel's code is monotone in its draw: one
     whose code is the same at the lowest and the highest draw keeps it on
-    every tick of that load, and its draw is never computed. Each tick
-    jumps the generator's state over all five draws at once, and each
-    other channel's draw is computed from the state before the jump. A
-    scenario costs a few bytes per step on top of its ``LoadStep`` objects.
+    every tick of that load, and its draw is never computed.
+
+    Ticks go in runs: those of one block on one scenario step. The
+    generator's state crosses a run of n ticks in one jump of 5n draws,
+    memoised by n. Each channel whose code can move steps its own state
+    by the tick jump, one multiply per draw it reads, and ``_run_codes``
+    gives the run's codes, by bisection over its sorted draws where the
+    run is long enough. A scenario costs a few bytes per step on top of
+    its ``LoadStep`` objects.
     """
     from .rng import MASK128, Pcg64, output, uniform_of
     if scenario.start_time > 0:
@@ -116,12 +157,16 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     ticks = tick_count(rate, scenario.end_time)
     step_times, last = scenario.step_times, len(scenario.step_times) - 1
     rng = Pcg64(cfg.seed if seed is None else seed)
-    # Per load: its codes at the lowest draw, and for each channel whose
-    # code moves, (channel, its code of a draw, the draw's jump).
-    loads = [(tuple(codes), [(c, partial(stage_code, *chain.stages[c], volts[c]), *rng.jumps[c])
-                             for c in range(chain.channels) if codes[c] != top[c]])
+    channels = chain.channels
+    # Per load: its codes at the lowest draw, and for each channel whose code
+    # moves, (channel, its code of a draw, its codes at the lowest and the
+    # highest draw, the jump from a run's state to the channel's first draw).
+    loads = [(tuple(codes), [(c, partial(stage_code, *chain.stages[c], volts[c]),
+                              codes[c], top[c], *rng.jumps[c])
+                             for c in range(channels) if codes[c] != top[c]])
              for codes, top, volts in zip(low, high, v_in)]
-    jump_a, jump_c = rng.jumps[chain.channels - 1]  # a tick: one draw per channel
+    tick_a, tick_c = rng.jumps[channels - 1]  # a tick: one draw per channel
+    run_jump = cache(rng.jump)  # n ticks: 5n draws, n <= BLOCK_TICKS
 
     def blocks():
         state, step = rng.state, 0
@@ -132,19 +177,21 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
                 while step < last and step_times[step + 1] <= times[done]:
                     step += 1
                 end = bisect_left(times, step_times[step + 1], done) if step < last else len(times)
-                states = []  # the state before each tick's draws
-                for _ in range(end - done):
-                    states.append(state)
-                    state = (jump_a * state + jump_c) & MASK128
+                n = end - done
                 codes, live = loads[load_of_step[step]]
                 if live:
-                    columns = [repeat(code, end - done) for code in codes]
-                    for c, code, a, b in live:
-                        columns[c] = [code(uniform_of(output((a * s + b) & MASK128)))
-                                      for s in states]
+                    columns = [repeat(code, n) for code in codes]
+                    for c, code, first, final, a, b in live:
+                        draw = (a * state + b) & MASK128  # the channel's own state
+                        raws = [output(draw)]
+                        raws += [output(draw := (tick_a * draw + tick_c) & MASK128)
+                                 for _ in range(n - 1)]
+                        columns[c] = _run_codes(code, uniform_of, raws, first, final)
                     rows += zip(*columns)
                 else:
-                    rows += [codes] * (end - done)
+                    rows += [codes] * n
+                a, b = run_jump(channels * n)
+                state = (a * state + b) & MASK128
                 done = end
             yield times, rows
 

@@ -14,11 +14,15 @@ are written out here from those:
   and redrawn while above it.
 
 PCG64 steps its 128-bit state by ``s -> M*s + inc`` and outputs the new
-state's XSL-RR. ``k`` steps at once take ``s`` to ``A_k*s + inc*G_k``,
-where ``A_k = M**k`` and ``G_k = 1 + M + ... + M**(k-1)`` (mod 2**128):
-``Pcg64.jumps`` holds those pairs for k = 1..5, so a caller that needs
-only some of five draws computes those and steps over the rest. All of
-it is Python int arithmetic, without numpy.
+state's XSL-RR. ``n`` steps at once take ``s`` to ``A_n*s + inc*G_n``,
+where ``A_n = M**n`` and ``G_n = 1 + M + ... + M**(n-1)`` (mod 2**128).
+``advance`` finds such a pair for any stride in O(log n) multiplies, by
+F. Brown's arbitrary-stride algorithm ("Random Number Generation with
+Arbitrary Strides", 1994), and ``Pcg64.jump(n)`` gives its generator's
+pair. A caller that needs only some draws computes those and jumps
+over the rest: ``Pcg64.jumps`` holds the pairs for n = 1..5, one tick's
+draws in simulation, and simulation crosses each run of ticks in one
+jump. All of it is Python int arithmetic, without numpy.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 #: SeedSequence's hash constants.
 INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-#: ``(A_k, G_k)`` for k = 1..5: ``M**k`` and ``1 + M + ... + M**(k-1)``, mod 2**128.
-JUMPS = tuple((pow(MULTIPLIER, k, 2**128), sum(pow(MULTIPLIER, i, 2**128) for i in range(k))
-               & MASK128) for k in range(1, 6))
 
 
 def _entropy_words(seed) -> list:
@@ -89,6 +90,24 @@ def seed_state(seed) -> tuple:
     return (state * MULTIPLIER + inc) & MASK128, inc
 
 
+def advance(mult: int, plus: int, n: int) -> tuple:
+    """``(A, C)`` such that ``s -> A*s + C`` is ``n`` steps of ``s -> mult*s + plus``,
+    mod 2**128: Brown's arbitrary-stride jump, O(log n) multiplies. A ValueError for n < 0."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative number of steps, got {n}")
+    acc_mult, acc_plus = 1, 0
+    while n:
+        if n & 1:
+            acc_mult, acc_plus = acc_mult * mult & MASK128, (acc_plus * mult + plus) & MASK128
+        mult, plus = mult * mult & MASK128, (mult + 1) * plus & MASK128
+        n >>= 1
+    return acc_mult, acc_plus
+
+
+#: ``(A_k, G_k)`` for k = 1..5: ``M**k`` and ``1 + M + ... + M**(k-1)``, mod 2**128.
+JUMPS = tuple(advance(MULTIPLIER, 1, k) for k in range(1, 6))
+
+
 def output(state: int) -> int:
     """PCG64's raw 64-bit draw at a 128-bit state: its XSL-RR, the halves'
     XOR rotated right by the state's top six bits."""
@@ -113,6 +132,10 @@ class Pcg64:
         self.half = None  # the high half of a raw draw whose low half was used
         #: ``(A_k, inc*G_k)`` for k = 1..5: ``state -> A_k*state + inc*G_k`` is k steps.
         self.jumps = tuple((a, self.inc * g & MASK128) for a, g in JUMPS)
+
+    def jump(self, draws: int) -> tuple:
+        """``(A, C)`` such that ``state -> A*state + C`` (mod 2**128) is ``draws`` steps."""
+        return advance(MULTIPLIER, self.inc, draws)
 
     def next64(self) -> int:
         """The next raw 64-bit draw: one step, then the new state's output."""

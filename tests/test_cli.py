@@ -834,6 +834,31 @@ def test_estimate_output_that_is_its_stdin_is_a_usage_error(model_path, tmp_path
     assert stream.read_bytes() == frames and frames.count(b"\n") == 39
 
 
+@pytest.mark.parametrize("args, name", (
+    (("simulate", "scenario.csv", "-o", "scenario.csv"), "scenario"),
+    (("simulate", "scenario.csv", "--config", "gain.cfg", "-o", "gain.cfg"), "config"),
+    (("calibrate", "calibration.csv", "-o", "calibration.csv"), "dataset"),
+    (("estimate", "rec.csv", "-m", "model.json", "-o", "model.json"), "model"),
+))
+def test_output_that_is_an_input_is_a_usage_error(args, name, workdir, model_path, capsys,
+                                                  monkeypatch):
+    """Every input file is checked, not only estimate's stream: nothing is
+    written, and calibrate refuses before it cross-validates."""
+    from tactsim import cli
+
+    (workdir / "gain.cfg").write_text("gain = 22.0\n")
+    (workdir / "rec.csv").write_text("".join(_stream_line(n) + "\n" for n in range(1, 40)))
+    before = {path: path.read_bytes() for path in workdir.iterdir()}
+    fits = []
+    monkeypatch.setattr(cli, "cross_validate", lambda *a, **k: fits.append(a))
+    args = [workdir / arg if "." in arg else arg for arg in args]
+    code, out, err = run(capsys, *args)
+    message = f"-o {args[-1]} is the input {name}, which writing would erase"
+    assert (code, out, err) == (1, "", f"tactsim: error: {message}\n")
+    assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+    assert fits == []
+
+
 class TestEstimateMemory:
     """``estimate`` replays a stream from stdin in the memory of one block."""
 

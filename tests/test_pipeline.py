@@ -218,6 +218,19 @@ class TestSimulate:
         assert {s.channels for s in quiet} == {(0,) * 5}
         assert 0 < code.call_count <= len(pressed) * 5
 
+    def test_long_holds_compute_few_codes(self):
+        # A 10-minute hold is one run per block: its draws are sorted and the
+        # code computed only where bisection looks for a change.
+        from tactsim import rng
+
+        cfg = default_config()
+        with mock.patch.object(pipeline, "stage_code", wraps=pipeline.stage_code) as code, \
+                mock.patch.object(rng, "output", wraps=rng.output) as draws:
+            samples = list(simulate_samples(cfg, press_scenario(0.3, 1, 600.0), seed=2))
+        assert len(samples) == 5761
+        assert len({s.channels for s in samples}) > 1  # the press moves codes
+        assert 0 < code.call_count < draws.call_count / 10
+
     def test_scenario_steps_cost_a_small_constant(self, tmp_path):
         # Traced bytes per step, from N and 4N steps of seven repeating
         # loads. A loaded step keeps its slotted LoadStep, its time and

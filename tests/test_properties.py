@@ -9,7 +9,10 @@ them, its table of one row per distinct load must give the codes of
 ``apply_load`` at every tick through ``Chain.codes``, on noise drawn by
 numpy's own ``default_rng``, whichever channels it finds constant; the
 examples add no noise, a bridge input a tiny negative at rest, a 12-bit
-ADC and noise wide enough to spread one load over many codes.
+ADC and noise wide enough to spread one load over many codes. Holds of
+30-120 s, in blocks that keep them runs of hundreds of ticks, take the
+path that sorts a run's draws and bisects them for the draws where the
+code changes; the same examples check it.
 
 The estimator reference converts every code of every tick to a signal,
 the force-layer signal to a force with ``estimate_force``, and filters
@@ -225,19 +228,19 @@ def test_block_stream_matches_per_tick_reference(cfg, scenario, seed, block):
 
 
 @st.composite
-def repeating_scenarios(draw, cfg: ToolkitConfig):
-    """Scenarios of up to 31 steps drawn from a small pool of loads, so
-    that loads repeat: -0.0, 0.0, every piecewise edge of ``cfg`` and two
-    random forces, pressed on up to three random quadrant sets."""
+def repeating_scenarios(draw, cfg: ToolkitConfig, gaps=st.lists(st.floats(0.01, 1.0), max_size=30)):
+    """Scenarios of steps ``gaps`` apart (by default up to 31 steps) drawn
+    from a small pool of loads, so that loads repeat: -0.0, 0.0, every
+    piecewise edge of ``cfg`` and two random forces, pressed on up to three
+    random quadrant sets."""
     forces = [-0.0, 0.0, cfg.fabric.full_scale_force,
               *draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2))]
     for element in cfg.elements:
         forces += [element.trigger_threshold, element.saturation_force]
     pool = draw(st.lists(st.sets(st.sampled_from(QUADRANTS)).map(frozenset),
                          min_size=1, max_size=3))
-    gaps = draw(st.lists(st.floats(0.01, 1.0), max_size=30))
     times = [-draw(st.sampled_from((0.0, 0.0, 0.5)))]
-    for gap in gaps:
+    for gap in draw(gaps):
         times.append(times[-1] + gap)
     steps = []
     for time in times:
@@ -254,13 +257,14 @@ def repeating_cases(draw):
     return cfg, draw(repeating_scenarios(cfg))
 
 
-def edge_case(bridge=BridgeConfig(), adc=AdcConfig()):
+def edge_case(bridge=BridgeConfig(), adc=AdcConfig(), hold=0.7):
     """The default config with ``bridge`` and ``adc``, and a scenario that
-    returns to a rest, a light press, a heavy one and full scale."""
+    returns to a rest, a light press, a heavy one and full scale, each
+    load held ``hold`` seconds."""
     cfg = default_config(bridge=bridge, adc=adc)
     loads = [(0.0, ()), (0.3, (1,)), (-0.0, ()), (1.2, (1, 2, 3, 4)), (0.3, (1,)),
              (0.0, ()), (cfg.fabric.full_scale_force, (2, 3)), (0.3, (1,)), (0.0, ())]
-    return cfg, LoadScenario(tuple(LoadStep(0.7 * k, force, frozenset(quadrants))
+    return cfg, LoadScenario(tuple(LoadStep(hold * k, force, frozenset(quadrants))
                                    for k, (force, quadrants) in enumerate(loads)))
 
 
@@ -291,6 +295,32 @@ def test_distinct_load_table_matches_per_step_reference(case, seed, block):
     cfg, scenario = case
     deltas, _ = pipeline._load_table(cfg, scenario)
     assert len(deltas) == len({(step.force.hex(), step.quadrants) for step in scenario.steps})
+    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+        blocks = [rows for _, rows in pipeline.simulate_blocks(cfg, scenario, seed=seed)]
+    assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
+
+
+@st.composite
+def long_hold_cases(draw):
+    """A config and a scenario of up to four repeating loads, each held 30-120 s."""
+    cfg = draw(configs())
+    return cfg, draw(repeating_scenarios(cfg, st.lists(st.floats(30.0, 120.0), max_size=3)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=long_hold_cases(), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from((pipeline.BLOCK_TICKS, 333)))
+@example(case=edge_case(hold=60.0), seed=1, block=pipeline.BLOCK_TICKS)
+@example(case=edge_case(BridgeConfig(r3=100e3 * (1 + 5e-10), rail_low=-1.0), hold=30.0),
+         seed=2, block=pipeline.BLOCK_TICKS)
+@example(case=edge_case(adc=AdcConfig(bits=12), hold=45.0), seed=7411, block=pipeline.BLOCK_TICKS)
+@example(case=edge_case(BridgeConfig(amplifier_gain=22.0, noise_fraction=0.9), AdcConfig(bits=12),
+                        hold=120.0), seed=3, block=pipeline.BLOCK_TICKS)
+def test_long_holds_match_per_step_reference(case, seed, block):
+    """Runs of hundreds of ticks on one load, where ``simulate_blocks`` sorts
+    each live channel's draws and finds its codes by bisection, unless the
+    run is short against its code span (the 12-bit ADC at 90% noise)."""
+    cfg, scenario = case
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
         blocks = [rows for _, rows in pipeline.simulate_blocks(cfg, scenario, seed=seed)]
     assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)

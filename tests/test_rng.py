@@ -6,7 +6,9 @@ and both on one generator, at seeds below and above 2**32 and at
 ``[seed, repeat]`` lists. The literal draws of seeds 1 and 7411 are
 written here too, so a numpy whose raw stream differs fails with a
 message that says which. Each of the five jumps must reach the state of
-as many ``next64`` steps.
+as many ``next64`` steps, and the jump over a run of n ticks, which
+simulation takes once per run, the state of n single tick jumps and of
+5n ``next64`` steps.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tactsim import rng
+from tactsim.pipeline import BLOCK_TICKS
 from tactsim.rng import Pcg64
 
 SEEDS = st.one_of(
@@ -121,3 +124,27 @@ def test_jumps_reach_the_states_of_one_to_five_steps(seed, draws):
         value = generator.next64()
         assert generator.state == (a * start + b) & rng.MASK128, k
         assert rng.output(generator.state) == value, k
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=SEEDS, ticks=st.integers(0, 2 * BLOCK_TICKS))
+@example(seed=1, ticks=0)
+@example(seed=7411, ticks=2 * BLOCK_TICKS)
+def test_run_jump_reaches_the_state_of_single_tick_jumps(seed, ticks):
+    """``jump(5n)`` is n tick jumps ``(A_5, inc*G_5)`` and 5n ``next64`` calls,
+    and its state's output the last of those draws."""
+    generator = Pcg64(seed)
+    start = state = generator.state
+    tick_a, tick_c = generator.jumps[4]
+    for _ in range(ticks):
+        state = (tick_a * state + tick_c) & rng.MASK128
+    run_a, run_c = generator.jump(5 * ticks)
+    assert (run_a * start + run_c) & rng.MASK128 == state
+    draws = [generator.next64() for _ in range(5 * ticks)]
+    assert generator.state == state
+    assert draws[-1:] == ([rng.output(state)] if ticks else [])
+
+
+def test_negative_jump_is_a_value_error():
+    with pytest.raises(ValueError, match="non-negative"):
+        Pcg64(1).jump(-1)
