@@ -76,6 +76,10 @@ def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,
     The persisted model is refit on the full dataset at the selected
     order. Nothing is persisted if any fold fails to fit.
     """
+    try:  # the fits run on numpy: without it, an error line before the dataset is read
+        import numpy  # noqa: F401
+    except ImportError as exc:
+        raise UsageError("calibrate needs numpy, which cannot be imported") from exc
     dataset = load_dataset(dataset_path)
     report = cross_validate(dataset, orders=orders, k=cfg.kfold, seed=cfg.seed,
                             repeats=cfg.repeats, strict_paper=strict_paper)

@@ -61,17 +61,14 @@ def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
     rows are all the resistance states a simulation can visit. ``-0.0``
     keeps a row apart from ``0.0``, since its fabric rise is ``-0.0``.
     """
-    rows, first_times, load_of_step = {}, [], []
+    rows, deltas, load_of_step = {}, [], []
     for step in scenario.steps:
         load = (step.force, math.copysign(1.0, step.force), step.quadrants)
         if load not in rows:
-            rows[load] = len(first_times)
-            first_times.append(step.time)
+            rows[load] = len(deltas)
+            fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
+            deltas.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
         load_of_step.append(rows[load])
-    deltas = []
-    for time in first_times:
-        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, time)
-        deltas.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
     return deltas, load_of_step
 
 
@@ -132,13 +129,13 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     whose code is the same at the lowest and the highest draw keeps it on
     every tick of that load, and its draw is never computed.
 
-    Ticks go in runs: those of one block on one scenario step. The
-    generator's state crosses a run of n ticks in one jump of 5n draws,
-    memoised by n. Each channel whose code can move steps its own state
-    by the tick jump, one multiply per draw it reads, and ``_run_codes``
-    gives the run's codes, by bisection over its sorted draws where the
-    run is long enough. A scenario costs a few bytes per step on top of
-    its ``LoadStep`` objects.
+    Ticks go in runs: those of one block on one scenario step, found by
+    bisection as ``LoadScenario.at`` finds it. The generator's state
+    crosses a run of n ticks in one jump of 5n draws, memoised by n. Each
+    channel whose code can move steps its own state by the tick jump, one
+    multiply per draw it reads, and ``_run_codes`` gives the run's codes,
+    by bisection over its sorted draws where the run is long enough. A
+    scenario costs a few bytes per step on top of its ``LoadStep`` objects.
     """
     from .rng import MASK128, Pcg64, output, uniform_of
     if scenario.start_time > 0:
@@ -174,8 +171,7 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
             times = [k / rate for k in range(start, min(start + BLOCK_TICKS, ticks))]
             rows, done = [], 0
             while done < len(times):  # one pass per scenario step the block reaches
-                while step < last and step_times[step + 1] <= times[done]:
-                    step += 1
+                step = bisect_right(step_times, times[done], step) - 1
                 end = bisect_left(times, step_times[step + 1], done) if step < last else len(times)
                 n = end - done
                 codes, live = loads[load_of_step[step]]
@@ -318,11 +314,12 @@ def _replay_blocks(lines, block, respell):
 def _columns(lines, fields: int):
     """``(times, column, ...)`` of lines split at their first ``fields - 1`` commas.
 
-    The first column is converted with ``float``. None for lines whose
-    text is not ``plain_ascii``, with a line of fewer fields, or with a
-    time that is not finite and non-negative.
+    The first column is converted with ``float``. None, before any line is
+    split, if one holds a ``#`` (no canonical line does) or is not
+    ``plain_ascii``; None too with a line of fewer fields, or with a time
+    that is not finite and non-negative.
     """
-    if not plain_ascii("".join(lines)):
+    if "#" in (text := "".join(lines)) or not plain_ascii(text):
         return None
     columns = list(zip(*map(str.split, lines, repeat(","), repeat(fields - 1))))
     if len(columns) != fields:
@@ -455,13 +452,10 @@ class _Replay:
         return True
 
     def respell(self, text: str, number: int) -> str:
-        """Line ``number``, ``text``, checked and spelled as ``format_sample_line`` spells it."""
+        """Line ``number``, ``text``, checked as ``estimate_frames`` checks a
+        sample and spelled as ``format_sample_line`` spells it."""
         sample = parse_sample_line(text, number)
-        try:
-            codes = _sample_codes(self.cfg, sample.channels)
-            estimate_force(self.est_cfg, channel_signal(self.cfg, codes[0]))
-        except (DataError, ValueError) as exc:  # a ValueError: a signal that overflows
-            raise DataError(f"line {number}: {exc}") from exc
+        next(estimate_frames(self.cfg, self.est_cfg, [sample]))  # raises the line's DataError
         return format_sample_line(sample) + "\n"
 
 

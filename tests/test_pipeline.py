@@ -556,6 +556,29 @@ class TestBlockHandOffs:
         assert text.count("\n") == 17
 
 
+class _PassCountingLines(list):
+    """A block's lines that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("fields", (3, 4))
+def test_a_block_with_a_comment_is_declined_before_it_is_split(fields):
+    """``_columns`` reads the block's joined text once, finds the ``#`` and
+    declines the block without splitting its lines."""
+    lines = TestBlockHandOffs.lines(6)
+    commented = _PassCountingLines([*lines[:3], "# a comment\n", *lines[3:]])
+    assert pipeline._columns(commented, fields) is None
+    assert commented.passes == 1
+    plain = _PassCountingLines(lines)
+    assert pipeline._columns(plain, fields) is not None
+    assert plain.passes == 2
+
+
 def test_clock_error_after_a_skipped_line_names_its_own_line(cfg):
     """A declined block's respelled lines keep their numbers past the lines it skips."""
     est = make_estimator_config(cfg, _linear_volts_model())

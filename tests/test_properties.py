@@ -12,7 +12,11 @@ examples add no noise, a bridge input a tiny negative at rest, a 12-bit
 ADC and noise wide enough to spread one load over many codes. Holds of
 30-120 s, in blocks that keep them runs of hundreds of ticks, take the
 path that sorts a run's draws and bisects them for the draws where the
-code changes; the same examples check it.
+code changes; the same examples check it. ``_run_codes`` itself must give
+each draw's own code for any monotone step function of the draw, rising
+or falling, on runs of 1-2,000 draws either side of the bisection
+threshold, repeated draws and thresholds past every draw included, and
+compute no more codes than the run has draws.
 
 The estimator reference converts every code of every tick to a signal,
 the force-layer signal to a force with ``estimate_force``, and filters
@@ -60,6 +64,8 @@ and every file format must read back what it wrote.
 
 import io
 import math
+import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
 from unittest import mock
@@ -120,6 +126,7 @@ from tactsim import (
 from tactsim import pipeline
 from tactsim.config import channel_signal
 from tactsim.estimator import PATTERNS, exact_units
+from tactsim.rng import uniform_of
 from tactsim.streams import format_sample_block
 from tactsim.units import fsum_counted
 
@@ -324,6 +331,52 @@ def test_long_holds_match_per_step_reference(case, seed, block):
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
         blocks = [rows for _, rows in pipeline.simulate_blocks(cfg, scenario, seed=seed)]
     assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
+
+
+@st.composite
+def code_runs(draw):
+    """``(raws, thresholds, descending)``: a run of 1-2,000 raw draws, some
+    repeated, and sorted thresholds in raw-draw space, some at a draw of the
+    run (its highest among them), some anywhere and some past every draw."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2000))
+    pool = [rnd.getrandbits(64) for _ in range(draw(st.integers(1, n)))]
+    raws = [rnd.choice(pool) for _ in range(n)]
+    top = max(raws)
+    thresholds = [rnd.choice(raws) for _ in range(draw(st.integers(0, 8)))]
+    thresholds += [top] * draw(st.integers(0, 1))
+    thresholds += [rnd.getrandbits(64) for _ in range(draw(st.integers(0, 4)))]
+    if top < 2**64 - 1:
+        thresholds += [rnd.randint(top + 1, 2**64 - 1) for _ in range(draw(st.integers(0, 3)))]
+    return raws, sorted(thresholds), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=code_runs())
+# Long against its span of 3: bisection, past two repeated draws.
+@example(case=([7 << 11, 5 << 11, 7 << 11] * 600, [6 << 11, 7 << 11, 2**63], False))
+# The code changes only at the highest draw.
+@example(case=([k << 11 for k in range(2000)], [1999 << 11], False))
+# Short against its span of 12: every code computed.
+@example(case=(list(range(0, 30 << 11, 1 << 11)), [k << 11 for k in range(1, 13)], True))
+def test_run_codes_are_the_codes_of_each_draw(case):
+    """``_run_codes`` on a monotone step function of the draw gives each
+    draw's own code, and computes no more codes than the run has draws,
+    whichever side of ``_BISECT_TICKS_PER_CODE`` times its span the run is."""
+    raws, thresholds, descending = case
+    steps = list(map(uniform_of, thresholds))  # where the code steps, in noise space
+    sign, base = (-1, len(steps)) if descending else (1, 0)
+    computed = []
+
+    def code(noise):
+        computed.append(noise)
+        return base + sign * bisect_right(steps, noise)
+
+    expected = list(map(code, map(uniform_of, raws)))
+    first, final = (code(noise) for noise in pipeline._NOISE_RANGE)
+    computed.clear()
+    assert pipeline._run_codes(code, uniform_of, raws, first, final) == expected
+    assert len(computed) <= len(raws)
 
 
 @settings(max_examples=100, deadline=None)

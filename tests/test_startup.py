@@ -3,14 +3,15 @@
 numpy is imported only inside the calibration code that ``calibrate``
 reaches, so the other three commands skip its import time, and
 ``simulate`` writes the same stream where numpy cannot be imported at
-all. ``simulate`` draws its noise and ``calibrate`` its folds from
-``tactsim.rng``, so no command imports ``numpy.random``; ``json`` is
-imported only where a model file is read or written, so ``simulate``
-and ``report`` skip it; and the command-line entry point starts
-OpenBLAS with one thread and runs the command with the cyclic garbage
-collector off. The test modules import numpy themselves, so every
-command here runs as ``python -m tactsim`` in a fresh interpreter, and
-``-X importtime`` lists the modules it imported.
+all, where ``calibrate`` ends in one usage-error line. ``simulate``
+draws its noise and ``calibrate`` its folds from ``tactsim.rng``, so no
+command imports ``numpy.random``; ``json`` is imported only where a
+model file is read or written, so ``simulate`` and ``report`` skip it;
+and the command-line entry point starts OpenBLAS with one thread and
+runs the command with the cyclic garbage collector off. The test
+modules import numpy themselves, so every command here runs as
+``python -m tactsim`` in a fresh interpreter, and ``-X importtime``
+lists the modules it imported.
 """
 
 import gc
@@ -115,6 +116,20 @@ def test_simulate_runs_where_numpy_cannot_be_imported(replay):
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout == replay["stream.csv"].read_text()
     assert not uses_numpy(imported)
+
+
+@pytest.mark.parametrize("dataset", ("dataset.csv", "missing.csv"))
+def test_calibrate_ends_in_one_error_line_where_numpy_cannot_be_imported(replay, dataset):
+    """A usage error that names numpy, before the dataset is read: no
+    traceback, and no model file."""
+    model = replay["model.json"].with_name("no-numpy-model.json")
+    done, _ = python("-c", "import sys; sys.modules['numpy'] = None; "
+                     "from tactsim import cli; sys.exit(cli.run())",
+                     "calibrate", str(replay["dataset.csv"].with_name(dataset)),
+                     "-o", str(model))
+    assert done.returncode == 1
+    assert done.stderr == "tactsim: error: calibrate needs numpy, which cannot be imported\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("source", ("file", "stdin"))
