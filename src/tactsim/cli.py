@@ -24,7 +24,7 @@ from .calibration import (
 from .config import ToolkitConfig, default_config, load_config, make_estimator_config
 from .errors import ConfigError, ToolkitError, UsageError
 from .estimator import range_for_gain
-from .pipeline import estimate_lines, simulate_blocks, summarize_lines
+from .pipeline import estimate_lines, simulate_plan, summarize_lines
 from .sensor import load_scenario
 from .streams import format_sample_block, open_input, read_float, read_int
 
@@ -36,6 +36,12 @@ from .streams import read_samples, write_samples  # noqa: F401
 
 #: The arguments that name a command's input files; an error calls each by this name.
 _INPUTS = ("config", "scenario", "dataset", "stream", "model", "frames", "truth")
+
+#: Whether ``simulate`` may fork a worker: only while ``run`` runs the command.
+_may_fork = False
+#: The fewest blocks for which ``simulate`` forks: a fork, pipe and reap cost
+#: about 2 ms, a block about 1.7 ms, so the worker must take two blocks.
+FORK_BLOCKS = 4
 
 
 def _check_output(path, inputs) -> None:
@@ -62,11 +68,68 @@ def _output(path):
 
 
 def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None) -> None:
-    """Run a scenario through the sensor chain and write the sample stream."""
-    blocks = simulate_blocks(cfg, load_scenario(scenario_path))
+    """Run a scenario through the sensor chain and write the sample stream,
+    with a forked worker (``_write_forked``) where ``run`` allows one."""
+    blocks, count = simulate_plan(cfg, load_scenario(scenario_path))
     with _output(output_path) as out:
-        for times, codes in blocks:
-            out.write(format_sample_block(times, codes))
+        if _may_fork and count >= FORK_BLOCKS:
+            _write_forked(out, blocks, count)
+        else:
+            for times, rows in blocks():
+                out.write(format_sample_block(times, rows))
+
+
+def _write_forked(out, blocks, count) -> None:
+    """Write the ``count`` blocks of ``blocks``, the odd ones spelled by a forked worker.
+
+    The worker sends the text of each block of ``blocks(1, 2)`` through a
+    pipe, after its length; this process writes each of ``blocks(0, 2)``,
+    then the worker's next. A worker that fails or is killed is a
+    ChildProcessError, after the blocks before its first missing one. If
+    this process fails, it kills the worker; if it is killed, the
+    worker's next write to the pipe ends it.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for times, rows in blocks(1, 2):
+                    text = format_sample_block(times, rows).encode()
+                    pipe.write(len(text).to_bytes(8, "little") + text)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    missing = None  # the first of the worker's blocks not received, numbered from 1
+    try:
+        with open(read_end, "rb") as pipe:
+            for number, (times, rows) in zip(range(2, count + 2, 2), blocks(0, 2)):
+                out.write(format_sample_block(times, rows))
+                if number <= count:  # the worker's next block
+                    if (text := _receive(pipe)) is None:
+                        missing = number
+                        break
+                    out.write(text)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if missing or status:
+        ended = f"exited with status {status}" if status >= 0 else f"was killed by signal {-status}"
+        raise ChildProcessError(f"simulate's worker process {ended}"
+                                + (f" before block {missing} of {count}" if missing else ""))
+
+
+def _receive(pipe):
+    """The next text a worker sent through ``pipe``, or None if it ended first."""
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little") if len(header) == 8 else 0
+    text = pipe.read(size)
+    return text.decode() if size and len(text) == size else None
 
 
 def cmd_calibrate(cfg: ToolkitConfig, dataset_path, model_path=None,
@@ -239,18 +302,33 @@ def run() -> int:
     Teardown is the larger cost: a full pass over some 14,000 objects,
     23,000 once numpy is loaded. A command leaves a constant amount of
     cyclic garbage, its argument parser, whatever the stream's length.
-    All three are set here, not on import, so that a program importing
-    tactsim or calling ``main`` keeps its own BLAS settings, signal
-    handlers and collector.
+    Where ``os.fork`` exists and the process may run on two CPUs or
+    more, ``simulate`` may fork one worker for a long stream
+    (``cmd_simulate``); ``taskset -c 0`` keeps it to one process. No
+    thread is started and no numpy imported before that fork. All four
+    are set here, not on import, so that a program importing tactsim or
+    calling ``main`` keeps its own BLAS settings, signal handlers and
+    collector, and never forks.
     """
+    global _may_fork
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    _may_fork = hasattr(os, "fork") and _usable_cpus() >= 2
     gc.disable()
     try:
         return main()
     finally:
+        _may_fork = False
         gc.freeze()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 if __name__ == "__main__":

@@ -119,7 +119,23 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     ``BLOCK_TICKS`` float tick times and, for each, a tuple of its five
     int ADC codes. The sample clock starts at t = 0, so scenarios must
     start there. The scenario, its tick count and the bridges are checked
-    when this is called, before any sample is produced.
+    when this is called, before any sample is produced. It is every
+    block of ``simulate_plan``.
+    """
+    blocks, _ = simulate_plan(cfg, scenario, seed=seed)
+    return blocks()
+
+
+def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
+    """``simulate_blocks``' set-up and checks, done once: ``(blocks, count)``.
+
+    ``count`` is the stream's number of blocks, and ``blocks(offset=0,
+    stride=1)`` a lazy iterator of its blocks ``offset``, ``offset +
+    stride``, ... as ``simulate_blocks`` yields them. Each call starts its
+    own generator state ``offset`` blocks in and jumps it over the
+    ``stride - 1`` blocks after each of its own (Brown's arbitrary-stride
+    jump, ``Pcg64.jump``), so calls that share the blocks out between them,
+    in one process or several, give every byte of one call that takes them all.
 
     Each tick takes the next five draws of ``rng.Pcg64``, one per
     channel in channel order. The chain's inputs are computed once per
@@ -164,10 +180,13 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
              for codes, top, volts in zip(low, high, v_in)]
     tick_a, tick_c = rng.jumps[channels - 1]  # a tick: one draw per channel
     run_jump = cache(rng.jump)  # n ticks: 5n draws, n <= BLOCK_TICKS
+    block_draws = channels * BLOCK_TICKS
 
-    def blocks():
-        state, step = rng.state, 0
-        for start in range(0, ticks, BLOCK_TICKS):
+    def blocks(offset=0, stride=1):
+        a, b = rng.jump(block_draws * offset)
+        state, step = (a * rng.state + b) & MASK128, 0
+        skip_a, skip_b = rng.jump(block_draws * (stride - 1))  # the other blocks' draws
+        for start in range(offset * BLOCK_TICKS, ticks, stride * BLOCK_TICKS):
             times = [k / rate for k in range(start, min(start + BLOCK_TICKS, ticks))]
             rows, done = [], 0
             while done < len(times):  # one pass per scenario step the block reaches
@@ -189,9 +208,10 @@ def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
                 a, b = run_jump(channels * n)
                 state = (a * state + b) & MASK128
                 done = end
+            state = (skip_a * state + skip_b) & MASK128
             yield times, rows
 
-    return blocks()
+    return blocks, -(-ticks // BLOCK_TICKS)
 
 
 def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
@@ -315,11 +335,15 @@ def _columns(lines, fields: int):
     """``(times, column, ...)`` of lines split at their first ``fields - 1`` commas.
 
     The first column is converted with ``float``. None, before any line is
-    split, if one holds a ``#`` (no canonical line does) or is not
-    ``plain_ascii``; None too with a line of fewer fields, or with a time
-    that is not finite and non-negative.
+    split, if one holds a ``#`` or is only a line end (no canonical line is
+    either), or is not ``plain_ascii``; None too with a line of fewer
+    fields, or with a time that is not finite and non-negative. Blank
+    lines are looked for as items, CRLF and CR ones only in a text that
+    holds a CR: a search of the text for two line ends would cost more.
     """
-    if "#" in (text := "".join(lines)) or not plain_ascii(text):
+    text = "".join(lines)
+    if ("#" in text or not plain_ascii(text) or "\n" in lines
+            or ("\r" in text and ("\r\n" in lines or "\r" in lines))):
         return None
     columns = list(zip(*map(str.split, lines, repeat(","), repeat(fields - 1))))
     if len(columns) != fields:
