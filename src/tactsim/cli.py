@@ -39,8 +39,9 @@ _INPUTS = ("config", "scenario", "dataset", "stream", "model", "frames", "truth"
 
 #: Whether ``simulate`` may fork a worker: only while ``run`` runs the command.
 _may_fork = False
-#: The fewest blocks for which ``simulate`` forks: a fork, pipe and reap cost
-#: about 2 ms, a block about 1.7 ms, so the worker must take two blocks.
+#: The fewest blocks for which ``simulate`` forks. A fork, pipe and reap cost
+#: 1.7-2.5 ms, a hold_hour block about 2 ms of work; measured, the fork lost
+#: time at 3 blocks and saved it at 4 (CHANGES.md).
 FORK_BLOCKS = 4
 
 
@@ -72,15 +73,14 @@ def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None) -> None:
     with a forked worker (``_write_forked``) where ``run`` allows one."""
     blocks, count = simulate_plan(cfg, load_scenario(scenario_path))
     with _output(output_path) as out:
-        if _may_fork and count >= FORK_BLOCKS:
-            _write_forked(out, blocks, count)
-        else:
+        if not (_may_fork and count >= FORK_BLOCKS and _write_forked(out, blocks, count)):
             for times, rows in blocks():
                 out.write(format_sample_block(times, rows))
 
 
-def _write_forked(out, blocks, count) -> None:
-    """Write the ``count`` blocks of ``blocks``, the odd ones spelled by a forked worker.
+def _write_forked(out, blocks, count) -> bool:
+    """Write the ``count`` blocks of ``blocks``, the odd ones spelled by a
+    forked worker; False, with nothing written, if no pipe or worker can be had.
 
     The worker sends the text of each block of ``blocks(1, 2)`` through a
     pipe, after its length; this process writes each of ``blocks(0, 2)``,
@@ -89,8 +89,16 @@ def _write_forked(out, blocks, count) -> None:
     this process fails, it kills the worker; if it is killed, the
     worker's next write to the pipe ends it.
     """
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:  # no file descriptor to spare
+        return False
+    try:
+        pid = os.fork()
+    except OSError:  # no process or memory to spare (EAGAIN, ENOMEM)
+        os.close(read_end)
+        os.close(write_end)
+        return False
     if pid == 0:  # the worker
         status = 1
         try:
@@ -122,6 +130,7 @@ def _write_forked(out, blocks, count) -> None:
         ended = f"exited with status {status}" if status >= 0 else f"was killed by signal {-status}"
         raise ChildProcessError(f"simulate's worker process {ended}"
                                 + (f" before block {missing} of {count}" if missing else ""))
+    return True
 
 
 def _receive(pipe):

@@ -335,15 +335,11 @@ def _columns(lines, fields: int):
     """``(times, column, ...)`` of lines split at their first ``fields - 1`` commas.
 
     The first column is converted with ``float``. None, before any line is
-    split, if one holds a ``#`` or is only a line end (no canonical line is
-    either), or is not ``plain_ascii``; None too with a line of fewer
-    fields, or with a time that is not finite and non-negative. Blank
-    lines are looked for as items, CRLF and CR ones only in a text that
-    holds a CR: a search of the text for two line ends would cost more.
+    split, if one holds a ``#`` (no canonical line does) or is not
+    ``plain_ascii``; None too with a line of fewer fields, or with a time
+    that is not finite and non-negative.
     """
-    text = "".join(lines)
-    if ("#" in text or not plain_ascii(text) or "\n" in lines
-            or ("\r" in text and ("\r\n" in lines or "\r" in lines))):
+    if "#" in (text := "".join(lines)) or not plain_ascii(text):
         return None
     columns = list(zip(*map(str.split, lines, repeat(","), repeat(fields - 1))))
     if len(columns) != fields:

@@ -579,25 +579,6 @@ def test_a_block_with_a_comment_is_declined_before_it_is_split(fields):
     assert plain.passes == 2
 
 
-@pytest.mark.parametrize("fields", (3, 4))
-@pytest.mark.parametrize("where", (0, 3, 6))
-@pytest.mark.parametrize("end, blank", [(end, blank) for end in LINE_ENDS for blank in LINE_ENDS
-                                        if (end, blank) != ("\r", "\n")])
-def test_a_block_with_a_blank_line_is_declined_before_it_is_split(fields, where, end, blank):
-    """A blank line, first, among the lines or last, is found in the joined
-    text: the block is declined without splitting its lines. A block
-    without one is split. The lines end in LF, CRLF or CR, and the blank
-    line in any of them but LF after CR lines, which a file reads as the
-    CRLF end of the line before."""
-    lines = [line.replace("\n", end) for line in TestBlockHandOffs.lines(6)]
-    blanked = _PassCountingLines([*lines[:where], blank, *lines[where:]])
-    assert pipeline._columns(blanked, fields) is None
-    assert blanked.passes == 1
-    plain = _PassCountingLines(lines)
-    assert pipeline._columns(plain, fields) is not None
-    assert plain.passes == 2
-
-
 def test_clock_error_after_a_skipped_line_names_its_own_line(cfg):
     """A declined block's respelled lines keep their numbers past the lines it skips."""
     est = make_estimator_config(cfg, _linear_volts_model())

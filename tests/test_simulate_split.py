@@ -9,6 +9,7 @@ in process, where it never forks. No worker may outlive its command,
 and a worker that fails must fail the command.
 """
 
+import errno
 import os
 import signal
 import subprocess
@@ -30,10 +31,13 @@ CAN_FORK = hasattr(os, "fork") and cli._usable_cpus() >= 2
 ENDS = {3: 300.0, 4: 4095 / 9.6, 5: 500.0, 34: 3600.0}
 
 #: ``cli.run`` with ``os.fork`` counted; the count goes to stderr after the command.
+#: A first argument ``one-cpu`` pins the process to CPU 0 before the command runs.
 FORK_PROBE = """
 import os, sys
 from tactsim import cli
 
+if sys.argv.pop(1) == "one-cpu":
+    os.sched_setaffinity(0, {0})
 forks, fork = [], os.fork
 
 def counted():
@@ -47,16 +51,11 @@ sys.exit(code)
 """
 
 
-def pinned():
-    os.sched_setaffinity(0, {0})
-
-
-def python(*args, one_cpu=False):
+def python(*args):
     """Run the interpreter on ``args`` with tactsim on its path; its result."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120,
-                          preexec_fn=pinned if one_cpu else None)
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def scenario_file(directory, end):
@@ -80,8 +79,8 @@ def test_split_stream_is_the_one_cpu_and_in_process_stream(tmp_path, capsys, blo
     streams, forks = [], []
     for one_cpu in (False, True):
         target = tmp_path / f"stream-{one_cpu}.csv"
-        done = python("-c", FORK_PROBE, *args, *(("-o", target) if output == "-o" else ()),
-                      one_cpu=one_cpu)
+        done = python("-c", FORK_PROBE, "one-cpu" if one_cpu else "any-cpu", *args,
+                      *(("-o", target) if output == "-o" else ()))
         assert done.returncode == 0, done.stderr[-2000:]
         *errors, count = done.stderr.decode().splitlines()
         assert errors == []
@@ -157,13 +156,66 @@ def test_a_failed_worker_fails_the_command(tmp_path, capsys, monkeypatch, how):
     assert out.read_text().count("\n") == 5 * BLOCK_TICKS
 
 
+def only_zombies(pgid) -> bool:
+    """Whether every process of group ``pgid`` that /proc lists has exited
+    and waits to be reaped (state Z); False where there is no /proc."""
+    if not os.path.isdir("/proc"):
+        return False
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:  # gone since the listing
+            continue
+        state, _, group = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(group) == pgid and state != "Z":
+            return False
+    return True
+
+
+@pytest.mark.parametrize("call, failure", (
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("fork", OSError(errno.ENOMEM, "Cannot allocate memory")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files"))),
+    ids=("fork-EAGAIN", "fork-ENOMEM", "pipe-EMFILE"))
+def test_a_command_that_cannot_fork_writes_the_stream_alone(tmp_path, capsys, monkeypatch,
+                                                            call, failure):
+    """Where no worker can be had, for want of a process, memory or a
+    file descriptor, the command writes every block itself, exits 0 and
+    leaves no end of a pipe open."""
+    scenario = scenario_file(tmp_path, ENDS[5])
+    args = ["simulate", str(scenario), "--seed", "7411", "-o"]
+    assert cli.main([*args, str(tmp_path / "alone.csv")]) == 0
+    monkeypatch.setattr(cli, "_may_fork", True)
+    pipes, make_pipe = [], os.pipe
+
+    def pipe():
+        if call == "pipe":
+            raise failure
+        pipes.append(make_pipe())
+        return pipes[-1]
+
+    with mock.patch.object(os, "pipe", pipe), \
+            mock.patch.object(os, "fork", side_effect=failure) as fork:
+        assert cli.main([*args, str(tmp_path / "stream.csv")]) == 0
+    assert fork.call_count == len(pipes) == (call == "fork")
+    for fd in chain.from_iterable(pipes):
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            os.fstat(fd)
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
 def group_empties(pgid, seconds=10.0) -> bool:
-    """Whether process group ``pgid`` has no process left within ``seconds``."""
+    """Whether process group ``pgid`` has no running process left within
+    ``seconds``. An orphaned worker that has exited counts as gone, though
+    it stays in the group until the host's init reaps it."""
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
         try:
             os.killpg(pgid, 0)
         except ProcessLookupError:
+            return True
+        if only_zombies(pgid):
             return True
         time.sleep(0.05)
     return False
