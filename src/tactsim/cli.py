@@ -37,8 +37,6 @@ from .streams import read_samples, write_samples  # noqa: F401
 #: The arguments that name a command's input files; an error calls each by this name.
 _INPUTS = ("config", "scenario", "dataset", "stream", "model", "frames", "truth")
 
-#: Whether ``simulate`` may fork a worker: only while ``run`` runs the command.
-_may_fork = False
 #: The fewest blocks for which ``simulate`` forks. A fork, pipe and reap cost
 #: 1.7-2.5 ms, a hold_hour block about 2 ms of work; measured, the fork lost
 #: time at 3 blocks and saved it at 4 (CHANGES.md).
@@ -68,12 +66,12 @@ def _output(path):
     return open(path, "w")
 
 
-def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None) -> None:
+def cmd_simulate(cfg: ToolkitConfig, scenario_path, output_path=None, fork=False) -> None:
     """Run a scenario through the sensor chain and write the sample stream,
-    with a forked worker (``_write_forked``) where ``run`` allows one."""
+    with a forked worker (``_write_forked``) if ``fork`` allows one."""
     blocks, count = simulate_plan(cfg, load_scenario(scenario_path))
     with _output(output_path) as out:
-        if not (_may_fork and count >= FORK_BLOCKS and _write_forked(out, blocks, count)):
+        if not (fork and count >= FORK_BLOCKS and _write_forked(out, blocks, count)):
             for times, rows in blocks():
                 out.write(format_sample_block(times, rows))
 
@@ -272,7 +270,9 @@ def _load_cfg(args) -> ToolkitConfig:
     return cfg
 
 
-def main(argv=None) -> int:
+def main(argv=None, fork=False) -> int:
+    """Run the command of ``argv`` (the process's arguments if None); its
+    exit code. ``simulate`` may fork a worker only if ``fork`` is true."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         _check_output(getattr(args, "output", None), inputs)
         cfg = _load_cfg(args)
         if args.command == "simulate":
-            cmd_simulate(cfg, args.scenario, args.output)
+            cmd_simulate(cfg, args.scenario, args.output, fork=fork)
         elif args.command == "calibrate":
             cmd_calibrate(cfg, args.dataset, args.output, orders=args.orders,
                           strict_paper=args.strict_paper_cv)
@@ -312,23 +312,21 @@ def run() -> int:
     23,000 once numpy is loaded. A command leaves a constant amount of
     cyclic garbage, its argument parser, whatever the stream's length.
     Where ``os.fork`` exists and the process may run on two CPUs or
-    more, ``simulate`` may fork one worker for a long stream
+    more, ``run`` passes ``main`` the permission to fork, and
+    ``simulate`` may fork one worker for a long stream
     (``cmd_simulate``); ``taskset -c 0`` keeps it to one process. No
     thread is started and no numpy imported before that fork. All four
     are set here, not on import, so that a program importing tactsim or
     calling ``main`` keeps its own BLAS settings, signal handlers and
     collector, and never forks.
     """
-    global _may_fork
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    _may_fork = hasattr(os, "fork") and _usable_cpus() >= 2
     gc.disable()
     try:
-        return main()
+        return main(fork=hasattr(os, "fork") and _usable_cpus() >= 2)
     finally:
-        _may_fork = False
         gc.freeze()
 
 

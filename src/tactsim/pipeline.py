@@ -112,30 +112,21 @@ def _run_codes(code, noise, raws, first: int, final: int):
     return list(map(codes.__getitem__, map(bisect_right, repeat(starts), raws)))
 
 
-def simulate_blocks(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
-    """ADC sample stream for a load scenario, one block of ticks at a time.
-
-    A lazy iterator of ``(times, rows)`` pairs of lists: up to
-    ``BLOCK_TICKS`` float tick times and, for each, a tuple of its five
-    int ADC codes. The sample clock starts at t = 0, so scenarios must
-    start there. The scenario, its tick count and the bridges are checked
-    when this is called, before any sample is produced. It is every
-    block of ``simulate_plan``.
-    """
-    blocks, _ = simulate_plan(cfg, scenario, seed=seed)
-    return blocks()
-
-
 def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
-    """``simulate_blocks``' set-up and checks, done once: ``(blocks, count)``.
+    """ADC sample stream for a load scenario, set up once: ``(blocks, count)``.
 
     ``count`` is the stream's number of blocks, and ``blocks(offset=0,
     stride=1)`` a lazy iterator of its blocks ``offset``, ``offset +
-    stride``, ... as ``simulate_blocks`` yields them. Each call starts its
-    own generator state ``offset`` blocks in and jumps it over the
-    ``stride - 1`` blocks after each of its own (Brown's arbitrary-stride
-    jump, ``Pcg64.jump``), so calls that share the blocks out between them,
-    in one process or several, give every byte of one call that takes them all.
+    stride``, ...: ``(times, rows)`` pairs of lists, up to ``BLOCK_TICKS``
+    float tick times and, for each, a tuple of its five int ADC codes.
+    ``blocks()`` is every block. The sample clock starts at t = 0, so
+    scenarios must start there. The scenario, its tick count and the
+    bridges are checked when this is called, before any sample is
+    produced. Each call of ``blocks`` starts its own generator state
+    ``offset`` blocks in and jumps it over the ``stride - 1`` blocks after
+    each of its own (Brown's arbitrary-stride jump, ``Pcg64.jump``), so
+    calls that share the blocks out between them, in one process or
+    several, give every byte of one call that takes them all.
 
     Each tick takes the next five draws of ``rng.Pcg64``, one per
     channel in channel order. The chain's inputs are computed once per
@@ -145,13 +136,13 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     whose code is the same at the lowest and the highest draw keeps it on
     every tick of that load, and its draw is never computed.
 
-    Ticks go in runs: those of one block on one scenario step, found by
-    bisection as ``LoadScenario.at`` finds it. The generator's state
-    crosses a run of n ticks in one jump of 5n draws, memoised by n. Each
-    channel whose code can move steps its own state by the tick jump, one
-    multiply per draw it reads, and ``_run_codes`` gives the run's codes,
-    by bisection over its sorted draws where the run is long enough. A
-    scenario costs a few bytes per step on top of its ``LoadStep`` objects.
+    Ticks go in runs: those of one block on one scenario step, as
+    ``LoadScenario.runs`` finds them. The generator's state crosses a run
+    of n ticks in one jump of 5n draws, memoised by n. Each channel whose
+    code can move steps its own state by the tick jump, one multiply per
+    draw it reads, and ``_run_codes`` gives the run's codes, by bisection
+    over its sorted draws where the run is long enough. A scenario costs
+    a few bytes per step on top of its ``LoadStep`` objects.
     """
     from .rng import MASK128, Pcg64, output, uniform_of
     if scenario.start_time > 0:
@@ -168,31 +159,29 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
         raise DataError(str(exc)) from exc
     rate = cfg.adc.sample_rate
     ticks = tick_count(rate, scenario.end_time)
-    step_times, last = scenario.step_times, len(scenario.step_times) - 1
     rng = Pcg64(cfg.seed if seed is None else seed)
     channels = chain.channels
+    jumps = [rng.jump(c + 1) for c in range(channels)]  # to each channel's draw of a tick
     # Per load: its codes at the lowest draw, and for each channel whose code
     # moves, (channel, its code of a draw, its codes at the lowest and the
     # highest draw, the jump from a run's state to the channel's first draw).
     loads = [(tuple(codes), [(c, partial(stage_code, *chain.stages[c], volts[c]),
-                              codes[c], top[c], *rng.jumps[c])
+                              codes[c], top[c], *jumps[c])
                              for c in range(channels) if codes[c] != top[c]])
              for codes, top, volts in zip(low, high, v_in)]
-    tick_a, tick_c = rng.jumps[channels - 1]  # a tick: one draw per channel
+    tick_a, tick_c = jumps[-1]  # a tick: one draw per channel
     run_jump = cache(rng.jump)  # n ticks: 5n draws, n <= BLOCK_TICKS
     block_draws = channels * BLOCK_TICKS
 
     def blocks(offset=0, stride=1):
         a, b = rng.jump(block_draws * offset)
-        state, step = (a * rng.state + b) & MASK128, 0
+        state = (a * rng.state + b) & MASK128
         skip_a, skip_b = rng.jump(block_draws * (stride - 1))  # the other blocks' draws
         for start in range(offset * BLOCK_TICKS, ticks, stride * BLOCK_TICKS):
             times = [k / rate for k in range(start, min(start + BLOCK_TICKS, ticks))]
-            rows, done = [], 0
-            while done < len(times):  # one pass per scenario step the block reaches
-                step = bisect_right(step_times, times[done], step) - 1
-                end = bisect_left(times, step_times[step + 1], done) if step < last else len(times)
-                n = end - done
+            rows = []
+            for step, lo, hi in scenario.runs(times):
+                n = hi - lo
                 codes, live = loads[load_of_step[step]]
                 if live:
                     columns = [repeat(code, n) for code in codes]
@@ -207,7 +196,6 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
                     rows += [codes] * n
                 a, b = run_jump(channels * n)
                 state = (a * state + b) & MASK128
-                done = end
             state = (skip_a * state + skip_b) & MASK128
             yield times, rows
 
@@ -217,9 +205,10 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
 def simulate_samples(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     """ADC sample stream for a load scenario: a lazy iterator of SampleLine.
 
-    The ticks of ``simulate_blocks``, checked the same way when this is called.
+    The ticks of ``simulate_plan``'s blocks, checked the same way when
+    this is called.
     """
-    blocks = simulate_blocks(cfg, scenario, seed=seed)
+    blocks = simulate_plan(cfg, scenario, seed=seed)[0]()
     return (SampleLine(t, codes) for times, rows in blocks for t, codes in zip(times, rows))
 
 
@@ -553,9 +542,10 @@ class _FrameCounts:
         Each distinct raw, filtered and tail spelling is checked once, as
         ``parse_frame`` checks it. With a scenario, the times in sorted
         order (squared errors are summed exactly, in any order) are paired
-        with its steps by bisection, and filtered spellings counted per
-        step. None, with nothing counted, for lines not all spelled as
-        ``format_frame`` spells them, or with a time before the scenario.
+        with its steps by ``LoadScenario.runs``, and filtered spellings
+        counted per step. None, with nothing counted, for lines not all
+        spelled as ``format_frame`` spells them, or with a time before the
+        scenario.
         """
         if (columns := _columns(lines, 4)) is None:
             return None
@@ -572,20 +562,15 @@ class _FrameCounts:
             return None
         pairs = []
         if self.truth is not None:
-            steps, step_times = self.truth.steps, self.truth.step_times
             if min(times) < self.truth.start_time:
                 return None
             in_order, texts = sorted(times), filtered_texts
             if in_order != times:  # times that go back: sort the spellings with them
                 in_order, texts = zip(*sorted(zip(times, filtered_texts)))
-            lo = 0
-            while lo < len(in_order):  # one pass per scenario step the block reaches
-                k = bisect_right(step_times, in_order[lo])
-                hi = bisect_left(in_order, step_times[k], lo) if k < len(steps) else len(in_order)
-                force = steps[k - 1].force
-                pairs += [(_squared_error(filtered[text], force), n)
-                          for text, n in Counter(texts[lo:hi]).items()]
-                lo = hi
+            steps = self.truth.steps
+            pairs = [(_squared_error(filtered[text], steps[step].force), n)
+                     for step, lo, hi in self.truth.runs(in_order)
+                     for text, n in Counter(texts[lo:hi]).items()]
         if not self.count:
             self.t_first = times[0]
         self.t_last = times[-1]

@@ -20,9 +20,9 @@ where ``A_n = M**n`` and ``G_n = 1 + M + ... + M**(n-1)`` (mod 2**128).
 F. Brown's arbitrary-stride algorithm ("Random Number Generation with
 Arbitrary Strides", 1994), and ``Pcg64.jump(n)`` gives its generator's
 pair. A caller that needs only some draws computes those and jumps
-over the rest: ``Pcg64.jumps`` holds the pairs for n = 1..5, one tick's
-draws in simulation, and simulation crosses each run of ticks in one
-jump. All of it is Python int arithmetic, without numpy.
+over the rest: simulation takes the pairs for n = 1..5, one tick's
+draws, once, and crosses each run of ticks in one jump. All of it is
+Python int arithmetic, without numpy.
 """
 
 from __future__ import annotations
@@ -104,10 +104,6 @@ def advance(mult: int, plus: int, n: int) -> tuple:
     return acc_mult, acc_plus
 
 
-#: ``(A_k, G_k)`` for k = 1..5: ``M**k`` and ``1 + M + ... + M**(k-1)``, mod 2**128.
-JUMPS = tuple(advance(MULTIPLIER, 1, k) for k in range(1, 6))
-
-
 def output(state: int) -> int:
     """PCG64's raw 64-bit draw at a 128-bit state: its XSL-RR, the halves'
     XOR rotated right by the state's top six bits."""
@@ -130,8 +126,6 @@ class Pcg64:
     def __init__(self, seed):
         self.state, self.inc = seed_state(seed)
         self.half = None  # the high half of a raw draw whose low half was used
-        #: ``(A_k, inc*G_k)`` for k = 1..5: ``state -> A_k*state + inc*G_k`` is k steps.
-        self.jumps = tuple((a, self.inc * g & MASK128) for a, g in JUMPS)
 
     def jump(self, draws: int) -> tuple:
         """``(A, C)`` such that ``state -> A*state + C`` (mod 2**128) is ``draws`` steps."""

@@ -13,7 +13,7 @@ can be shared freely between threads.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -157,6 +157,21 @@ class LoadScenario:
             )
         step = self.steps[bisect_right(self.step_times, time) - 1]
         return step.force, step.quadrants
+
+    def runs(self, times):
+        """``(step, start, end)`` for each run of ``times`` on one step, in order.
+
+        ``times`` ascend, none before the start: ``times[start:end]`` are
+        the times that ``at`` finds on ``steps[step]``, and two adjacent
+        runs are never on the same step. Each run costs two bisections.
+        """
+        step_times, last = self.step_times, len(self.steps) - 1
+        start = step = 0
+        while start < len(times):
+            step = bisect_right(step_times, times[start], step) - 1
+            end = bisect_left(times, step_times[step + 1], start) if step < last else len(times)
+            yield step, start, end
+            start = end
 
 
 def stretched_resistance(rest: float, stretch_ratio: float) -> float:

@@ -114,9 +114,9 @@ def format_sample_block(times, rows) -> str:
     """Canonical lines, newline-terminated, for a block of simulated ticks.
 
     ``times`` holds the float tick times and ``rows`` a tuple of five
-    int ADC codes per tick, as ``simulate_blocks`` yields them; each line
-    is what ``format_sample_line`` gives for that tick. Rows repeat
-    within a block while the load is held, so each distinct row's
+    int ADC codes per tick, as ``simulate_plan``'s blocks give them;
+    each line is what ``format_sample_line`` gives for that tick. Rows
+    repeat within a block while the load is held, so each distinct row's
     ``,c0,c1,c2,c3,c4`` tail is spelled once per block, and the memo
     holds at most one block's rows whatever the ADC width.
     """

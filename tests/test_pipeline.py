@@ -40,7 +40,7 @@ from tactsim import (
 )
 from tactsim.config import channel_signal
 from tactsim import pipeline
-from tactsim.pipeline import _load_table, estimate_lines, simulate_blocks, tick_count
+from tactsim.pipeline import _load_table, estimate_lines, simulate_plan, tick_count
 from tactsim.rng import uniform_of
 from tactsim.streams import SampleLine
 
@@ -63,7 +63,7 @@ def press_scenario(force, quadrant, duration=2.0):
 
 def simulated_times(duration: float) -> list:
     """Tick times of a quiet scenario simulated at the default 9.6 Hz."""
-    blocks = simulate_blocks(default_config(), quiet_scenario(duration), seed=0)
+    blocks = simulate_plan(default_config(), quiet_scenario(duration), seed=0)[0]()
     return [t for times, _ in blocks for t in times]
 
 
@@ -235,7 +235,7 @@ class TestSimulate:
         # Traced bytes per step, from N and 4N steps of seven repeating
         # loads. A loaded step keeps its slotted LoadStep, its time and
         # two tuple slots: 96 B; its force is one of seven shared floats
-        # (120 B with a float per step). simulate_blocks' set-up then
+        # (120 B with a float per step). simulate_plan's set-up then
         # peaks 8 B a step above that, for its row indices; it reads the
         # scenario's own step times. A frozenset, a __dict__ or a table
         # row per step breaks the bounds (one of each: 376 B kept, 296 B
@@ -254,7 +254,7 @@ class TestSimulate:
                 scenario = load_scenario(path)
                 kept = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                next(simulate_blocks(default_config(), scenario, seed=0))
+                next(simulate_plan(default_config(), scenario, seed=0)[0]())
                 return kept, tracemalloc.get_traced_memory()[1] - kept
             finally:
                 tracemalloc.stop()

@@ -2,7 +2,10 @@
 
 The simulator reference is written tick by tick from the single-stage
 functions, with one scalar noise draw per channel per tick and a linear
-zero-order-hold lookup. The block simulator must produce exactly the
+zero-order-hold lookup. ``LoadScenario.at`` must be that hold at any
+time, and ``LoadScenario.runs``, by which the block simulator and
+``report --truth`` pair times with steps, must split sorted times into
+runs on the steps it gives. The block simulator must produce exactly the
 same stream for any valid configuration, scenario and block size. On
 scenarios whose loads repeat, signed zeros and piecewise edges among
 them, its table of one row per distinct load must give the codes of
@@ -30,8 +33,8 @@ and any forces, subnormals, signed zeros and runs of repeats included.
 
 The block text paths of the three replay commands must agree with the
 per-item paths for any block size and any mix of spellings, comments
-and bad lines. ``simulate_blocks`` with ``format_sample_block`` writes
-the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
+and bad lines. ``simulate_plan``'s blocks with ``format_sample_block``
+write the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
 of ``estimate_frames`` over ``read_samples``, and fails on the same line
 with the same message after writing the same frames; its reference
 takes the errors of ``estimate_frames`` and the filtered forces of
@@ -226,7 +229,7 @@ def test_block_stream_matches_per_tick_reference(cfg, scenario, seed, block):
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
         stream = list(pipeline.simulate_samples(cfg, scenario, seed=seed))
         text = "".join(format_sample_block(times, codes)
-                       for times, codes in pipeline.simulate_blocks(cfg, scenario, seed=seed))
+                       for times, codes in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]())
     assert [(s.time, s.channels) for s in stream] == reference_stream(cfg, scenario, seed)
     assert text == "".join(format_sample_line(sample) + "\n" for sample in stream)
     for sample in stream:
@@ -303,7 +306,7 @@ def test_distinct_load_table_matches_per_step_reference(case, seed, block):
     deltas, _ = pipeline._load_table(cfg, scenario)
     assert len(deltas) == len({(step.force.hex(), step.quadrants) for step in scenario.steps})
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-        blocks = [rows for _, rows in pipeline.simulate_blocks(cfg, scenario, seed=seed)]
+        blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
     assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
 
 
@@ -324,12 +327,12 @@ def long_hold_cases(draw):
 @example(case=edge_case(BridgeConfig(amplifier_gain=22.0, noise_fraction=0.9), AdcConfig(bits=12),
                         hold=120.0), seed=3, block=pipeline.BLOCK_TICKS)
 def test_long_holds_match_per_step_reference(case, seed, block):
-    """Runs of hundreds of ticks on one load, where ``simulate_blocks`` sorts
+    """Runs of hundreds of ticks on one load, where ``simulate_plan`` sorts
     each live channel's draws and finds its codes by bisection, unless the
     run is short against its code span (the 12-bit ADC at 90% noise)."""
     cfg, scenario = case
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-        blocks = [rows for _, rows in pipeline.simulate_blocks(cfg, scenario, seed=seed)]
+        blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
     assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
 
 
@@ -382,6 +385,10 @@ def test_run_codes_are_the_codes_of_each_draw(case):
 @settings(max_examples=100, deadline=None)
 @given(scenario=scenarios(max_duration=100.0), offsets=st.lists(st.floats(0.0, 1.0)))
 def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
+    """``at`` is the hold at every time. ``runs`` splits the same times,
+    sorted, with repeats and times on the steps, into consecutive runs,
+    each on the last step at or before every time in it, and two
+    adjacent runs never on one step."""
     times = list(scenario.step_times)
     between = [(a + b) / 2 for a, b in zip(times, times[1:])]
     past = [scenario.end_time + 1.0, scenario.end_time * 2 + 1.0]
@@ -391,6 +398,20 @@ def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
         assert scenario.at(time) == linear_hold(scenario, time)
     with pytest.raises(ValueError):
         scenario.at(scenario.start_time - 1e-3)
+    ordered = sorted(times + between + past + spread + times + spread[::2])
+    runs = list(scenario.runs(ordered))
+    bounds = [start for _, start, _ in runs] + [runs[-1][2]]
+    assert bounds[0] == 0 and bounds[-1] == len(ordered)
+    assert all(start < end for start, end in zip(bounds, bounds[1:]))
+    assert [end for _, _, end in runs] == bounds[1:]
+    steps = [step for step, _, _ in runs]
+    assert all(a != b for a, b in zip(steps, steps[1:]))
+    for step, start, end in runs:
+        held = scenario.steps[step]
+        for time in ordered[start:end]:
+            assert (held.force, held.quadrants) == linear_hold(scenario, time)
+            assert held is [s for s in scenario.steps if s.time <= time][-1]
+    assert list(scenario.runs([])) == []
 
 
 def reference_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):

@@ -5,8 +5,8 @@ size drawn in sequence (compared through ``float.hex``), permutations,
 and both on one generator, at seeds below and above 2**32 and at
 ``[seed, repeat]`` lists. The literal draws of seeds 1 and 7411 are
 written here too, so a numpy whose raw stream differs fails with a
-message that says which. Each of the five jumps must reach the state of
-as many ``next64`` steps, and the jump over a run of n ticks, which
+message that says which. Each jump of one to five draws, one tick's,
+must reach the state of as many ``next64`` steps, and the jump over a run of n ticks, which
 simulation takes once per run, the state of n single tick jumps and of
 5n ``next64`` steps.
 """
@@ -120,7 +120,8 @@ def test_jumps_reach_the_states_of_one_to_five_steps(seed, draws):
     for _ in range(draws):
         generator.next64()
     start = generator.state
-    for k, (a, b) in enumerate(generator.jumps, start=1):
+    for k in range(1, 6):
+        a, b = generator.jump(k)
         value = generator.next64()
         assert generator.state == (a * start + b) & rng.MASK128, k
         assert rng.output(generator.state) == value, k
@@ -135,7 +136,7 @@ def test_run_jump_reaches_the_state_of_single_tick_jumps(seed, ticks):
     and its state's output the last of those draws."""
     generator = Pcg64(seed)
     start = state = generator.state
-    tick_a, tick_c = generator.jumps[4]
+    tick_a, tick_c = generator.jump(5)
     for _ in range(ticks):
         state = (tick_a * state + tick_c) & rng.MASK128
     run_a, run_c = generator.jump(5 * ticks)

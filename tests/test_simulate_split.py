@@ -23,7 +23,7 @@ import pytest
 
 import tactsim
 from tactsim import LoadScenario, LoadStep, cli, default_config, pipeline, save_scenario
-from tactsim.pipeline import BLOCK_TICKS, simulate_blocks, simulate_plan, tick_count
+from tactsim.pipeline import BLOCK_TICKS, simulate_plan, tick_count
 
 SRC = Path(tactsim.__file__).resolve().parents[1]
 CAN_FORK = hasattr(os, "fork") and cli._usable_cpus() >= 2
@@ -104,7 +104,7 @@ def test_shared_blocks_are_the_blocks_of_one_generator():
         LoadStep(3.1, 1.9, frozenset({2})), LoadStep(9.0, 0.0, frozenset())))
     for block in (1, 3, 7, 1024):
         with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-            expected = list(simulate_blocks(cfg, scenario, seed=3))
+            expected = list(simulate_plan(cfg, scenario, seed=3)[0]())
             blocks, count = simulate_plan(cfg, scenario, seed=3)
             assert count == len(expected)
             for stride in (1, 2, 3):
@@ -147,9 +147,8 @@ def test_a_failed_worker_fails_the_command(tmp_path, capsys, monkeypatch, how):
     worker's first missing one (its third, block 6)."""
     scenario = scenario_file(tmp_path, ENDS[34])
     out = tmp_path / "stream.csv"
-    monkeypatch.setattr(cli, "_may_fork", True)
     monkeypatch.setattr(cli, "simulate_plan", failing_plan(how))
-    assert cli.main(["simulate", str(scenario), "-o", str(out)]) == 2
+    assert cli.main(["simulate", str(scenario), "-o", str(out)], fork=True) == 2
     ended = "exited with status 1" if how == "raises" else f"was killed by signal {int(signal.SIGKILL)}"
     assert capsys.readouterr() == (
         "", f"tactsim: error: simulate's worker process {ended} before block 6 of 34\n")
@@ -185,7 +184,6 @@ def test_a_command_that_cannot_fork_writes_the_stream_alone(tmp_path, capsys, mo
     scenario = scenario_file(tmp_path, ENDS[5])
     args = ["simulate", str(scenario), "--seed", "7411", "-o"]
     assert cli.main([*args, str(tmp_path / "alone.csv")]) == 0
-    monkeypatch.setattr(cli, "_may_fork", True)
     pipes, make_pipe = [], os.pipe
 
     def pipe():
@@ -196,7 +194,7 @@ def test_a_command_that_cannot_fork_writes_the_stream_alone(tmp_path, capsys, mo
 
     with mock.patch.object(os, "pipe", pipe), \
             mock.patch.object(os, "fork", side_effect=failure) as fork:
-        assert cli.main([*args, str(tmp_path / "stream.csv")]) == 0
+        assert cli.main([*args, str(tmp_path / "stream.csv")], fork=True) == 0
     assert fork.call_count == len(pipes) == (call == "fork")
     for fd in chain.from_iterable(pipes):
         with pytest.raises(OSError, match="Bad file descriptor"):

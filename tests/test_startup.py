@@ -165,7 +165,7 @@ ENTRY_PROBE = """
 import os, sys
 from tactsim import cli
 
-def probe():
+def probe(fork=False):
     import numpy
     tasks = "/proc/self/task"
     threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
@@ -205,7 +205,7 @@ GC_PROBE = """
 import gc, sys
 from tactsim import cli
 
-def probe():
+def probe(fork=False):
     print(gc.isenabled())
     return 3
 
