@@ -15,8 +15,10 @@ inputs draw negligible current.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import floor
 
 from .errors import ConfigError, UsageError
@@ -203,7 +205,7 @@ def adc_sample(adc: AdcConfig, v: float) -> int:
         raise ValueError("ADC input must be finite")
     try:
         return _rounded_code(adc.max_code, adc.full_scale, v)
-    except OverflowError as exc:  # as in Chain.convert
+    except OverflowError as exc:  # as in Chain.channel_convert
         raise ValueError("ADC input times the largest code overflows") from exc
 
 
@@ -218,13 +220,15 @@ class Chain:
     """Bridge -> amplifier -> ADC for several channels, compiled once.
 
     ``bridges`` holds one bridge per channel. Their balance is checked
-    here, once. ``inputs`` and ``convert`` then take rows of floats, one
-    value per channel and one row per sample, with the arithmetic of
-    ``bridge_output`` and of ``amplify`` and ``adc_sample``, so a row
-    gives the same codes as those stages called per value. ``codes`` is
-    the two in turn. ``stages[c]`` holds channel ``c``'s amplifier and
-    ADC parameters, so that ``stage_code(*stages[c], v_in, noise)`` is
-    one code of that channel.
+    here, once. ``channel_inputs`` and ``channel_convert`` then take one
+    list of floats per channel, of any length, with the arithmetic of
+    ``bridge_output`` and of ``amplify`` and ``adc_sample``, so a value
+    gives the same code as those stages called on it. Each runs its
+    checks one at a time over every channel, so the first check that
+    fails on any channel is the one raised. ``codes`` is the two in turn
+    on rows, one value per channel and one row per sample. ``stages[c]``
+    holds channel ``c``'s amplifier and ADC parameters, so that
+    ``stage_code(*stages[c], v_in, noise)`` is one code of that channel.
     """
 
     def __init__(self, bridges, adc: AdcConfig):
@@ -239,32 +243,34 @@ class Chain:
 
     def codes(self, delta_rx, noise) -> list:
         """Rows of int ADC codes for rows of sensing-arm rises and of noise samples."""
-        return self.convert(self.inputs(delta_rx), noise)
+        v_in = self.channel_inputs(zip(*delta_rx))
+        return list(map(list, zip(*self.channel_convert(v_in, zip(*noise)))))
 
-    def inputs(self, delta_rx) -> list:
-        """Rows of amplifier input voltages for rows of sensing-arm rises."""
-        delta_rx = [list(map(float, row)) for row in delta_rx]
-        if any(delta < 0 for row in delta_rx for delta in row):
+    def channel_inputs(self, delta_rx) -> list:
+        """Amplifier input voltages for each channel's list of sensing-arm rises."""
+        delta_rx = [list(map(float, column)) for column in delta_rx]
+        if any(delta < 0 for column in delta_rx for delta in column):
             raise ValueError("delta_rx must be non-negative")
-        for row in delta_rx:  # arms past the float range would read as a zero divider
-            for (_, r3, rx_rest, _), delta in zip(self._dividers, row):
+        for (_, r3, rx_rest, _), column in zip(self._dividers, delta_rx):
+            for delta in column:  # arms past the float range would read as a zero divider
                 if r3 + (rx_rest + delta) == math.inf > delta:
                     raise ValueError("bridge arm resistances overflow")
-        v_in = [[_divider_volts(*divider, delta) for divider, delta in zip(self._dividers, row)]
-                for row in delta_rx]
-        if not all(math.isfinite(v) for row in v_in for v in row):
+        v_in = [list(map(partial(_divider_volts, *divider), column))
+                for divider, column in zip(self._dividers, delta_rx)]
+        if not all(map(math.isfinite, itertools.chain.from_iterable(v_in))):
             raise ValueError("amplifier input must be finite")
         return v_in
 
-    def convert(self, v_in, noise) -> list:
-        """Rows of int ADC codes for rows of ``inputs`` voltages and of noise samples."""
-        volts = [[_railed_gain(*stage[:4], v, n) for stage, v, n in zip(self.stages, row, noises)]
-                 for row, noises in zip(v_in, noise)]  # an output past the rails clips to them
-        if not all(math.isfinite(v) for row in volts for v in row):
+    def channel_convert(self, v_in, noise) -> list:
+        """Int ADC codes for each channel's ``channel_inputs`` voltages and noise samples."""
+        # An output past the rails clips to them.
+        volts = [list(map(partial(_railed_gain, *stage[:4]), column, noises))
+                 for stage, column, noises in zip(self.stages, v_in, noise)]
+        if not all(map(math.isfinite, itertools.chain.from_iterable(volts))):
             raise ValueError("ADC input must be finite")
-        max_code, full_scale = self.adc.max_code, self.adc.full_scale
+        code = partial(_rounded_code, self.adc.max_code, self.adc.full_scale)
         try:  # a full scale so large that an input times the top code overflows
-            return [[_rounded_code(max_code, full_scale, v) for v in row] for row in volts]
+            return [list(map(code, column)) for column in volts]
         except OverflowError as exc:
             raise ValueError("ADC input times the largest code overflows") from exc
 

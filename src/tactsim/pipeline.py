@@ -28,7 +28,7 @@ from .estimator import (
     PATTERNS, EstimatorConfig, StreamState, classify_pattern, estimate_force, exact_units,
     format_frame, frame_tail, parse_frame, process_frame,
 )
-from .sensor import LoadScenario, apply_load, fabric_delta_r
+from .sensor import QUADRANTS, LoadScenario, element_resistance, fabric_delta_r
 from .streams import SampleLine, format_sample_line, parse_sample_line, plain_ascii
 from .units import fsum_counted, gw_to_newtons
 from .units import rmse  # noqa: F401  imported only for bench/spans.py to trace
@@ -53,22 +53,37 @@ def tick_count(adc_rate: float, end_time: float) -> int:
 def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
     """Sensing-arm rises of each distinct load, and each step's row of them.
 
-    Returns ``(deltas, load_of_step)``, two lists. ``deltas`` has one row
-    per distinct signed load ``(force, quadrants)``, in the order the
-    steps first reach it: each channel's rise, fabric first, as
-    ``apply_load`` gives it at that load's first step. ``load_of_step``
-    holds each step's row index. The load is held between steps, so these
-    rows are all the resistance states a simulation can visit. ``-0.0``
-    keeps a row apart from ``0.0``, since its fabric rise is ``-0.0``.
+    Returns ``(deltas, load_of_step)``, two lists. ``deltas`` has one
+    row, a tuple, per distinct signed load ``(force, quadrants)``, in the
+    order the steps first reach it: each channel's rise, fabric first, as
+    ``apply_load`` gives it at that load's steps. ``load_of_step`` holds
+    each step's row index. The load is held between steps, so these rows
+    are all the resistance states a simulation can visit. ``-0.0`` keeps
+    a row apart from ``0.0``, since its fabric rise is ``-0.0``.
+
+    The rows follow ``apply_load``'s rules without its time lookup. The
+    fabric's rise is taken once per distinct signed force and each
+    element's once per force it sees, so rows share their floats; an
+    element sees ``-0.0`` as ``0.0``, as both are below its threshold.
     """
     rows, deltas, load_of_step = {}, [], []
+    fabric = {}  # force -> the fabric's rise; taken anew for a zero, whose rise keeps its sign
+    elements = [(q, element, {}) for q, element in zip(QUADRANTS, cfg.elements)]
     for step in scenario.steps:
-        load = (step.force, math.copysign(1.0, step.force), step.quadrants)
-        if load not in rows:
-            rows[load] = len(deltas)
-            fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
-            deltas.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
-        load_of_step.append(rows[load])
+        force, quadrants = step.force, step.quadrants
+        load = (force, quadrants, math.copysign(1.0, force) < 0)
+        if (row := rows.get(load)) is None:
+            row = rows[load] = len(deltas)
+            if (rise := fabric.get(force)) is None or not force:
+                rise = fabric[force] = fabric_delta_r(cfg.fabric, force)
+            rises = [rise]
+            for q, element, memo in elements:  # memo: force the element sees -> its rise
+                seen = force if q in quadrants else 0.0
+                if (rise := memo.get(seen)) is None:
+                    rise = memo[seen] = element_resistance(element, seen) - element.rest_resistance
+                rises.append(rise)
+            deltas.append(tuple(rises))
+        load_of_step.append(row)
     return deltas, load_of_step
 
 
@@ -129,12 +144,13 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     several, give every byte of one call that takes them all.
 
     Each tick takes the next five draws of ``rng.Pcg64``, one per
-    channel in channel order. The chain's inputs are computed once per
-    distinct load of ``_load_table`` and converted at the lowest and the
-    highest draw, so a chain that overflows fails here. Every stage is a
-    monotone rounding, so a channel's code is monotone in its draw: one
-    whose code is the same at the lowest and the highest draw keeps it on
-    every tick of that load, and its draw is never computed.
+    channel in channel order. Each channel's distinct rises among
+    ``_load_table``'s rows are converted once, at the lowest and the
+    highest draw, so a chain that overflows fails here, with the first
+    check that fails on any channel. Every stage is a monotone rounding,
+    so a channel's code is monotone in its draw: one whose code is the
+    same at the lowest and the highest draw keeps it on every tick of
+    that load, and its draw is never computed.
 
     Ticks go in runs: those of one block on one scenario step, as
     ``LoadScenario.runs`` finds them. The generator's state crosses a run
@@ -151,9 +167,13 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
         )
     chain = cfg.sensing_chain()
     deltas, load_of_step = _load_table(cfg, scenario)
-    try:  # every state the run can visit, at the lowest and the highest draw
-        v_in = chain.inputs(deltas)
-        low, high = (chain.convert(v_in, [[noise] * chain.channels] * len(v_in))
+    load_rises = list(zip(*deltas))  # per channel, its rise at each load
+    # Each channel's distinct rises. A -0.0 rise shares 0.0's: its divider
+    # takes rx_rest + -0.0, which is rx_rest, so both give the same bits.
+    rises = [list(dict.fromkeys(column)) for column in load_rises]
+    try:  # every input the run can visit, at the lowest and the highest draw
+        v_in = chain.channel_inputs(rises)
+        low, high = (chain.channel_convert(v_in, [[noise] * len(volts) for volts in v_in])
                      for noise in _NOISE_RANGE)
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
@@ -162,13 +182,18 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     rng = Pcg64(cfg.seed if seed is None else seed)
     channels = chain.channels
     jumps = [rng.jump(c + 1) for c in range(channels)]  # to each channel's draw of a tick
-    # Per load: its codes at the lowest draw, and for each channel whose code
+    # Per channel and rise: its code at the lowest draw, and, if the code
     # moves, (channel, its code of a draw, its codes at the lowest and the
     # highest draw, the jump from a run's state to the channel's first draw).
-    loads = [(tuple(codes), [(c, partial(stage_code, *chain.stages[c], volts[c]),
-                              codes[c], top[c], *jumps[c])
-                             for c in range(channels) if codes[c] != top[c]])
-             for codes, top, volts in zip(low, high, v_in)]
+    firsts = [dict(zip(column, codes)) for column, codes in zip(rises, low)]
+    moving = [{rise: (c, partial(stage_code, *chain.stages[c], volts), first, final, *jumps[c])
+               for rise, volts, first, final in zip(rises[c], v_in[c], low[c], high[c])
+               if first != final}
+              for c in range(channels)]
+    # Per load: its codes at the lowest draw, and the entries of its moving channels.
+    lowest = zip(*[map(first.__getitem__, column) for first, column in zip(firsts, load_rises)])
+    moves = zip(*[map(table.get, column) for table, column in zip(moving, load_rises)])
+    loads = [(codes, list(filter(None, entries))) for codes, entries in zip(lowest, moves)]
     tick_a, tick_c = jumps[-1]  # a tick: one draw per channel
     run_jump = cache(rng.jump)  # n ticks: 5n draws, n <= BLOCK_TICKS
     block_draws = channels * BLOCK_TICKS

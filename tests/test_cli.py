@@ -1251,6 +1251,19 @@ class TestExitCodeRule:
         assert (code, out, err) == (2, "", f"tactsim: error: {message}\n")
         assert not output.exists()
 
+    def test_chain_checks_run_in_order_over_every_channel(self, capsys, tmp_path):
+        # The fabric channel's input is finite but its code overflows; the
+        # elements' triggered rise is infinite, so their input is not. The
+        # input check comes first in the chain, so its error is the one
+        # raised, though the fabric is the first channel.
+        config, scenario, output = tmp_path / "x.cfg", tmp_path / "s.csv", tmp_path / "out.csv"
+        config.write_text("supply_voltage = 1e308\nrail_high = 1e308\nadc_full_scale = 1e308\n"
+                          "element_signal_delta = 1e308\n")
+        scenario.write_text("t,force_n,quadrants\n0,0.5,1+2+3+4\n1,0,\n")
+        code, out, err = run(capsys, "simulate", scenario, "--config", config, "-o", output)
+        assert (code, out, err) == (2, "", "tactsim: error: amplifier input must be finite\n")
+        assert not output.exists()
+
     def test_element_without_signal_is_a_data_error(self, capsys, tmp_path, model_path):
         # Rails at -1 and 0 V clip every element's triggered level to zero.
         config, stream, output = tmp_path / "x.cfg", tmp_path / "st.csv", tmp_path / "out.csv"

@@ -265,6 +265,71 @@ class TestSimulate:
         assert (kept_4n - kept) / (3 * steps) < 136
         assert (setup_4n - setup) / (3 * steps) < 64
 
+    def test_setup_converts_each_channel_input_once(self):
+        # 0 N at rest, then 199 distinct forces up to 1.5 N, each on the next
+        # of the 15 non-empty quadrant sets. The fabric takes one rise per
+        # force; each element at most three (rest, triggered and near-open),
+        # however many loads press it. The set-up runs the amplifier stage at
+        # the lowest and the highest draw of each distinct rise of each
+        # channel, not of each of the 5 channels of every distinct load
+        # (2 x 5 x 200 calls).
+        from tactsim import bridge
+
+        cfg, steps = default_config(), 200
+        pressed = [frozenset(q for q in (1, 2, 3, 4) if mask >> (q - 1) & 1)
+                   for mask in range(1, 16)]
+        scenario = LoadScenario((LoadStep(0.0, 0.0, frozenset()), *(
+            LoadStep(0.5 * k, 1.5 * k / steps, pressed[k % 15]) for k in range(1, steps))))
+        rises = [set() for _ in range(5)]
+        for step in scenario.steps:
+            fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
+            row = [fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))]
+            for channel, rise in zip(rises, row):
+                channel.add(rise)
+        assert len(rises[0]) == steps
+        assert [len(channel) for channel in rises[1:]] == [3, 3, 3, 3]
+        with mock.patch.object(bridge, "_railed_gain", wraps=bridge._railed_gain) as stage:
+            simulate_plan(cfg, scenario, seed=0)
+        assert 0 < stage.call_count <= 2 * sum(map(len, rises))
+
+    def test_distinct_loads_cost_a_bounded_setup(self, tmp_path):
+        # Traced set-up peak per distinct load, from N and 4N steps shaped
+        # like the tap-storm benchmark: a press of a new force on one of the
+        # quadrant sets, then a release to 0 N. The set-up holds a table row,
+        # a row index and key per load, the fabric's conversion tables per
+        # force and each load's codes; about 690 B here, against about
+        # 1,100 B when every channel of every load was converted. The cyclic
+        # collector is off while tracing: a collection in one of the two
+        # runs moved this figure between about 670 and 840 B.
+        import gc
+        import tracemalloc
+
+        quadrants = ("1", "2", "3", "4", "1+2", "3+4", "1+3", "2+4", "1+2+3+4", "1+2+3")
+
+        def setup_peak(steps):
+            rnd, path = random.Random(steps), tmp_path / f"{steps}.csv"
+            path.write_text("t,force_n,quadrants\n" + "".join(
+                f"{0.5 * k!r},{rnd.uniform(0.05, 1.5)!r},{rnd.choice(quadrants)}\n" if k % 2
+                else f"{0.5 * k!r},0.0,\n" for k in range(steps)))
+            collecting = gc.isenabled()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                scenario = load_scenario(path)
+                kept = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                next(simulate_plan(default_config(), scenario, seed=0)[0]())
+                return tracemalloc.get_traced_memory()[1] - kept
+            finally:
+                tracemalloc.stop()
+                if collecting:
+                    gc.enable()
+
+        setup_peak(300)  # the lazy imports and a first block, outside the counts
+        steps = 2000
+        peak, peak_4n = setup_peak(steps), setup_peak(4 * steps)
+        assert (peak_4n - peak) / (3 * steps // 2) < 850  # 3N more steps, half of them new loads
+
 
 class TestCaptureProtocolDataset:
     def test_shape_and_order(self, cfg, chain_dataset):

@@ -12,7 +12,10 @@ them, its table of one row per distinct load must give the codes of
 ``apply_load`` at every tick through ``Chain.codes``, on noise drawn by
 numpy's own ``default_rng``, whichever channels it finds constant; the
 examples add no noise, a bridge input a tiny negative at rest, a 12-bit
-ADC and noise wide enough to spread one load over many codes. Holds of
+ADC and noise wide enough to spread one load over many codes. Scenarios
+that press one force, 0.0 and -0.0 among them, on several quadrant sets
+must give ``apply_load``'s bits in each step's table row and the same
+codes, though each channel's distinct rises are converted once. Holds of
 30-120 s, in blocks that keep them runs of hundreds of ticks, take the
 path that sorts a run's draws and bisects them for the draws where the
 code changes; the same examples check it. ``_run_codes`` itself must give
@@ -305,6 +308,57 @@ def test_distinct_load_table_matches_per_step_reference(case, seed, block):
     cfg, scenario = case
     deltas, _ = pipeline._load_table(cfg, scenario)
     assert len(deltas) == len({(step.force.hex(), step.quadrants) for step in scenario.steps})
+    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+        blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
+    assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
+
+
+@st.composite
+def shared_force_cases(draw):
+    """A config and a scenario of up to 31 steps whose forces, 0.0 and -0.0
+    always among them, are each pressed on several quadrant sets, the
+    empty set included for a zero."""
+    cfg = draw(configs())
+    forces = [0.0, -0.0, *draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))]
+    times = [-draw(st.sampled_from((0.0, 0.0, 0.5)))]
+    for gap in draw(st.lists(st.floats(0.01, 1.0), max_size=30)):
+        times.append(times[-1] + gap)
+    steps = []
+    for time in times:
+        force = draw(st.sampled_from(forces))
+        quadrants = frozenset(draw(st.sets(st.sampled_from(QUADRANTS), min_size=0 if not force
+                                           else 1)))
+        steps.append(LoadStep(time, force, quadrants))
+    return cfg, LoadScenario(tuple(steps))
+
+
+def shared_force_case(bridge=BridgeConfig(), adc=AdcConfig()):
+    """The default config with ``bridge`` and ``adc``, and 0.3 N, 0.0 and
+    -0.0 each on several quadrant sets, two steps a second."""
+    loads = [(0.0, ()), (0.3, (1,)), (-0.0, (1, 2)), (0.3, (2, 3)), (0.0, (1, 2)),
+             (-0.0, ()), (0.3, (1, 2, 3, 4)), (0.0, (3,)), (-0.0, (3,)), (0.3, (1,)), (0.0, ())]
+    steps = (LoadStep(0.5 * k, force, frozenset(quadrants))
+             for k, (force, quadrants) in enumerate(loads))
+    return default_config(bridge=bridge, adc=adc), LoadScenario(tuple(steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shared_force_cases(), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 40))
+@example(case=shared_force_case(), seed=1, block=7)
+@example(case=shared_force_case(adc=AdcConfig(bits=12)), seed=7411, block=13)
+@example(case=shared_force_case(BridgeConfig(r3=100e3 * (1 + 5e-10), rail_low=-1.0)), seed=2,
+         block=40)
+def test_loads_that_share_a_force_match_per_step_reference(case, seed, block):
+    """A force, signed zeros included, under several quadrant sets: each
+    step's row of ``_load_table`` holds ``apply_load``'s bits, and the
+    stream the codes of ``reference_codes``, though the set-up converts
+    each channel's rise once, with -0.0 and 0.0 in one entry."""
+    cfg, scenario = case
+    deltas, load_of_step = pipeline._load_table(cfg, scenario)
+    for step, row in zip(scenario.steps, load_of_step, strict=True):
+        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
+        expected = [fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))]
+        assert [x.hex() for x in deltas[row]] == [x.hex() for x in expected]
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
         blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
     assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
