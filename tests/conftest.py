@@ -1,3 +1,5 @@
+from itertools import tee
+
 import pytest
 
 from tactsim import (
@@ -6,10 +8,15 @@ from tactsim import (
     capture_protocol_dataset,
     cross_validate,
     default_config,
+    estimate_frames,
     fit_polynomial,
+    format_sample_line,
     gw_to_newtons,
     make_estimator_config,
+    read_samples,
 )
+
+import reference
 
 CHAIN_SEED = 7
 
@@ -81,3 +88,12 @@ def count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def reference_replay(cfg, est_cfg, lines, out) -> None:
+    """Write ``reference.frames`` of each sample that ``estimate_frames``
+    takes from ``read_samples(lines)``, in turn; then raise its error, if any."""
+    samples, checked = tee(read_samples(lines))
+    taken = (format_sample_line(sample) + "\n"
+             for sample, _ in zip(samples, estimate_frames(cfg, est_cfg, checked)))
+    out.writelines(reference.frames(cfg, est_cfg, taken))

@@ -2,8 +2,8 @@ import hashlib
 import io
 import math
 import random
-from collections import deque
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -24,16 +24,12 @@ from tactsim import (
     bridge_output,
     capture_protocol_dataset,
     default_config,
-    dequantize,
     estimate_frames,
     fabric_delta_r,
     gw_to_newtons,
-    format_frame,
     load_scenario,
     make_estimator_config,
-    moving_average,
     parse_frame,
-    read_samples,
     save_dataset,
     simulate_samples,
     summarize_frames,
@@ -44,7 +40,7 @@ from tactsim.pipeline import _load_table, estimate_lines, simulate_plan, tick_co
 from tactsim.rng import uniform_of
 from tactsim.streams import SampleLine
 
-from conftest import accuracy_scenario, count_calls
+from conftest import accuracy_scenario, count_calls, reference_replay
 
 
 def quiet_scenario(duration=1.0):
@@ -529,9 +525,8 @@ def _replay_outcome(replay, lines):
 
 class TestBlockHandOffs:
     """``estimate_lines`` in blocks of a few lines writes what a per-line
-    replay writes: the frames of ``estimate_frames`` over ``read_samples``,
-    with each filtered force from ``moving_average``, and the same error
-    after the same frames."""
+    replay writes: the reference frames of the samples ``estimate_frames``
+    takes from ``read_samples``, and the same error after the same frames."""
 
     @staticmethod
     def lines(count, seed=0, max_code=255, first=0):
@@ -543,18 +538,10 @@ class TestBlockHandOffs:
 
     @staticmethod
     def check(cfg, est, lines, blocks=(1, 2, 3, 4)):
-        def reference(lines, out):
-            window = deque(maxlen=est.filter_window)
-            for frame in estimate_frames(cfg, est, read_samples(lines)):
-                window.append(frame.raw_force)
-                frame = replace(frame, filtered_force=moving_average(window))
-                out.write(format_frame(frame) + "\n")
-
-        expected = _replay_outcome(reference, lines)
+        expected = _replay_outcome(partial(reference_replay, cfg, est), lines)
         for block in blocks:
             with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-                replay = _replay_outcome(lambda lines, out: estimate_lines(cfg, est, lines, out),
-                                         lines)
+                replay = _replay_outcome(partial(estimate_lines, cfg, est), lines)
             assert replay == expected, f"BLOCK_TICKS = {block}"
         return expected
 

@@ -1,53 +1,50 @@
 """Property tests: the fast paths against per-tick references.
 
-The simulator reference is written tick by tick from the single-stage
-functions, with one scalar noise draw per channel per tick and a linear
-zero-order-hold lookup. ``LoadScenario.at`` must be that hold at any
-time, and ``LoadScenario.runs``, by which the block simulator and
-``report --truth`` pair times with steps, must split sorted times into
-runs on the steps it gives. The block simulator must produce exactly the
-same stream for any valid configuration, scenario and block size. On
-scenarios whose loads repeat, signed zeros and piecewise edges among
-them, its table of one row per distinct load must give the codes of
-``apply_load`` at every tick through ``Chain.codes``, on noise drawn by
-numpy's own ``default_rng``, whichever channels it finds constant; the
-examples add no noise, a bridge input a tiny negative at rest, a 12-bit
-ADC and noise wide enough to spread one load over many codes. Scenarios
-that press one force, 0.0 and -0.0 among them, on several quadrant sets
-must give ``apply_load``'s bits in each step's table row and the same
-codes, though each channel's distinct rises are converted once. Holds of
-30-120 s, in blocks that keep them runs of hundreds of ticks, take the
-path that sorts a run's draws and bisects them for the draws where the
-code changes; the same examples check it. ``_run_codes`` itself must give
-each draw's own code for any monotone step function of the draw, rising
-or falling, on runs of 1-2,000 draws either side of the bisection
-threshold, repeated draws and thresholds past every draw included, and
-compute no more codes than the run has draws.
+The chain's reference is ``tests/reference.py``: ``stream``, ``frames``
+and ``summary``, written tick by tick from the per-value stage functions.
+``simulate``, ``estimate`` and ``report --truth --rmse``, run through
+``cli.main`` on random configs at both preset gains, scenarios and
+seeds, must write all three byte for byte. ``LoadScenario.at`` must be
+its ``linear_hold`` at any time, and ``LoadScenario.runs``, by which the
+block simulator and ``report --truth`` pair times with steps, must split
+sorted times into runs on the steps it gives.
 
-The estimator reference converts every code of every tick to a signal,
-the force-layer signal to a force with ``estimate_force``, and filters
-the forces with ``moving_average``, the plain definition of the filter.
-The code-indexed ``estimate_lines`` must write the same frames, down to
-the sign of a zero. Each element's threshold code, the first code whose
-signal meets the element's threshold, must give ``signal >= threshold``
-at every code of ADCs of 1-16 bits, and around it at 53 bits. The running-sum filter of ``StreamState`` must give
+The block simulator must write ``stream``'s text for any valid
+configuration, scenario and block size. On scenarios whose loads repeat,
+signed zeros and piecewise edges among them, its table of one row per
+distinct load must give the same text whichever channels it finds
+constant; the examples add no noise, a bridge input a tiny negative at
+rest, a 12-bit ADC and noise wide enough to spread one load over many
+codes. Scenarios that press one force, 0.0 and -0.0 among them, on
+several quadrant sets must give ``apply_load``'s bits in each step's
+table row and the same text, though each channel's distinct rises are
+converted once. Holds of 30-120 s, in blocks that keep them runs of
+hundreds of ticks, take the path that sorts a run's draws and bisects
+them for the draws where the code changes; the same examples check it.
+``_run_codes`` itself must give each draw's own code for any monotone
+step function of the draw, rising or falling, on runs of 1-2,000 draws
+either side of the bisection threshold, repeated draws and thresholds
+past every draw included, and compute no more codes than the run has
+draws.
+
+The code-indexed ``estimate_lines`` must write the lines of ``frames``,
+down to the sign of a zero. Each element's threshold code, the first
+code whose signal meets the element's threshold, must give ``signal >=
+threshold`` at every code of ADCs of 1-16 bits, and around it at 53
+bits. The running-sum filter of ``StreamState`` must give
 ``moving_average`` of each window, bit for bit, for any window length
 and any forces, subnormals, signed zeros and runs of repeats included.
 
 The block text paths of the three replay commands must agree with the
 per-item paths for any block size and any mix of spellings, comments
 and bad lines. ``simulate_plan``'s blocks with ``format_sample_block``
-write the lines of ``simulate_samples``. ``estimate_lines`` writes the frames
-of ``estimate_frames`` over ``read_samples``, and fails on the same line
-with the same message after writing the same frames; its reference
-takes the errors of ``estimate_frames`` and the filtered forces of
-``moving_average``. ``estimate_frames`` steps ``process_frame``, which
-compares each element's signal with its threshold, so the block pass's
-threshold codes are checked against the rule they stand for. A block
-with blank or ``#`` lines goes back through the block pass without
-them before any line is respelled. ``summarize_lines``
-gives the summary that ``reference_summary`` counts frame by frame from
-the parsed lines, or the same error. ``cross_validate``, which slices one
+write the lines of ``simulate_samples``. ``estimate_lines`` writes the
+``frames`` of the samples ``estimate_frames`` takes from
+``read_samples``, and fails on the same line with the same message after
+writing the same frames. A block with blank or ``#`` lines goes back
+through the block pass without them before any line is respelled.
+``summarize_lines`` gives ``summary`` of the lines ``parse_frame``
+takes, or the same error. ``cross_validate``, which slices one
 design matrix per run and scores each fold's models in one pass, must
 give the ``FitReport`` of ``reference_cross_validate``, one
 ``fit_polynomial`` and two ``evaluate_model`` calls per fold and order,
@@ -70,9 +67,12 @@ and every file format must read back what it wrote.
 
 import io
 import math
+import os
 import random
+import tempfile
 from bisect import bisect_right
 from collections import deque
+from contextlib import redirect_stdout
 from dataclasses import replace
 from unittest import mock
 
@@ -103,15 +103,11 @@ from tactsim import (
     amplify,
     apply_load,
     bridge_output,
-    classify_pattern,
     cross_validate,
     default_config,
     dequantize,
-    detect_contacts,
-    element_resistance,
-    estimate_force,
+    element_signal_thresholds,
     evaluate_model,
-    fabric_delta_r,
     fit_polynomial,
     format_frame,
     format_sample_line,
@@ -123,53 +119,29 @@ from tactsim import (
     moving_average,
     parse_frame,
     parse_sample_line,
-    read_samples,
     rmse,
     save_dataset,
     save_model,
     save_scenario,
 )
-from tactsim import pipeline
+from tactsim import cli, pipeline
 from tactsim.config import channel_signal
-from tactsim.estimator import PATTERNS, exact_units
+from tactsim.estimator import PATTERNS, RANGE_TABLE, exact_units
 from tactsim.rng import uniform_of
 from tactsim.streams import format_sample_block
 from tactsim.units import fsum_counted
 
+import reference
+from conftest import reference_replay
+
 QUADRANTS = (1, 2, 3, 4)
 
 
-def linear_hold(scenario: LoadScenario, time: float):
-    """Zero-order hold by definition: the last step at or before ``time``."""
-    current = scenario.steps[0]
-    for step in scenario.steps:
-        if step.time <= time:
-            current = step
-    return current.force, current.quadrants
-
-
-def reference_stream(cfg: ToolkitConfig, scenario: LoadScenario, seed: int):
-    """(time, codes) per tick, one scalar chain conversion per channel."""
-    rng = np.random.default_rng(seed)
-    rate = cfg.adc.sample_rate
-    ticks = int(math.floor(scenario.end_time * rate + 1e-9)) + 1
-    stream = []
-    for k in range(ticks):
-        t = k / rate
-        force, quadrants = linear_hold(scenario, t)
-        channels = [(cfg.bridge, fabric_delta_r(cfg.fabric, force))]
-        for quadrant, element in zip(QUADRANTS, cfg.elements):
-            rest = element.rest_resistance
-            pressed = force if quadrant in quadrants else 0.0
-            bridge = replace(cfg.bridge, r1=rest, r2=rest, r3=rest, rx_rest=rest)
-            channels.append((bridge, element_resistance(element, pressed) - rest))
-        codes = tuple(
-            adc_sample(cfg.adc, amplify(bridge, bridge_output(bridge, delta),
-                                        rng.uniform(-1.0, 1.0)))
-            for bridge, delta in channels
-        )
-        stream.append((t, codes))
-    return stream
+def plan_text(cfg: ToolkitConfig, scenario: LoadScenario, seed: int, block: int) -> str:
+    """The text of ``simulate_plan``'s blocks of ``block`` ticks, as ``simulate`` writes it."""
+    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
+        blocks = pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()
+        return "".join(format_sample_block(times, rows) for times, rows in blocks)
 
 
 @st.composite
@@ -231,9 +203,8 @@ def scenarios(draw, max_duration=20.0):
 def test_block_stream_matches_per_tick_reference(cfg, scenario, seed, block):
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):
         stream = list(pipeline.simulate_samples(cfg, scenario, seed=seed))
-        text = "".join(format_sample_block(times, codes)
-                       for times, codes in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]())
-    assert [(s.time, s.channels) for s in stream] == reference_stream(cfg, scenario, seed)
+    text = plan_text(cfg, scenario, seed, block)
+    assert text == "".join(reference.stream(cfg, scenario, seed))
     assert text == "".join(format_sample_line(sample) + "\n" for sample in stream)
     for sample in stream:
         assert type(sample.time) is float
@@ -281,18 +252,6 @@ def edge_case(bridge=BridgeConfig(), adc=AdcConfig(), hold=0.7):
                                    for k, (force, quadrants) in enumerate(loads)))
 
 
-def reference_codes(cfg: ToolkitConfig, scenario: LoadScenario, seed: int) -> list:
-    """Codes per tick from ``apply_load`` at each tick and one ``Chain.codes``
-    call, on noise drawn from numpy's own ``default_rng``."""
-    rate = cfg.adc.sample_rate
-    rows = []
-    for k in range(pipeline.tick_count(rate, scenario.end_time)):
-        fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, k / rate)
-        rows.append([fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))])
-    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(rows), 5)).tolist()
-    return cfg.sensing_chain().codes(rows, noise)
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=repeating_cases(), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 40))
 # No noise: every channel keeps its code, and every draw is stepped over.
@@ -308,9 +267,7 @@ def test_distinct_load_table_matches_per_step_reference(case, seed, block):
     cfg, scenario = case
     deltas, _ = pipeline._load_table(cfg, scenario)
     assert len(deltas) == len({(step.force.hex(), step.quadrants) for step in scenario.steps})
-    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-        blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
-    assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
+    assert plan_text(cfg, scenario, seed, block) == "".join(reference.stream(cfg, scenario, seed))
 
 
 @st.composite
@@ -351,7 +308,7 @@ def shared_force_case(bridge=BridgeConfig(), adc=AdcConfig()):
 def test_loads_that_share_a_force_match_per_step_reference(case, seed, block):
     """A force, signed zeros included, under several quadrant sets: each
     step's row of ``_load_table`` holds ``apply_load``'s bits, and the
-    stream the codes of ``reference_codes``, though the set-up converts
+    text is ``reference.stream``'s, though the set-up converts
     each channel's rise once, with -0.0 and 0.0 in one entry."""
     cfg, scenario = case
     deltas, load_of_step = pipeline._load_table(cfg, scenario)
@@ -359,9 +316,7 @@ def test_loads_that_share_a_force_match_per_step_reference(case, seed, block):
         fabric, elements = apply_load(scenario, cfg.fabric, cfg.elements, step.time)
         expected = [fabric, *(r - e.rest_resistance for r, e in zip(elements, cfg.elements))]
         assert [x.hex() for x in deltas[row]] == [x.hex() for x in expected]
-    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-        blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
-    assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
+    assert plan_text(cfg, scenario, seed, block) == "".join(reference.stream(cfg, scenario, seed))
 
 
 @st.composite
@@ -385,9 +340,7 @@ def test_long_holds_match_per_step_reference(case, seed, block):
     each live channel's draws and finds its codes by bisection, unless the
     run is short against its code span (the 12-bit ADC at 90% noise)."""
     cfg, scenario = case
-    with mock.patch.object(pipeline, "BLOCK_TICKS", block):
-        blocks = [rows for _, rows in pipeline.simulate_plan(cfg, scenario, seed=seed)[0]()]
-    assert [list(row) for rows in blocks for row in rows] == reference_codes(cfg, scenario, seed)
+    assert plan_text(cfg, scenario, seed, block) == "".join(reference.stream(cfg, scenario, seed))
 
 
 @st.composite
@@ -449,7 +402,7 @@ def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
     spread = [scenario.start_time + f * (scenario.end_time - scenario.start_time + 1.0)
               for f in offsets]
     for time in times + between + past + spread:
-        assert scenario.at(time) == linear_hold(scenario, time)
+        assert scenario.at(time) == reference.linear_hold(scenario, time)
     with pytest.raises(ValueError):
         scenario.at(scenario.start_time - 1e-3)
     ordered = sorted(times + between + past + spread + times + spread[::2])
@@ -463,29 +416,9 @@ def test_scenario_lookup_is_zero_order_hold(scenario, offsets):
     for step, start, end in runs:
         held = scenario.steps[step]
         for time in ordered[start:end]:
-            assert (held.force, held.quadrants) == linear_hold(scenario, time)
+            assert (held.force, held.quadrants) == reference.linear_hold(scenario, time)
             assert held is [s for s in scenario.steps if s.time <= time][-1]
     assert list(scenario.runs([])) == []
-
-
-def reference_frames(cfg: ToolkitConfig, est_cfg: EstimatorConfig, samples):
-    """Frames from one signal conversion per channel and ``moving_average`` per tick."""
-    window, frames = deque(maxlen=est_cfg.filter_window), []
-    for s in samples:
-        signals = [channel_signal(cfg, int(c)) for c in s.channels]
-        window.append(estimate_force(est_cfg, signals[0]))
-        on = detect_contacts(signals[1:], est_cfg.element_thresholds)
-        frames.append(EstimateFrame(s.time, window[-1], moving_average(window), on,
-                                    classify_pattern(on)))
-    return frames
-
-
-def filtered_by_definition(frames, filter_window: int):
-    """``frames`` with each filtered force recomputed by ``moving_average``."""
-    window = deque(maxlen=filter_window)
-    for frame in frames:
-        window.append(frame.raw_force)
-        yield replace(frame, filtered_force=moving_average(window))
 
 
 #: Forces the filter must average exactly: signed zeros, the smallest
@@ -542,12 +475,10 @@ def estimator_cases(draw):
 @given(case=estimator_cases(), block=st.integers(1, 8))
 def test_code_tables_match_per_tick_reference(case, block):
     cfg, est_cfg, samples = case
-    out = io.StringIO()
+    lines, out = [format_sample_line(s) + "\n" for s in samples], io.StringIO()
     with mock.patch.object(pipeline, "BLOCK_TICKS", block):  # tables emptied every few codes
-        pipeline.estimate_lines(cfg, est_cfg, [format_sample_line(s) + "\n" for s in samples],
-                                out)
-    expected = reference_frames(cfg, est_cfg, samples)
-    assert out.getvalue() == "".join(format_frame(f) + "\n" for f in expected)
+        pipeline.estimate_lines(cfg, est_cfg, lines, out)
+    assert out.getvalue() == "".join(reference.frames(cfg, est_cfg, lines))
 
 
 @st.composite
@@ -652,16 +583,11 @@ def test_block_replay_matches_per_frame_reference(case, data, block):
     cfg, est_cfg, samples = case
     lines = text_lines(data, [format_sample_line(s) for s in samples], BAD_SAMPLE_LINES)
 
-    def reference(out):
-        frames = pipeline.estimate_frames(cfg, est_cfg, read_samples(lines))
-        for frame in filtered_by_definition(frames, est_cfg.filter_window):
-            out.write(format_frame(frame) + "\n")
-
     def blocks(out):
         with mock.patch.object(pipeline, "BLOCK_TICKS", block):
             pipeline.estimate_lines(cfg, est_cfg, lines, out)
 
-    assert outcome(blocks) == outcome(reference)
+    assert outcome(blocks) == outcome(lambda out: reference_replay(cfg, est_cfg, lines, out))
 
 
 BAD_FRAME_LINES = ("0.5,0.1,0.1,0,0,0,none", "0.5,x,0.1,0,0,0,0,none",
@@ -669,47 +595,19 @@ BAD_FRAME_LINES = ("0.5,0.1,0.1,0,0,0,none", "0.5,x,0.1,0,0,0,0,none",
                    "0.5,nan,0.1,0,0,0,0,none", "inf,0.1,0.1,0,0,0,0,none",
                    "-1.0,0.1,0.1,0,0,0,0,none", "1_0,0.1,0.1,0,0,0,0,none")
 
-def reference_summary(frames, sensing_range: float, truth: LoadScenario = None) -> str:
-    """Summary text counted frame by frame, one scenario lookup per frame.
-
-    ``frames`` holds ``(line number, frame)`` pairs; the number names a
-    frame before the scenario start.
-    """
-    count = saturated = 0
-    t_first = t_last = None
-    on_counts = [0, 0, 0, 0]
-    pattern_counts = dict.fromkeys(PATTERNS, 0)
-    estimates, true_forces = [], []
-    for number, frame in frames:
-        if count == 0:
-            t_first = frame.time
-        t_last = frame.time
-        count += 1
-        if frame.raw_force >= sensing_range:
-            saturated += 1
-        for index, on in enumerate(frame.element_state):
-            on_counts[index] += bool(on)
-        pattern_counts[frame.pattern] += 1
-        if truth is not None:
-            estimates.append(frame.filtered_force)
-            try:
-                true_forces.append(truth.at(frame.time)[0])
-            except ValueError as exc:
-                raise ParseError(str(exc), number) from exc
-    lines = [f"frames,{count}"]
-    if count:
-        lines.append(f"t_first,{t_first!r}")
-        lines.append(f"t_last,{t_last!r}")
-        lines.append(f"saturated_frames,{saturated}")
-        for index, on in enumerate(on_counts, start=1):
-            lines.append(f"duty_cycle_e{index},{on / count!r}")
-        for label in PATTERNS:
-            lines.append(f"pattern_{label},{pattern_counts[label]}")
-    if truth is not None:
-        if not count:
-            raise UsageError("cannot compute RMSE of an empty frame stream")
-        lines.append(f"rmse_n,{rmse(estimates, true_forces)!r}")
-    return "\n".join(lines)
+def checked_frames(lines, truth: LoadScenario = None):
+    """Each frame line of ``lines`` as ``format_frame`` spells it, in turn,
+    blank and ``#`` lines skipped; ``parse_frame``'s error, or with ``truth``
+    a frame before its start, raised as ``report`` raises it."""
+    for number, line in enumerate(lines, start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            frame = parse_frame(line, number)
+            if truth is not None:
+                try:
+                    truth.at(frame.time)
+                except ValueError as exc:  # a frame before the scenario start
+                    raise ParseError(str(exc), number) from exc
+            yield format_frame(frame) + "\n"
 
 
 force = st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False)
@@ -746,17 +644,65 @@ def test_block_summary_matches_per_frame_reference(case, data, block):
     if data.draw(st.booleans()):  # else every line canonical, so that whole blocks are too
         lines = text_lines(data, [format_frame(f) for f in frames], BAD_FRAME_LINES)
 
-    def reference(out):
-        parsed = ((number, parse_frame(line, number))
-                  for number, line in enumerate(lines, start=1)
-                  if line.strip() and not line.lstrip().startswith("#"))
-        out.write(reference_summary(parsed, sensing_range, truth=truth))
+    def expected(out):
+        out.write(reference.summary(checked_frames(lines, truth), sensing_range, truth))
 
     def blocks(out):
         with mock.patch.object(pipeline, "BLOCK_TICKS", block):
             out.write(pipeline.summarize_lines(lines, sensing_range, truth=truth))
 
-    assert outcome(blocks) == outcome(reference)
+    assert outcome(blocks) == outcome(expected)
+
+
+@st.composite
+def chain_cases(draw):
+    """The default config at a preset gain, with 8-12 ADC bits, drawn rails,
+    noise and filter window; a model; and a scenario of repeating loads,
+    some held 5-30 s, so that runs are long and steps fall on ticks."""
+    rail_low = draw(st.sampled_from((0.0, -1.0)) | st.floats(-1.0, 1.0))
+    bridge = BridgeConfig(amplifier_gain=draw(st.sampled_from((22.0, 41.36))),
+                          noise_fraction=draw(st.sampled_from((0.0, 0.01)) | st.floats(0.0, 0.5)),
+                          rail_low=rail_low, rail_high=rail_low + draw(st.floats(1.5, 8.0)))
+    cfg = default_config(bridge=bridge, adc=AdcConfig(bits=draw(st.integers(8, 12))),
+                         filter_window=draw(st.integers(1, 16)))
+    model = PolynomialModel(tuple(draw(st.lists(coefficient, min_size=2, max_size=4))))
+    holds = st.integers(1, 6).map(lambda n: 5.0 * n) | st.floats(0.01, 1.0)
+    return cfg, model, draw(repeating_scenarios(cfg, st.lists(holds, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=chain_cases(), seed=st.integers(0, 2**32 - 1))
+def test_cli_writes_the_reference_chain_end_to_end(case, seed):
+    """``simulate``, ``estimate`` and ``report --truth --rmse``, run by
+    ``cli.main`` on a config file, write the stream, the frames and the
+    report of ``reference``, byte for byte."""
+    cfg, model, scenario = case
+    assume(scenario.end_time >= 0.0)  # a tick at least, so that report has an RMSE
+    sensing_range, resolution = RANGE_TABLE[cfg.bridge.amplifier_gain]
+    est_cfg = EstimatorConfig(model, element_signal_thresholds(cfg), sensing_range, resolution,
+                              cfg.filter_window)
+    keys = {"gain": cfg.bridge.amplifier_gain, "noise_fraction": cfg.bridge.noise_fraction,
+            "rail_low": cfg.bridge.rail_low, "rail_high": cfg.bridge.rail_high,
+            "adc_bits": cfg.adc.bits, "filter_window": cfg.filter_window}
+    with tempfile.TemporaryDirectory() as work:
+        config, model_path, truth, stream, frames = (
+            os.path.join(work, name)
+            for name in ("tactsim.cfg", "model.json", "truth.csv", "stream.csv", "frames.csv"))
+        with open(config, "w") as handle:
+            handle.writelines(f"{key} = {value!r}\n" for key, value in keys.items())
+        save_model(model_path, model)
+        save_scenario(truth, scenario)
+        flags, report = ["--config", config], io.StringIO()
+        with redirect_stdout(report):
+            assert cli.main(["simulate", truth, "--seed", str(seed), "-o", stream, *flags]) == 0
+            assert cli.main(["estimate", stream, "-m", model_path, "-o", frames, *flags]) == 0
+            assert cli.main(["report", frames, "--truth", truth, "--rmse", *flags]) == 0
+        stream_lines = list(reference.stream(cfg, scenario, seed))
+        frame_lines = list(reference.frames(cfg, est_cfg, stream_lines))
+        for path, lines in ((stream, stream_lines), (frames, frame_lines)):
+            with open(path, "rb") as handle:
+                assert handle.read() == "".join(lines).encode()
+    assert report.getvalue() == reference.summary(frame_lines, sensing_range, scenario) + "\n"
 
 
 def reference_kfold_split(n: int, k: int, seed) -> np.ndarray:

@@ -200,7 +200,7 @@ def test_import_leaves_the_thread_count_unset():
 
 
 # Runs ``cli.run`` with ``main`` replaced by a probe that prints whether the
-# collector is on; after ``run`` returns, prints whether the heap is frozen.
+# collector is on; after ``run`` returns, prints the number of frozen objects.
 GC_PROBE = """
 import gc, sys
 from tactsim import cli
@@ -211,21 +211,31 @@ def probe(fork=False):
 
 cli.main = probe
 code = cli.run()
-print(gc.get_freeze_count() > 0)
+print(gc.get_freeze_count())
 sys.exit(code)
 """
+
+
+def bare_freeze_count() -> int:
+    """The number of objects a bare interpreter starts with frozen: 0 on
+    most versions, a few hundred on CPython 3.12.1."""
+    done, _ = python("-c", "import gc; print(gc.get_freeze_count())")
+    assert done.returncode == 0, done.stderr[-2000:]
+    return int(done.stdout)
 
 
 def test_entry_point_runs_the_command_without_the_collector():
     done, _ = python("-c", GC_PROBE)
     assert (done.returncode, done.stderr) == (3, "")
-    assert done.stdout == "False\nTrue\n"
+    enabled, frozen = done.stdout.split()
+    assert enabled == "False"
+    assert int(frozen) > bare_freeze_count()
 
 
 def test_import_leaves_the_collector_running():
     done, _ = python("-c", "import gc, tactsim.cli; print(gc.isenabled(), gc.get_freeze_count())")
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout == "True 0\n"
+    assert done.stdout == f"True {bare_freeze_count()}\n"
 
 
 def test_main_in_process_leaves_the_environment(replay, capsys, monkeypatch):
