@@ -10,6 +10,7 @@ from tactsim import (
     default_config,
     estimate_frames,
     fit_polynomial,
+    format_frame,
     format_sample_line,
     gw_to_newtons,
     make_estimator_config,
@@ -91,9 +92,12 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 
 def reference_replay(cfg, est_cfg, lines, out) -> None:
-    """Write ``reference.frames`` of each sample that ``estimate_frames``
-    takes from ``read_samples(lines)``, in turn; then raise its error, if any."""
+    """Write each frame of ``estimate_frames`` over ``read_samples(lines)``,
+    asserting first that it is ``reference.frames``' line of its sample;
+    then raise its error, if any."""
     samples, checked = tee(read_samples(lines))
-    taken = (format_sample_line(sample) + "\n"
-             for sample, _ in zip(samples, estimate_frames(cfg, est_cfg, checked)))
-    out.writelines(reference.frames(cfg, est_cfg, taken))
+    expected = reference.frames(cfg, est_cfg, (format_sample_line(s) + "\n" for s in samples))
+    for frame in estimate_frames(cfg, est_cfg, checked):
+        line = format_frame(frame) + "\n"
+        assert line == next(expected)
+        out.write(line)

@@ -525,8 +525,9 @@ def _replay_outcome(replay, lines):
 
 class TestBlockHandOffs:
     """``estimate_lines`` in blocks of a few lines writes what a per-line
-    replay writes: the reference frames of the samples ``estimate_frames``
-    takes from ``read_samples``, and the same error after the same frames."""
+    replay writes: the frames of ``estimate_frames`` over ``read_samples``,
+    each the reference's frame of its sample, and the same error after the
+    same frames."""
 
     @staticmethod
     def lines(count, seed=0, max_code=255, first=0):

@@ -39,9 +39,9 @@ The block text paths of the three replay commands must agree with the
 per-item paths for any block size and any mix of spellings, comments
 and bad lines. ``simulate_plan``'s blocks with ``format_sample_block``
 write the lines of ``simulate_samples``. ``estimate_lines`` writes the
-``frames`` of the samples ``estimate_frames`` takes from
-``read_samples``, and fails on the same line with the same message after
-writing the same frames. A block with blank or ``#`` lines goes back
+frames of ``estimate_frames`` over ``read_samples``, each of which must
+be the line ``frames`` gives for its sample, and fails on the same line
+with the same message after writing the same frames. A block with blank or ``#`` lines goes back
 through the block pass without them before any line is respelled.
 ``summarize_lines`` gives ``summary`` of the lines ``parse_frame``
 takes, or the same error. ``cross_validate``, which slices one
