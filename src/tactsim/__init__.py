@@ -86,6 +86,7 @@ from .sensor import (
     default_elements,
     element_resistance,
     fabric_delta_r,
+    layer_resistances,
     load_scenario,
     save_scenario,
     stretched_resistance,

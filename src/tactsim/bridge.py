@@ -220,15 +220,14 @@ class Chain:
     """Bridge -> amplifier -> ADC for several channels, compiled once.
 
     ``bridges`` holds one bridge per channel. Their balance is checked
-    here, once. ``channel_inputs`` and ``channel_convert`` then take one
-    list of floats per channel, of any length, with the arithmetic of
-    ``bridge_output`` and of ``amplify`` and ``adc_sample``, so a value
-    gives the same code as those stages called on it. Each runs its
-    checks one at a time over every channel, so the first check that
-    fails on any channel is the one raised. ``codes`` is the two in turn
-    on rows, one value per channel and one row per sample. ``stages[c]``
-    holds channel ``c``'s amplifier and ADC parameters, so that
-    ``stage_code(*stages[c], v_in, noise)`` is one code of that channel.
+    here, once. ``channel_inputs`` and ``channel_convert``, the one entry
+    to the conversion, then take one list of floats per channel, of any
+    length, with the arithmetic of ``bridge_output`` and of ``amplify``
+    and ``adc_sample``, so a value gives the same code as those stages
+    called on it. Each runs its checks one at a time over every channel,
+    so the first check that fails on any channel is the one raised.
+    ``stages[c]`` holds channel ``c``'s amplifier and ADC parameters, so
+    that ``stage_code(*stages[c], v_in, noise)`` is one code of that channel.
     """
 
     def __init__(self, bridges, adc: AdcConfig):
@@ -240,11 +239,6 @@ class Chain:
                           for b in bridges]
         self.stages = [(b.amplifier_gain, b.noise_fraction, b.rail_low, b.rail_high,
                         adc.max_code, adc.full_scale) for b in bridges]
-
-    def codes(self, delta_rx, noise) -> list:
-        """Rows of int ADC codes for rows of sensing-arm rises and of noise samples."""
-        v_in = self.channel_inputs(zip(*delta_rx))
-        return list(map(list, zip(*self.channel_convert(v_in, zip(*noise)))))
 
     def channel_inputs(self, delta_rx) -> list:
         """Amplifier input voltages for each channel's list of sensing-arm rises."""
@@ -278,4 +272,6 @@ class Chain:
 def sample_chain(bridge: BridgeConfig, adc: AdcConfig, delta_rx: float,
                  noise_sample: float = 0.0) -> int:
     """One full conversion: bridge -> amplifier -> ADC code."""
-    return Chain((bridge,), adc).codes([[delta_rx]], [[noise_sample]])[0][0]
+    chain = Chain((bridge,), adc)
+    [[code]] = chain.channel_convert(chain.channel_inputs([[delta_rx]]), [[noise_sample]])
+    return code

@@ -39,7 +39,9 @@ _INPUTS = ("config", "scenario", "dataset", "stream", "model", "frames", "truth"
 
 #: The fewest blocks for which ``simulate`` forks. A fork, pipe and reap cost
 #: 1.7-2.5 ms, a hold_hour block about 2 ms of work; measured, the fork lost
-#: time at 3 blocks and saved it at 4 (CHANGES.md).
+#: time at 3 blocks and saved it at 4 (CHANGES.md). These figures assume two
+#: CPUs that run in parallel: where two processes take twice one's time, the
+#: fork only adds its cost (ROADMAP).
 FORK_BLOCKS = 4
 
 

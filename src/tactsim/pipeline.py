@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache, partial
 from itertools import compress, count, islice, product, repeat
-from operator import ge
+from operator import ge, sub
 
 from .bridge import Chain, stage_code
 from .bridge import sample_chain  # noqa: F401  the per-sample chain; bench/spans.py traces it here
@@ -28,7 +28,7 @@ from .estimator import (
     PATTERNS, EstimatorConfig, StreamState, classify_pattern, estimate_force, exact_units,
     format_frame, frame_tail, parse_frame, process_frame,
 )
-from .sensor import QUADRANTS, LoadScenario, element_resistance, fabric_delta_r
+from .sensor import LoadScenario, fabric_delta_r, layer_resistances
 from .streams import SampleLine, format_sample_line, parse_sample_line, plain_ascii
 from .units import fsum_counted, gw_to_newtons
 from .units import rmse  # noqa: F401  imported only for bench/spans.py to trace
@@ -55,34 +55,24 @@ def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
 
     Returns ``(deltas, load_of_step)``, two lists. ``deltas`` has one
     row, a tuple, per distinct signed load ``(force, quadrants)``, in the
-    order the steps first reach it: each channel's rise, fabric first, as
-    ``apply_load`` gives it at that load's steps. ``load_of_step`` holds
-    each step's row index. The load is held between steps, so these rows
-    are all the resistance states a simulation can visit. ``-0.0`` keeps
-    a row apart from ``0.0``, since its fabric rise is ``-0.0``.
-
-    The rows follow ``apply_load``'s rules without its time lookup. The
-    fabric's rise is taken once per distinct signed force and each
-    element's once per force it sees, so rows share their floats; an
-    element sees ``-0.0`` as ``0.0``, as both are below its threshold.
+    order the steps first reach it: each channel's rise, fabric first,
+    from ``layer_resistances`` at that load. ``load_of_step`` holds each
+    step's row index. The load is held between steps, so these rows are
+    all the resistance states a simulation can visit. ``-0.0`` keeps a
+    row apart from ``0.0``, as its fabric rise keeps its sign.
     """
     rows, deltas, load_of_step = {}, [], []
-    fabric = {}  # force -> the fabric's rise; taken anew for a zero, whose rise keeps its sign
-    elements = [(q, element, {}) for q, element in zip(QUADRANTS, cfg.elements)]
+    rests = [element.rest_resistance for element in cfg.elements]
+    element_rises = {}  # the elements' resistances -> their rises, one tuple shared by rows
     for step in scenario.steps:
         force, quadrants = step.force, step.quadrants
         load = (force, quadrants, math.copysign(1.0, force) < 0)
         if (row := rows.get(load)) is None:
             row = rows[load] = len(deltas)
-            if (rise := fabric.get(force)) is None or not force:
-                rise = fabric[force] = fabric_delta_r(cfg.fabric, force)
-            rises = [rise]
-            for q, element, memo in elements:  # memo: force the element sees -> its rise
-                seen = force if q in quadrants else 0.0
-                if (rise := memo.get(seen)) is None:
-                    rise = memo[seen] = element_resistance(element, seen) - element.rest_resistance
-                rises.append(rise)
-            deltas.append(tuple(rises))
+            fabric, elements = layer_resistances(cfg.fabric, cfg.elements, force, quadrants)
+            if (rises := element_rises.get(elements)) is None:
+                rises = element_rises[elements] = tuple(map(sub, elements, rests))
+            deltas.append((fabric, *rises))
         load_of_step.append(row)
     return deltas, load_of_step
 
@@ -90,9 +80,6 @@ def _load_table(cfg: ToolkitConfig, scenario: LoadScenario):
 #: Runs shorter than this many ticks per code of their span compute every
 #: code: about where sorting and looking up the draws costs what bisection saves.
 _BISECT_TICKS_PER_CODE = 12
-
-#: The lowest and the highest value of ``Pcg64.uniform``.
-_NOISE_RANGE = (-1.0, 1.0 - 2.0**-52)
 
 
 def _run_codes(code, noise, raws, first: int, final: int):
@@ -146,7 +133,8 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     Each tick takes the next five draws of ``rng.Pcg64``, one per
     channel in channel order. Each channel's distinct rises among
     ``_load_table``'s rows are converted once, at the lowest and the
-    highest draw, so a chain that overflows fails here, with the first
+    highest draw, ``uniform_of(0)`` and ``uniform_of(MASK64)`` of
+    ``rng``, so a chain that overflows fails here, with the first
     check that fails on any channel. Every stage is a monotone rounding,
     so a channel's code is monotone in its draw: one whose code is the
     same at the lowest and the highest draw keeps it on every tick of
@@ -160,7 +148,7 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     over its sorted draws where the run is long enough. A scenario costs
     a few bytes per step on top of its ``LoadStep`` objects.
     """
-    from .rng import MASK128, Pcg64, output, uniform_of
+    from .rng import MASK64, MASK128, Pcg64, output, uniform_of
     if scenario.start_time > 0:
         raise DataError(
             f"scenario starts at {scenario.start_time} s, after the sample clock's t = 0"
@@ -174,7 +162,7 @@ def simulate_plan(cfg: ToolkitConfig, scenario: LoadScenario, seed=None):
     try:  # every input the run can visit, at the lowest and the highest draw
         v_in = chain.channel_inputs(rises)
         low, high = (chain.channel_convert(v_in, [[noise] * len(volts) for volts in v_in])
-                     for noise in _NOISE_RANGE)
+                     for noise in (uniform_of(0), uniform_of(MASK64)))
     except ValueError as exc:  # config values whose chain overflows
         raise DataError(str(exc)) from exc
     rate = cfg.adc.sample_rate
@@ -242,16 +230,18 @@ def capture_protocol_dataset(cfg: ToolkitConfig, seed=None, weights=None) -> Cal
 
     Each calibration weight is pressed repeatedly onto the pad and the
     force-layer signal recorded against the known force, yielding the
-    dataset a real calibration session would produce.
+    dataset a real calibration session would produce. The fabric's rises
+    and one draw per weight go through a one-channel ``Chain`` as one
+    column, by ``channel_inputs`` and ``channel_convert``.
     """
     from .rng import Pcg64
     rng = Pcg64(cfg.seed if seed is None else seed)
     weights_gw = expand_protocol(weights)
     forces = [gw_to_newtons(weight) for weight in weights_gw]
-    deltas = [[fabric_delta_r(cfg.fabric, force)] for force in forces]
-    noise = [[value] for value in rng.uniform(len(forces))]
-    codes = Chain((cfg.bridge,), cfg.adc).codes(deltas, noise)
-    signals = [channel_signal(cfg, code) for code, in codes]
+    chain = Chain((cfg.bridge,), cfg.adc)
+    v_in = chain.channel_inputs([[fabric_delta_r(cfg.fabric, force) for force in forces]])
+    [codes] = chain.channel_convert(v_in, [rng.uniform(len(forces))])
+    signals = [channel_signal(cfg, code) for code in codes]
     return CalibrationDataset(signals, forces, weights_gw=weights_gw)
 
 

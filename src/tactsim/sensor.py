@@ -216,23 +216,30 @@ def element_resistance(model: ElementModel, force: float) -> float:
     return model.rest_resistance * SATURATION_RESISTANCE_FACTOR
 
 
-def apply_load(scenario: LoadScenario, fabric: FabricModel, elements, time: float):
-    """Resistance state of both layers at ``time``.
+def layer_resistances(fabric: FabricModel, elements, force: float, quadrants):
+    """Resistance state of both layers under ``force`` newtons on ``quadrants``.
 
     Returns ``(fabric_delta_r_ohms, element_resistances)`` where the
     second item has one entry per quadrant element. The fabric sees the
-    scenario force; each listed quadrant element sees the full force
-    (contact presses straight down on it), the others see none.
+    force; each listed quadrant element sees the full force (contact
+    presses straight down on it), the others see none and so sit at
+    rest, every trigger threshold being positive. ``-0.0`` gives the
+    fabric a ``-0.0`` rise and leaves every element at rest.
     """
     if len(elements) != len(QUADRANTS):
         raise ValueError(f"expected {len(QUADRANTS)} elements, got {len(elements)}")
-    force, quadrants = scenario.at(time)
     delta = fabric_delta_r(fabric, force)
-    per_element = tuple(
-        element_resistance(elem, force if q in quadrants else 0.0)
+    per_element = tuple([
+        element_resistance(elem, force) if q in quadrants else elem.rest_resistance
         for q, elem in zip(QUADRANTS, elements)
-    )
+    ])
     return delta, per_element
+
+
+def apply_load(scenario: LoadScenario, fabric: FabricModel, elements, time: float):
+    """Resistance state of both layers at ``time``: ``layer_resistances`` at
+    the scenario's load ``scenario.at(time)``."""
+    return layer_resistances(fabric, elements, *scenario.at(time))
 
 
 def parse_quadrants(field: str, line_number=None) -> frozenset:

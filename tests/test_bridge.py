@@ -278,7 +278,7 @@ class TestSampleChain:
     def test_negative_delta_rejected(self):
         chain = Chain((BridgeConfig(),), AdcConfig())
         with pytest.raises(ValueError, match="^delta_rx must be non-negative$"):
-            chain.codes([[-1.0]], [[0.0]])
+            chain.channel_inputs([[-1.0]])
 
     def test_non_finite_noise_rejected(self):
         with pytest.raises(ValueError, match="^ADC input must be finite$"):

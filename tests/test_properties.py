@@ -383,7 +383,7 @@ def test_run_codes_are_the_codes_of_each_draw(case):
         return base + sign * bisect_right(steps, noise)
 
     expected = list(map(code, map(uniform_of, raws)))
-    first, final = (code(noise) for noise in pipeline._NOISE_RANGE)
+    first, final = (code(uniform_of(raw)) for raw in (0, 2**64 - 1))
     computed.clear()
     assert pipeline._run_codes(code, uniform_of, raws, first, final) == expected
     assert len(computed) <= len(raws)

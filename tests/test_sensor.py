@@ -12,6 +12,7 @@ from tactsim import (
     default_elements,
     element_resistance,
     fabric_delta_r,
+    layer_resistances,
     load_scenario,
     save_scenario,
     stretched_resistance,
@@ -213,6 +214,47 @@ class TestApplyLoad:
                 if r > e.rest_resistance
             }
             assert triggered == set(quadrants)
+
+
+class TestLayerResistances:
+    fabric = FabricModel(full_scale_force=1.0)
+    elements = default_elements()
+
+    def test_pressed_and_unpressed_quadrants(self):
+        delta, resistances = layer_resistances(self.fabric, self.elements, 0.5, frozenset({2}))
+        assert delta.hex() == fabric_delta_r(self.fabric, 0.5).hex()
+        assert resistances[1] == element_resistance(self.elements[1], 0.5)
+        assert resistances[1] > self.elements[1].rest_resistance
+        for idx in (0, 2, 3):
+            assert resistances[idx] == self.elements[idx].rest_resistance
+
+    @pytest.mark.parametrize("quadrants", (frozenset(), frozenset({1, 2, 3, 4})))
+    def test_negative_zero_keeps_its_sign_and_leaves_elements_at_rest(self, quadrants):
+        delta, resistances = layer_resistances(self.fabric, self.elements, -0.0, quadrants)
+        assert delta.hex() == (-0.0).hex()
+        assert resistances == tuple(e.rest_resistance for e in self.elements)
+
+    def test_force_past_saturation_reads_near_open(self):
+        force = 2.0  # past every element's saturation force and the fabric's full scale
+        assert all(force > e.saturation_force for e in self.elements)
+        delta, resistances = layer_resistances(self.fabric, self.elements, force,
+                                               frozenset({1, 2, 3, 4}))
+        assert delta == self.fabric.rest_resistance * self.fabric.max_fractional_delta
+        assert resistances == tuple(e.rest_resistance * SATURATION_RESISTANCE_FACTOR
+                                    for e in self.elements)
+
+    def test_wrong_element_count_rejected(self):
+        with pytest.raises(ValueError, match="^expected 4 elements, got 3$"):
+            layer_resistances(self.fabric, self.elements[:3], 0.0, frozenset())
+
+    def test_apply_load_is_the_rule_at_the_scenario_load(self):
+        scenario = LoadScenario(make_scenario().steps + (
+            LoadStep(4.0, -0.0, frozenset({3})), LoadStep(5.0, 1.5, frozenset({2, 4}))))
+        for time in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 4.5, 5.0, 99.0):
+            expected = layer_resistances(self.fabric, self.elements, *scenario.at(time))
+            got = apply_load(scenario, self.fabric, self.elements, time)
+            assert [x.hex() for x in (got[0], *got[1])] == \
+                [x.hex() for x in (expected[0], *expected[1])], time
 
 
 class TestScenarioCsv:
